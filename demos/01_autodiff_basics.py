@@ -44,7 +44,8 @@ def main():
     print(f"abs diff: {abs(fd - gw[1, 2]):.2e}")
 
     # calling backward twice doubles every accumulated gradient -- the tape
-    # adds into .grad rather than overwriting, same contract the optimizer uses
+    # adds into its parameter gradients rather than overwriting, same
+    # contract the optimizer uses
     tape.backward(loss)
     print(f"after second backward, ratio = {tape.grad_for(w)[1, 2] / gw[1, 2]:.1f}")
 

@@ -28,10 +28,8 @@ from .errors import (
 )
 from .gradcheck import grad_check
 from .graphs import (
-    AdjacencyPair,
     GraphSpec,
     adaptive_adjacency,
-    build_graph_views,
     build_local_adjacency,
     normalize_adjacency,
 )
@@ -56,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ABLATIONS",
-    "AdjacencyPair",
     "ContractError",
     "ExternalField",
     "GraphSpec",
@@ -81,7 +78,6 @@ __all__ = [
     "WindowSample",
     "adaptive_adjacency",
     "as_tensor",
-    "build_graph_views",
     "build_local_adjacency",
     "build_synthetic",
     "channel_correlations",

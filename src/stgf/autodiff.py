@@ -2,10 +2,11 @@
 
 A ``Tape`` records one forward pass as an append-only list of ``Node``
 objects (define-by-run, so the graph is rebuilt on every pass). Each node
-stores its value, a zero-initialized gradient of the same shape, and a
-closure mapping the node's output adjoint to adjoints of its inputs.
-``Tape.backward`` walks the list in reverse, which is a valid traversal
-order because an op can only reference nodes created before it.
+stores its value and a closure mapping the node's output adjoint to
+adjoints of its inputs. ``Tape.backward`` walks the list in reverse, which
+is a valid traversal order because an op can only reference nodes created
+before it. Adjoints of intermediate nodes are dropped when it returns; only
+those of bound parameters are kept, in one store the tape owns.
 
 Values are plain numpy arrays in double precision. There is no implicit
 broadcasting: elementwise ops require exactly equal shapes, and anything
@@ -13,7 +14,10 @@ that needs a broadcast (bias rows, per-graph feature vectors) is written
 as a matmul against an explicit ones column.
 
 Tapes are single-threaded; nodes and their value arrays must be treated
-as immutable once created. Independent tapes may run concurrently.
+as immutable once created. A parameter leaf aliases ``Parameter.value``,
+so a parameter must not be mutated between binding it on a tape and that
+tape's last ``backward`` (the optimizer only writes between tapes).
+Independent tapes may run concurrently.
 """
 
 from __future__ import annotations
@@ -53,18 +57,17 @@ def _sigmoid(x: Array) -> Array:
 class Node:
     """One recorded operation result on a tape.
 
-    ``input_ids`` reference strictly earlier nodes. ``grad`` accumulates
-    adjoints across ``backward`` calls until the tape is zeroed.
+    ``input_ids`` reference strictly earlier nodes. A node holds no
+    gradient; ``Tape.grad_for`` reads the adjoints kept for parameters.
     """
 
-    __slots__ = ("id", "op", "input_ids", "value", "grad", "_vjp")
+    __slots__ = ("id", "op", "input_ids", "value", "_vjp")
 
     def __init__(self, nid: int, op: str, input_ids: tuple[int, ...], value: Array, vjp: Vjp | None):
         self.id = nid
         self.op = op
         self.input_ids = input_ids
         self.value = value
-        self.grad = np.zeros_like(value)
         self._vjp = vjp
 
     @property
@@ -78,8 +81,8 @@ class Node:
 class Parameter:
     """A named trainable array that persists across tapes.
 
-    ``grad`` is the optimizer-facing accumulator; tape-level gradients are
-    folded into it by the training loop (see ``Tape.grad_for``).
+    ``grad`` is the optimizer-facing accumulator; the training loop folds
+    each tape's gradients into it with ``Tape.accumulate_param_grads``.
     """
 
     __slots__ = ("name", "value", "grad")
@@ -101,7 +104,8 @@ class Tape:
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
-        self._bindings: dict[int, list[int]] = {}  # id(Parameter) -> node ids
+        self._bindings: dict[Parameter, Node] = {}
+        self._grads: dict[Parameter, Array] = {}
 
     # ------------------------------------------------------------------ leaves
 
@@ -119,9 +123,14 @@ class Tape:
         return self._push("const", (), as_tensor(x).copy(), None)
 
     def param(self, p: Parameter) -> Node:
-        """Bind a snapshot of a parameter's current value as a leaf."""
-        node = self._push("param", (), p.value.copy(), None)
-        self._bindings.setdefault(id(p), []).append(node.id)
+        """The leaf bound to ``p`` on this tape, created on first use.
+
+        The leaf's value is ``p.value`` itself, not a copy, so ``p`` must
+        not be mutated until this tape's last ``backward`` has run.
+        """
+        node = self._bindings.get(p)
+        if node is None:
+            node = self._bindings[p] = self._push("param", (), p.value, None)
         return node
 
     # ------------------------------------------------------------------- ops
@@ -255,10 +264,11 @@ class Tape:
     # -------------------------------------------------------------- backward
 
     def backward(self, loss: Node) -> None:
-        """Accumulate d(loss)/d(node) into every node's grad field.
+        """Accumulate d(loss)/d(p) for every parameter ``p`` bound on the tape.
 
-        Adjoints are computed from scratch on each call and then added, so
-        running backward twice without zeroing doubles every gradient.
+        Adjoints are computed from scratch on each call and then added to
+        the tape's parameter gradients, so running backward twice doubles
+        every gradient.
         """
         if loss.value.size != 1:
             raise ContractError(
@@ -278,29 +288,25 @@ class Tape:
                     adjoint[iid] = np.array(contrib, dtype=np.float64)
                 else:
                     adjoint[iid] = adjoint[iid] + contrib
-        for nid, g in enumerate(adjoint):
-            if g is not None:
-                self.nodes[nid].grad += g.reshape(self.nodes[nid].grad.shape)
-
-    def zero_grads(self) -> None:
-        for node in self.nodes:
-            node.grad[...] = 0.0
+        for p, node in self._bindings.items():
+            g = adjoint[node.id] if node.id <= loss.id else None
+            if g is None:
+                continue
+            g = g.reshape(p.value.shape)
+            previous = self._grads.get(p)
+            self._grads[p] = g if previous is None else previous + g
 
     def grad_for(self, p: Parameter) -> Array:
-        """Total gradient for a parameter, summed over all its bindings."""
-        total = np.zeros_like(p.value)
-        for nid in self._bindings.get(id(p), ()):
-            total += self.nodes[nid].grad
-        return total
+        """Gradient accumulated for a parameter (zeros if it got none)."""
+        g = self._grads.get(p)
+        return np.zeros_like(p.value) if g is None else g.copy()
 
     def accumulate_param_grads(self, params: Iterable[Parameter], scale: float = 1.0) -> None:
         """Fold this tape's parameter gradients into each ``Parameter.grad``."""
         for p in params:
-            ids = self._bindings.get(id(p))
-            if not ids:
-                continue
-            for nid in ids:
-                p.grad += scale * self.nodes[nid].grad
+            g = self._grads.get(p)
+            if g is not None:
+                p.grad += scale * g
 
     # --------------------------------------------------------------- helpers
 

@@ -21,7 +21,6 @@ import os
 import sys
 from pathlib import Path
 
-from .autodiff import Tape
 from .checkpoint import LoadedCheckpoint, load_checkpoint
 from .data import (
     SignalDataset,
@@ -32,32 +31,12 @@ from .data import (
     minmax_invert,
 )
 from .errors import NumericalError, UsageError, ValidationError
-from .graphs import build_local_adjacency, normalize_adjacency
-from .model import ABLATIONS, ModelConfig, model_forward
+from .model import ABLATIONS, ModelConfig
 from .synth import TOPOLOGIES, channel_correlations, generate_synthetic
-from .training import Metrics, TrainConfig, evaluate, ha_baseline, train
+from .training import Metrics, TrainConfig, _forecast, evaluate, ha_baseline, train
 
 # model keys the dataset determines; everything else is configurable
 _DERIVED_MODEL_FIELDS = {"n_nodes", "n_channels", "external_cardinalities", "external_continuous"}
-_INT_KEYS = {
-    "model.window",
-    "model.lstm_layers",
-    "model.lstm_hidden",
-    "model.embed_dim",
-    "model.external_hidden",
-    "train.epochs",
-    "train.batch_size",
-    "train.seed",
-}
-_FLOAT_KEYS = {
-    "train.learning_rate",
-    "train.beta1",
-    "train.beta2",
-    "train.epsilon",
-    "train.clip_norm",
-    "train.train_frac",
-    "train.val_frac",
-}
 
 
 def _default_config() -> dict:
@@ -75,14 +54,14 @@ def _default_config() -> dict:
 
 
 def _coerce(key: str, value):
+    """Cast int and float keys to the type of their default."""
+    kind = type(_default_config()[key])
+    if kind not in (int, float):
+        return value
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
+        return kind(value)
     except (TypeError, ValueError):
         raise ValidationError(f"config key {key!r}: cannot interpret {value!r}") from None
-    return value
 
 
 def build_run_config(
@@ -277,12 +256,8 @@ def cmd_predict(args) -> int:
         )
 
     x = minmax_apply(dataset.signals[slot - window : slot], ckpt.stats)
-    tape = Tape()
-    local_norm = normalize_adjacency(build_local_adjacency(dataset.graph))
-    out = model_forward(
-        tape, ckpt.params, x, dataset.externals[slot], local_norm, ckpt.model_config
-    )
-    y_pred = minmax_invert(out.value, ckpt.stats, channel=0)
+    (out,) = _forecast(ckpt.params, ckpt.model_config, dataset, [(x, dataset.externals[slot])])
+    y_pred = minmax_invert(out, ckpt.stats, channel=0)
 
     print(f"prediction for slot {slot} (minute {args.at})")
     print(f"{'node':<10s}{'y_pred':>12s}{'y_true':>12s}")

@@ -9,7 +9,7 @@ embedding trains.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,38 +112,9 @@ def adaptive_adjacency_values(embedding: np.ndarray) -> np.ndarray:
     return adaptive_adjacency(tape, tape.constant(embedding)).value
 
 
-@dataclass
-class AdjacencyPair:
-    """The two spatial views used by the model.
-
-    ``local`` is the raw inverse-distance matrix, ``local_norm`` its
-    self-loop degree normalization (both constants); ``embedding`` is the
-    trainable table the semantic view is recomputed from on every pass.
-    """
-
-    local: np.ndarray
-    local_norm: np.ndarray
-    embedding: Parameter = field(repr=False)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.local.shape[0]
-
-
 def init_node_embedding(n_nodes: int, embed_dim: int, rng: np.random.Generator) -> Parameter:
     """Uniform(-1/sqrt(d), 1/sqrt(d)) init keeps E E^T entries O(1)."""
     if embed_dim < 1:
         raise ValidationError(f"embedding dimension must be >= 1, got {embed_dim}")
     bound = 1.0 / np.sqrt(embed_dim)
     return Parameter("node_embedding", rng.uniform(-bound, bound, size=(n_nodes, embed_dim)))
-
-
-def build_graph_views(spec: GraphSpec, embed_dim: int, rng: np.random.Generator) -> AdjacencyPair:
-    """Assemble both views for a graph: constants for the geographic side,
-    a fresh trainable embedding for the semantic side."""
-    local = build_local_adjacency(spec)
-    return AdjacencyPair(
-        local=local,
-        local_norm=normalize_adjacency(local, add_self_loops=True),
-        embedding=init_node_embedding(spec.n_nodes, embed_dim, rng),
-    )

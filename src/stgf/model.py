@@ -14,7 +14,7 @@ parameters. Forward passes are deterministic given parameter values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -94,19 +94,7 @@ class ModelConfig:
         return [self.feature_dim] + [self.lstm_hidden] * (self.lstm_layers - 1)
 
     def to_dict(self) -> dict:
-        return {
-            "n_nodes": self.n_nodes,
-            "n_channels": self.n_channels,
-            "window": self.window,
-            "gcn_dims": list(self.gcn_dims),
-            "lstm_layers": self.lstm_layers,
-            "lstm_hidden": self.lstm_hidden,
-            "embed_dim": self.embed_dim,
-            "external_cardinalities": list(self.external_cardinalities),
-            "external_continuous": self.external_continuous,
-            "external_hidden": self.external_hidden,
-            "ablation": self.ablation,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -148,21 +136,6 @@ class ModelParams:
     def zero_grads(self) -> None:
         for p in self:
             p.zero_grad()
-
-
-class BoundParams:
-    """Lazy one-binding-per-tape view of a ModelParams collection."""
-
-    def __init__(self, tape: Tape, params: ModelParams):
-        self.tape = tape
-        self.params = params
-        self._nodes: dict[str, Node] = {}
-
-    def __getitem__(self, name: str) -> Node:
-        node = self._nodes.get(name)
-        if node is None:
-            node = self._nodes[name] = self.tape.param(self.params[name])
-        return node
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -234,7 +207,7 @@ def cgcn_forward(
     tape: Tape,
     x: np.ndarray,
     adjacency: Node | np.ndarray,
-    params: ModelParams | BoundParams,
+    params: ModelParams,
     view: str,
     config: ModelConfig,
 ) -> Node:
@@ -245,7 +218,6 @@ def cgcn_forward(
     the view's trainable elementwise weights. Under the no-channelwise
     variant the whole matrix passes through the stack once, unfused.
     """
-    bound = params if isinstance(params, BoundParams) else BoundParams(tape, params)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape != (config.n_nodes, config.n_channels):
         raise ShapeError(
@@ -264,11 +236,12 @@ def cgcn_forward(
     for block in slices:
         h = tape.constant(block)
         for l in range(len(config.gcn_dims)):
-            h = tape.relu(tape.matmul(tape.matmul(adj, h), bound[f"gcn_{view}_w{l}"]))
+            w = params[f"gcn_{view}_w{l}"]
+            h = tape.relu(tape.matmul(tape.matmul(adj, h), tape.param(w)))
         outputs.append(h)
     if not config.channelwise:
         return outputs[0]
-    weights = [bound[f"fuse_{view}_w{i}"] for i in range(config.n_channels)]
+    weights = [tape.param(params[f"fuse_{view}_w{i}"]) for i in range(config.n_channels)]
     return channel_fuse(tape, outputs, weights)
 
 
@@ -309,7 +282,7 @@ def lstm_cell(
     x: Node,
     h_prev: Node,
     c_prev: Node,
-    params: ModelParams | BoundParams,
+    params: ModelParams,
     layer: int,
 ) -> tuple[Node, Node]:
     """One recurrent step applied row-wise per node with shared weights.
@@ -317,13 +290,13 @@ def lstm_cell(
     The gate input is the column concatenation [h_prev, x]; forget, input
     and output gates are sigmoids, the candidate memory a tanh.
     """
-    bound = params if isinstance(params, BoundParams) else BoundParams(tape, params)
     n_rows = x.value.shape[0]
     z = tape.concat_cols(h_prev, x)
 
     def gate(name: str) -> Node:
-        pre = tape.matmul(z, bound[f"lstm{layer}_w{name}"])
-        return tape.add(pre, _broadcast_rows(tape, bound[f"lstm{layer}_b{name}"], n_rows))
+        pre = tape.matmul(z, tape.param(params[f"lstm{layer}_w{name}"]))
+        bias = tape.param(params[f"lstm{layer}_b{name}"])
+        return tape.add(pre, _broadcast_rows(tape, bias, n_rows))
 
     f = tape.sigmoid(gate("f"))
     i = tape.sigmoid(gate("i"))
@@ -337,7 +310,7 @@ def lstm_cell(
 def external_encode(
     tape: Tape,
     raw: np.ndarray,
-    params: ModelParams | BoundParams,
+    params: ModelParams,
     config: ModelConfig,
 ) -> Node:
     """Encode one slot's covariate vector to a 1 x external_hidden feature.
@@ -347,7 +320,6 @@ def external_encode(
     continuous slots pass straight through. A single dense layer plus relu
     mixes everything.
     """
-    bound = params if isinstance(params, BoundParams) else BoundParams(tape, params)
     raw = np.asarray(raw, dtype=np.float64).reshape(-1)
     if raw.size != config.external_dim:
         raise ShapeError(
@@ -362,15 +334,16 @@ def external_encode(
             raise ValidationError(
                 f"categorical block {k} is not a valid one-hot over {card} categories: {block}"
             )
-        pieces.append(tape.matmul(tape.constant(block[None, :]), bound[f"ext_embed{k}"]))
+        row = tape.constant(block[None, :])
+        pieces.append(tape.matmul(row, tape.param(params[f"ext_embed{k}"])))
     if config.external_continuous:
         pieces.append(tape.constant(raw[offset:][None, :]))
     merged = pieces[0]
     for piece in pieces[1:]:
         merged = tape.concat_cols(merged, piece)
     pre = tape.add(
-        tape.matmul(merged, bound["ext_dense_w"]),
-        bound["ext_dense_b"],
+        tape.matmul(merged, tape.param(params["ext_dense_w"])),
+        tape.param(params["ext_dense_b"]),
     )
     return tape.relu(pre)
 
@@ -395,7 +368,6 @@ def model_forward(
     expected = (config.window, config.n_nodes, config.n_channels)
     if window.shape != expected:
         raise ShapeError(f"model input window: expected shape {expected}, got {window.shape}")
-    bound = BoundParams(tape, params)
 
     use_local = "local" in config.active_views
     use_global = "global" in config.active_views
@@ -413,29 +385,29 @@ def model_forward(
         # Rows of the learned adjacency sum to 1, so its degree matrix is the
         # identity and the symmetric degree scaling collapses to a no-op; the
         # matrix is applied directly.
-        adj_global = adaptive_adjacency(tape, bound["node_embedding"])
+        adj_global = adaptive_adjacency(tape, tape.param(params["node_embedding"]))
 
     state = HiddenState.zeros(tape, config)
     top = state.layers[-1][0]
     for t in range(config.window):
         h_local = (
-            cgcn_forward(tape, window[t], adj_local, bound, "local", config) if use_local else None
+            cgcn_forward(tape, window[t], adj_local, params, "local", config) if use_local else None
         )
         h_global = (
-            cgcn_forward(tape, window[t], adj_global, bound, "global", config)
+            cgcn_forward(tape, window[t], adj_global, params, "global", config)
             if use_global
             else None
         )
         x_in = multiview_fuse(tape, h_local, h_global, config.ablation)
         new_layers = []
         for layer, (h_prev, c_prev) in enumerate(state.layers):
-            h, c = lstm_cell(tape, x_in, h_prev, c_prev, bound, layer)
+            h, c = lstm_cell(tape, x_in, h_prev, c_prev, params, layer)
             new_layers.append((h, c))
             x_in = h
         state = HiddenState(new_layers)
         top = new_layers[-1][0]
 
-    encoded = external_encode(tape, external, bound, config)
+    encoded = external_encode(tape, external, params, config)
     features = tape.concat_cols(top, _broadcast_rows(tape, encoded, config.n_nodes))
-    out = tape.matmul(features, bound["head_w"])
-    return tape.add(out, _broadcast_rows(tape, bound["head_b"], config.n_nodes))
+    out = tape.matmul(features, tape.param(params["head_w"]))
+    return tape.add(out, _broadcast_rows(tape, tape.param(params["head_b"]), config.n_nodes))

@@ -11,12 +11,12 @@ on the raw flow scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import Node, Parameter, Tape
+from .autodiff import Parameter, Tape
 from .checkpoint import save_checkpoint
 from .data import (
     MINUTES_PER_DAY,
@@ -63,19 +63,7 @@ class TrainConfig:
             raise ValidationError("epsilon and clip_norm must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-            "clip_norm": self.clip_norm,
-            "seed": self.seed,
-            "train_frac": self.train_frac,
-            "val_frac": self.val_frac,
-            "checkpoint_dir": self.checkpoint_dir,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -97,7 +85,7 @@ class Metrics:
             raise ValidationError(f"rmse {self.rmse} must be >= mae {self.mae} >= 0")
 
     def to_dict(self) -> dict:
-        return {"rmse": self.rmse, "mae": self.mae, "count": self.count}
+        return asdict(self)
 
 
 def compute_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
@@ -195,10 +183,10 @@ class TrainResult:
     best_val_mse: float
     stats: NormStats
     prepared: PreparedData
-    local_norm: np.ndarray
 
 
-def _check_geometry(model_config: ModelConfig, dataset: SignalDataset) -> None:
+def _local_view(model_config: ModelConfig, dataset: SignalDataset) -> np.ndarray:
+    """Check that the dataset fits the model; return its normalized distance view."""
     if model_config.n_nodes != dataset.n_nodes:
         raise ValidationError(
             f"model expects {model_config.n_nodes} nodes, dataset has {dataset.n_nodes}"
@@ -212,32 +200,41 @@ def _check_geometry(model_config: ModelConfig, dataset: SignalDataset) -> None:
             f"model expects external dim {model_config.external_dim}, "
             f"dataset has {dataset.external_dim}"
         )
+    return normalize_adjacency(build_local_adjacency(dataset.graph))
 
 
-def _sample_loss(
+def _forecast(
     params: ModelParams,
     model_config: ModelConfig,
-    sample: WindowSample,
-    local_norm: np.ndarray,
-) -> tuple[Tape, Node]:
-    tape = Tape()
-    pred = model_forward(tape, params, sample.x, sample.external, local_norm, model_config)
-    loss = tape.mse_loss(pred, tape.constant(sample.y_norm))
-    return tape, loss
+    dataset: SignalDataset,
+    windows: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> list[np.ndarray]:
+    """Normalized N x 1 forecasts for (window, covariates) pairs on the dataset's graph.
+
+    Forward only: each window runs on its own tape and nothing is kept for
+    a backward pass.
+    """
+    local_norm = _local_view(model_config, dataset)
+    if not windows:
+        raise ValidationError("cannot evaluate on an empty sample list")
+    return [
+        model_forward(Tape(), params, x, external, local_norm, model_config).value
+        for x, external in windows
+    ]
 
 
 def mean_sample_mse(
     params: ModelParams,
     model_config: ModelConfig,
     samples: Sequence[WindowSample],
-    local_norm: np.ndarray,
+    dataset: SignalDataset,
 ) -> float:
-    if not samples:
-        raise ValidationError("cannot evaluate loss on an empty sample list")
+    """Mean over samples of the per-sample normalized MSE (the training loss)."""
+    preds = _forecast(params, model_config, dataset, [(s.x, s.external) for s in samples])
     total = 0.0
-    for sample in samples:
-        _, loss = _sample_loss(params, model_config, sample, local_norm)
-        total += loss.value.item()
+    for pred, sample in zip(preds, samples):
+        diff = pred - sample.y_norm
+        total += (np.sum(diff * diff) / pred.shape[0]).item()
     return total / len(samples)
 
 
@@ -257,11 +254,10 @@ def train(
     epoch's batch order come from one seeded generator, and accumulation
     order within a batch is fixed.
     """
-    _check_geometry(model_config, dataset)
+    local_norm = _local_view(model_config, dataset)
     prepared = prepare_samples(
         dataset, model_config.window, train_config.train_frac, train_config.val_frac
     )
-    local_norm = normalize_adjacency(build_local_adjacency(dataset.graph))
 
     rng = np.random.default_rng(train_config.seed)
     params = init_params(model_config, rng)
@@ -282,7 +278,11 @@ def train(
             params.zero_grads()
             for i in batch:
                 sample = prepared.train[int(i)]
-                tape, loss = _sample_loss(params, model_config, sample, local_norm)
+                tape = Tape()
+                pred = model_forward(
+                    tape, params, sample.x, sample.external, local_norm, model_config
+                )
+                loss = tape.mse_loss(pred, tape.constant(sample.y_norm))
                 value = loss.value.item()
                 if not math.isfinite(value):
                     raise NumericalError(
@@ -295,7 +295,7 @@ def train(
             adam_step(params, {p.name: p.grad for p in params}, state, train_config)
 
         train_mse = float(epoch_losses.mean())
-        val_mse = mean_sample_mse(params, model_config, prepared.val, local_norm)
+        val_mse = mean_sample_mse(params, model_config, prepared.val, dataset)
         curve.append(EpochRecord(epoch=epoch, train_mse=train_mse, val_mse=val_mse))
         if log is not None:
             log(f"epoch {epoch:3d}  train_mse {train_mse:.6f}  val_mse {val_mse:.6f}")
@@ -319,7 +319,6 @@ def train(
         best_val_mse=best_val,
         stats=prepared.stats,
         prepared=prepared,
-        local_norm=local_norm,
     )
 
 
@@ -346,18 +345,12 @@ def evaluate(
     Predictions come out of the model normalized and are mapped back to
     flow units with the training stats before the error summary.
     """
-    _check_geometry(model_config, dataset)
-    if not samples:
-        raise ValidationError("cannot evaluate on an empty sample list")
-    local_norm = normalize_adjacency(build_local_adjacency(dataset.graph))
-
+    outs = _forecast(params, model_config, dataset, [(s.x, s.external) for s in samples])
     rows: list[PredictionRow] = []
     truths = []
     preds = []
-    for sample in samples:
-        tape = Tape()
-        out = model_forward(tape, params, sample.x, sample.external, local_norm, model_config)
-        y_pred = minmax_invert(out.value, stats, channel=0)
+    for sample, out in zip(samples, outs):
+        y_pred = minmax_invert(out, stats, channel=0)
         truths.append(sample.y)
         preds.append(y_pred)
         ts = sample.target_slot * dataset.interval_minutes

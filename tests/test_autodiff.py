@@ -184,10 +184,18 @@ def test_backward_twice_doubles_gradients():
     h = t.tanh(t.matmul(nw, nw))
     loss = t.mse_loss(h, t.constant(np.zeros((2, 2))))
     t.backward(loss)
-    once = {n.id: n.grad.copy() for n in t.nodes}
+    once = t.grad_for(w)
+    assert np.any(once != 0.0)
     t.backward(loss)
-    for node in t.nodes:
-        np.testing.assert_array_equal(node.grad, 2.0 * once[node.id])
+    np.testing.assert_array_equal(t.grad_for(w), 2.0 * once)
+
+
+def test_param_binds_each_parameter_once_without_copying():
+    t = Tape()
+    w = Parameter("w", np.ones((2, 2)))
+    assert t.param(w) is t.param(w)
+    assert len(t.nodes) == 1
+    assert np.shares_memory(t.param(w).value, w.value)
 
 
 def test_tape_is_topologically_ordered():

@@ -251,6 +251,15 @@ def test_predict_rejects_non_boundary_timestamp(run_dir, data_dir):
                  "--data", str(data_dir), "--at", "52"]) == 2
 
 
+def test_predict_geometry_mismatch_exits_2(run_dir, tmp_path, capsys):
+    assert main(["synth", "--seed", "2", "--nodes", "4", "--slots", "64",
+                 "--out", str(tmp_path / "other")]) == 0
+    code = main(["predict", "--checkpoint", str(run_dir / "checkpoint"),
+                 "--data", str(tmp_path / "other"), "--at", "50"])
+    assert code == 2
+    assert "model expects 3 nodes, dataset has 4" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ inspect
 
 

@@ -8,8 +8,8 @@ from stgf.graphs import (
     GraphSpec,
     adaptive_adjacency,
     adaptive_adjacency_values,
-    build_graph_views,
     build_local_adjacency,
+    init_node_embedding,
     normalize_adjacency,
 )
 
@@ -161,10 +161,8 @@ def test_adaptive_is_differentiable():
     assert grad_check(build, [emb], step=1e-6) < 1e-6
 
 
-def test_build_graph_views():
-    rng = np.random.default_rng(1)
-    views = build_graph_views(GraphSpec(3, [(0, 1, 1.0), (1, 2, 2.0)]), embed_dim=4, rng=rng)
-    assert views.n_nodes == 3
-    assert views.embedding.value.shape == (3, 4)
-    assert np.all(np.abs(views.embedding.value) <= 0.5)
-    np.testing.assert_allclose(views.local_norm, views.local_norm.T, atol=1e-12)
+def test_init_node_embedding_stays_within_inverse_sqrt_dim():
+    emb = init_node_embedding(3, 4, np.random.default_rng(1))
+    assert emb.name == "node_embedding"
+    assert emb.value.shape == (3, 4)
+    assert np.all(np.abs(emb.value) <= 1.0 / np.sqrt(4))

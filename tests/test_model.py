@@ -8,7 +8,6 @@ from stgf.errors import ShapeError, ValidationError
 from stgf.gradcheck import grad_check
 from stgf.model import (
     EXTERNAL_EMBED_WIDTH,
-    BoundParams,
     HiddenState,
     ModelConfig,
     ModelParams,
@@ -453,11 +452,3 @@ def test_every_parameter_receives_gradient_on_random_data():
 
     quiet = [p.name for p in params if not np.any(tape.grad_for(p))]
     assert quiet == [], f"dead parameters: {quiet}"
-
-
-def test_bound_params_bind_each_parameter_once():
-    params = ModelParams([Parameter("w", np.ones((2, 2)))])
-    tape = Tape()
-    bound = BoundParams(tape, params)
-    assert bound["w"] is bound["w"]
-    assert len(tape.nodes) == 1

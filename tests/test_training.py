@@ -326,7 +326,7 @@ def test_mean_sample_mse_matches_manual_average():
 
     local_norm = normalize_adjacency(build_local_adjacency(ds.graph))
     subset = prepared.val[:4]
-    got = mean_sample_mse(params, cfg, subset, local_norm)
+    got = mean_sample_mse(params, cfg, subset, ds)
     want = 0.0
     for s in subset:
         tape = Tape()
