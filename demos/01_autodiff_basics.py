@@ -7,9 +7,9 @@ from stgf.autodiff import Parameter, Tape
 
 
 def forward(tape, w, b, x, target):
-    # one dense layer with a relu, then the built-in mse
-    h = tape.relu(tape.add(tape.matmul(tape.param(w), tape.constant(x)),
-                           tape.matmul(tape.constant(np.ones((3, 1))), tape.param(b))))
+    # one dense layer, tanh(x @ w + b) with b added to every row, as a
+    # single fused node; then the built-in mse
+    h = tape.affine(tape.constant(x), tape.param(w), tape.param(b), act="tanh")
     return tape.mse_loss(h, tape.constant(target))
 
 

@@ -1,5 +1,5 @@
 """End-to-end: train a small forecaster on synthetic data and compare it
-against the time-of-day average baseline. Takes about a minute."""
+against the time-of-day average baseline."""
 
 import time
 

@@ -33,7 +33,15 @@ from .data import (
 from .errors import NumericalError, UsageError, ValidationError
 from .model import ABLATIONS, ModelConfig
 from .synth import TOPOLOGIES, channel_correlations, generate_synthetic
-from .training import Metrics, TrainConfig, _forecast, evaluate, ha_baseline, train
+from .training import (
+    Metrics,
+    TrainConfig,
+    _check_geometry,
+    _forecast,
+    evaluate,
+    ha_baseline,
+    train,
+)
 
 # model keys the dataset determines; everything else is configurable
 _DERIVED_MODEL_FIELDS = {"n_nodes", "n_channels", "external_cardinalities", "external_continuous"}
@@ -140,6 +148,9 @@ def _resolve_run_dir(out: str) -> Path:
 
 
 def _split_for_eval(dataset: SignalDataset, ckpt: LoadedCheckpoint, which: str):
+    # geometry first: normalizing a dataset of another channel count fails
+    # inside numpy instead of naming the difference
+    _check_geometry(ckpt.model_config, dataset)
     samples = make_windows(dataset, ckpt.stats, ckpt.model_config.window)
     train_s, val_s, test_s = chronological_split(
         samples,
@@ -255,6 +266,7 @@ def cmd_predict(args) -> int:
             f"timestamp {args.at} out of range: predictable slots cover [{lo}, {hi}] minutes"
         )
 
+    _check_geometry(ckpt.model_config, dataset)
     x = minmax_apply(dataset.signals[slot - window : slot], ckpt.stats)
     (out,) = _forecast(ckpt.params, ckpt.model_config, dataset, [(x, dataset.externals[slot])])
     y_pred = minmax_invert(out, ckpt.stats, channel=0)

@@ -391,7 +391,11 @@ def minmax_invert(x: np.ndarray, stats: NormStats, channel: int | None = None) -
 
 @dataclass
 class WindowSample:
-    """One training example: slots [t - P, t) predicting flow at slot t."""
+    """One training example: slots [t - P, t) predicting flow at slot t.
+
+    The arrays are read-only views into the dataset and into one
+    normalized copy of its signals, shared by every window of a set.
+    """
 
     x: np.ndarray
     external: np.ndarray
@@ -409,18 +413,21 @@ def make_windows(dataset: SignalDataset, stats: NormStats, window: int) -> list[
     if t_total <= window:
         raise ValidationError(f"need more than {window} slots to form windows, have {t_total}")
     normalized = minmax_apply(dataset.signals, stats)
-    samples = []
-    for t in range(window, t_total):
-        samples.append(
-            WindowSample(
-                x=normalized[t - window : t].copy(),
-                external=dataset.externals[t].copy(),
-                y=dataset.signals[t, :, 0:1].copy(),
-                y_norm=normalized[t, :, 0:1].copy(),
-                target_slot=t,
-            )
+    normalized.setflags(write=False)
+    signals = dataset.signals.view()
+    signals.setflags(write=False)
+    externals = dataset.externals.view()
+    externals.setflags(write=False)
+    return [
+        WindowSample(
+            x=normalized[t - window : t],
+            external=externals[t],
+            y=signals[t, :, 0:1],
+            y_norm=normalized[t, :, 0:1],
+            target_slot=t,
         )
-    return samples
+        for t in range(window, t_total)
+    ]
 
 
 def split_sizes(n: int, train_frac: float, val_frac: float) -> tuple[int, int, int]:

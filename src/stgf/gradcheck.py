@@ -38,7 +38,7 @@ def grad_check(
     param_list = list(params)
 
     def loss_value() -> float:
-        tape = Tape()
+        tape = Tape(record=False)
         loss = build_fn(tape)
         if loss.value.size != 1:
             raise ContractError(f"build_fn must return a scalar loss, got shape {loss.value.shape}")

@@ -108,7 +108,7 @@ def adaptive_adjacency(tape: Tape, embedding: Node) -> Node:
 
 def adaptive_adjacency_values(embedding: np.ndarray) -> np.ndarray:
     """Convenience evaluation of the learned adjacency outside any training tape."""
-    tape = Tape()
+    tape = Tape(record=False)
     return adaptive_adjacency(tape, tape.constant(embedding)).value
 
 

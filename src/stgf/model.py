@@ -8,6 +8,10 @@ whose weights are shared across nodes. A compact encoding of calendar and
 weather covariates is concatenated to the final hidden state before the
 linear prediction head.
 
+A forward pass takes a batch of windows. Slots, channels and windows are
+batch axes of one convolution stack per view, so a batch costs one pass,
+not one per window.
+
 All functions here record onto a caller-supplied tape; nothing mutates
 parameters. Forward passes are deterministic given parameter values.
 """
@@ -26,6 +30,7 @@ from .graphs import adaptive_adjacency, init_node_embedding
 ABLATIONS = ("full", "local-only", "global-only", "no-channelwise")
 VIEWS = ("local", "global")
 LSTM_GATES = ("f", "i", "c", "o")
+LSTM_GATE_ACT = {"f": "sigmoid", "i": "sigmoid", "c": "tanh", "o": "sigmoid"}
 
 # width of each categorical covariate's embedding rows
 EXTERNAL_EMBED_WIDTH = 4
@@ -186,21 +191,17 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
 # --------------------------------------------------------------------- blocks
 
 
-def _broadcast_rows(tape: Tape, row: Node, n_rows: int) -> Node:
-    """Repeat a 1 x k row to n_rows x k; gradients sum back over the rows."""
-    return tape.matmul(tape.constant(np.ones((n_rows, 1))), row)
-
-
 def channel_fuse(tape: Tape, channel_features: Sequence[Node], weights: Sequence[Node]) -> Node:
-    """Trainable elementwise recombination: sum_i W_i * H_i."""
+    """Trainable elementwise recombination: sum_i W_i * H_i.
+
+    An N x F weight is broadcast over any slot and batch axes of its
+    channel's block.
+    """
     if len(channel_features) != len(weights) or not channel_features:
         raise ShapeError(
             f"channel_fuse: got {len(channel_features)} feature blocks for {len(weights)} weights"
         )
-    out = tape.hadamard(weights[0], channel_features[0])
-    for w, h in zip(weights[1:], channel_features[1:]):
-        out = tape.add(out, tape.hadamard(w, h))
-    return out
+    return tape.weighted_sum(channel_features, weights)
 
 
 def cgcn_forward(
@@ -211,17 +212,21 @@ def cgcn_forward(
     view: str,
     config: ModelConfig,
 ) -> Node:
-    """Channel-wise graph convolution for one view of one time slot.
+    """Channel-wise graph convolution for one view.
 
-    ``x`` is the raw N x C slot matrix. Each channel column runs through the
-    view's shared relu(A H W) stack; the per-channel outputs are fused with
-    the view's trainable elementwise weights. Under the no-channelwise
-    variant the whole matrix passes through the stack once, unfused.
+    ``x`` holds raw N x C slot matrices, one slot or any stack of them
+    (``... x N x C``); the result has the same leading axes. Each channel
+    column runs through the view's shared relu(A H W) stack, with the
+    channels stacked as one more batch axis, and the per-channel outputs
+    are fused with the view's trainable elementwise weights. Under the
+    no-channelwise variant the whole slot matrix passes through the stack
+    once, unfused.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape != (config.n_nodes, config.n_channels):
+    if x.ndim < 2 or x.shape[-2:] != (config.n_nodes, config.n_channels):
         raise ShapeError(
-            f"cgcn input: expected {(config.n_nodes, config.n_channels)}, got {x.shape}"
+            f"cgcn input: expected slot matrices of shape {(config.n_nodes, config.n_channels)}, "
+            f"got {x.shape}"
         )
     adj = adjacency if isinstance(adjacency, Node) else tape.constant(adjacency)
     if adj.value.shape != (config.n_nodes, config.n_nodes):
@@ -229,20 +234,15 @@ def cgcn_forward(
             f"cgcn adjacency: expected {(config.n_nodes,) * 2}, got {adj.value.shape}"
         )
 
-    slices = (
-        [x[:, i : i + 1] for i in range(config.n_channels)] if config.channelwise else [x]
-    )
-    outputs = []
-    for block in slices:
-        h = tape.constant(block)
-        for l in range(len(config.gcn_dims)):
-            w = params[f"gcn_{view}_w{l}"]
-            h = tape.relu(tape.matmul(tape.matmul(adj, h), tape.param(w)))
-        outputs.append(h)
+    # channel-wise: C x ... x N x 1, one single-column graph signal per channel
+    h = tape.constant(np.moveaxis(x, -1, 0)[..., None] if config.channelwise else x)
+    for l in range(len(config.gcn_dims)):
+        w = params[f"gcn_{view}_w{l}"]
+        h = tape.affine(tape.matmul(adj, h), tape.param(w), act="relu")
     if not config.channelwise:
-        return outputs[0]
+        return h
     weights = [tape.param(params[f"fuse_{view}_w{i}"]) for i in range(config.n_channels)]
-    return channel_fuse(tape, outputs, weights)
+    return channel_fuse(tape, tape.unstack(h), weights)
 
 
 def multiview_fuse(tape: Tape, h_local: Node | None, h_global: Node | None, ablation: str = "full") -> Node:
@@ -267,8 +267,9 @@ class HiddenState:
     layers: list[tuple[Node, Node]] = field(default_factory=list)
 
     @classmethod
-    def zeros(cls, tape: Tape, config: ModelConfig) -> "HiddenState":
-        shape = (config.n_nodes, config.lstm_hidden)
+    def zeros(cls, tape: Tape, config: ModelConfig, batch: tuple[int, ...] = ()) -> "HiddenState":
+        """Zero state of shape ``batch + (N, hidden)`` for every layer."""
+        shape = (*batch, config.n_nodes, config.lstm_hidden)
         return cls(
             [
                 (tape.constant(np.zeros(shape)), tape.constant(np.zeros(shape)))
@@ -287,21 +288,18 @@ def lstm_cell(
 ) -> tuple[Node, Node]:
     """One recurrent step applied row-wise per node with shared weights.
 
-    The gate input is the column concatenation [h_prev, x]; forget, input
-    and output gates are sigmoids, the candidate memory a tanh.
+    The gate input is the column concatenation z = [h_prev, x]. All four
+    gates come from one affine map z @ [W_f|W_i|W_c|W_o] + b with the
+    activation applied per column block (forget, input and output gates
+    are sigmoids, the candidate memory a tanh), then split into views.
+    The per-gate parameters are joined once per tape.
     """
-    n_rows = x.value.shape[0]
+    hidden = h_prev.value.shape[-1]
     z = tape.concat_cols(h_prev, x)
-
-    def gate(name: str) -> Node:
-        pre = tape.matmul(z, tape.param(params[f"lstm{layer}_w{name}"]))
-        bias = tape.param(params[f"lstm{layer}_b{name}"])
-        return tape.add(pre, _broadcast_rows(tape, bias, n_rows))
-
-    f = tape.sigmoid(gate("f"))
-    i = tape.sigmoid(gate("i"))
-    candidate = tape.tanh(gate("c"))
-    o = tape.sigmoid(gate("o"))
+    w = tape.param_cols([params[f"lstm{layer}_w{gate}"] for gate in LSTM_GATES])
+    b = tape.param_cols([params[f"lstm{layer}_b{gate}"] for gate in LSTM_GATES])
+    gates = tape.affine(z, w, b, act=[LSTM_GATE_ACT[gate] for gate in LSTM_GATES])
+    f, i, candidate, o = tape.split_cols(gates, [hidden] * len(LSTM_GATES))
     c = tape.add(tape.hadamard(f, c_prev), tape.hadamard(i, candidate))
     h = tape.hadamard(o, tape.tanh(c))
     return h, c
@@ -313,39 +311,38 @@ def external_encode(
     params: ModelParams,
     config: ModelConfig,
 ) -> Node:
-    """Encode one slot's covariate vector to a 1 x external_hidden feature.
+    """Encode covariate vectors to external_hidden features, one row each.
 
-    Categorical blocks are one-hot and turn into embedding-row lookups
-    (realized as a one-hot matmul so gradients reach the right table row);
-    continuous slots pass straight through. A single dense layer plus relu
-    mixes everything.
+    ``raw`` is one vector or a batch x external_dim matrix; a single vector
+    gives a 1 x external_hidden row. Categorical blocks are one-hot and
+    turn into embedding-row lookups (realized as a one-hot matmul so
+    gradients reach the right table row); continuous slots pass straight
+    through. A single dense layer plus relu mixes everything.
     """
-    raw = np.asarray(raw, dtype=np.float64).reshape(-1)
-    if raw.size != config.external_dim:
+    raw = np.asarray(raw, dtype=np.float64)
+    rows = raw.reshape(1, -1) if raw.ndim < 2 else raw
+    if rows.ndim != 2 or rows.shape[1] != config.external_dim:
         raise ShapeError(
-            f"external vector: expected length {config.external_dim}, got {raw.size}"
+            f"external vector: expected length {config.external_dim}, got shape {raw.shape}"
         )
     pieces = []
     offset = 0
     for k, card in enumerate(config.external_cardinalities):
-        block = raw[offset : offset + card]
+        block = rows[:, offset : offset + card]
         offset += card
-        if not (np.all((block == 0.0) | (block == 1.0)) and block.sum() == 1.0):
+        valid = np.all((block == 0.0) | (block == 1.0), axis=1) & (block.sum(axis=1) == 1.0)
+        if not valid.all():
             raise ValidationError(
-                f"categorical block {k} is not a valid one-hot over {card} categories: {block}"
+                f"categorical block {k} is not a valid one-hot over {card} categories: "
+                f"{block[np.argmin(valid)]}"
             )
-        row = tape.constant(block[None, :])
-        pieces.append(tape.matmul(row, tape.param(params[f"ext_embed{k}"])))
+        pieces.append(tape.matmul(tape.constant(block), tape.param(params[f"ext_embed{k}"])))
     if config.external_continuous:
-        pieces.append(tape.constant(raw[offset:][None, :]))
-    merged = pieces[0]
-    for piece in pieces[1:]:
-        merged = tape.concat_cols(merged, piece)
-    pre = tape.add(
-        tape.matmul(merged, tape.param(params["ext_dense_w"])),
-        tape.param(params["ext_dense_b"]),
+        pieces.append(tape.constant(rows[:, offset:]))
+    merged = tape.concat_cols(*pieces)
+    return tape.affine(
+        merged, tape.param(params["ext_dense_w"]), tape.param(params["ext_dense_b"]), act="relu"
     )
-    return tape.relu(pre)
 
 
 def model_forward(
@@ -356,18 +353,37 @@ def model_forward(
     local_norm: np.ndarray | None,
     config: ModelConfig,
 ) -> Node:
-    """Full forward pass for one sample: P x N x C window to N x 1 forecast.
+    """Full forward pass for a batch: B x P x N x C windows to B x N x 1.
 
-    Window values are expected already scaled to [0, 1]. For each slot the
-    active views are convolved and fused, then all LSTM layers step once.
-    The covariate encoding is computed once per window, broadcast to every
-    node, concatenated to the top-layer hidden state, and mapped through
-    the linear head.
+    ``external`` holds one covariate vector per window (B x E). A single
+    P x N x C window with its length-E vector is the batch of one and
+    comes back as an N x 1 forecast.
+
+    Window values are expected already scaled to [0, 1]. Both adjacencies
+    are entered once per tape. Each active view convolves every slot of
+    every window in one stack, the views are fused, then all LSTM layers
+    step once per slot. The covariate encoding is computed once per
+    window, broadcast to every node, concatenated to the top-layer hidden
+    state, and mapped through the linear head.
     """
     window = np.asarray(window, dtype=np.float64)
     expected = (config.window, config.n_nodes, config.n_channels)
-    if window.shape != expected:
-        raise ShapeError(f"model input window: expected shape {expected}, got {window.shape}")
+    single = window.ndim == 3
+    batch = window[None] if single else window
+    if batch.ndim != 4 or batch.shape[1:] != expected:
+        raise ShapeError(
+            f"model input window: expected shape {expected} or batch x {expected}, "
+            f"got {window.shape}"
+        )
+    n_batch = batch.shape[0]
+    external = np.asarray(external, dtype=np.float64)
+    if single:
+        external = external.reshape(1, -1)
+    if external.ndim != 2 or external.shape[0] != n_batch:
+        raise ShapeError(
+            f"model input covariates: expected one row per window ({n_batch}), "
+            f"got shape {external.shape}"
+        )
 
     use_local = "local" in config.active_views
     use_global = "global" in config.active_views
@@ -387,27 +403,32 @@ def model_forward(
         # matrix is applied directly.
         adj_global = adaptive_adjacency(tape, tape.param(params["node_embedding"]))
 
-    state = HiddenState.zeros(tape, config)
-    top = state.layers[-1][0]
-    for t in range(config.window):
-        h_local = (
-            cgcn_forward(tape, window[t], adj_local, params, "local", config) if use_local else None
-        )
-        h_global = (
-            cgcn_forward(tape, window[t], adj_global, params, "global", config)
-            if use_global
-            else None
-        )
-        x_in = multiview_fuse(tape, h_local, h_global, config.ablation)
+    # slot axis first, so each LSTM step reads one contiguous B x N x F block
+    slots = batch.transpose(1, 0, 2, 3)
+    h_local = cgcn_forward(tape, slots, adj_local, params, "local", config) if use_local else None
+    h_global = (
+        cgcn_forward(tape, slots, adj_global, params, "global", config) if use_global else None
+    )
+    features = multiview_fuse(tape, h_local, h_global, config.ablation)
+
+    state = HiddenState.zeros(tape, config, (n_batch,))
+    for x_in in tape.unstack(features):
         new_layers = []
         for layer, (h_prev, c_prev) in enumerate(state.layers):
             h, c = lstm_cell(tape, x_in, h_prev, c_prev, params, layer)
             new_layers.append((h, c))
             x_in = h
         state = HiddenState(new_layers)
-        top = new_layers[-1][0]
+    top = state.layers[-1][0]
 
     encoded = external_encode(tape, external, params, config)
-    features = tape.concat_cols(top, _broadcast_rows(tape, encoded, config.n_nodes))
-    out = tape.matmul(features, tape.param(params["head_w"]))
-    return tape.add(out, _broadcast_rows(tape, tape.param(params["head_b"]), config.n_nodes))
+    per_node = tape.broadcast_to(
+        tape.reshape(encoded, (n_batch, 1, config.external_hidden)),
+        (n_batch, config.n_nodes, config.external_hidden),
+    )
+    out = tape.affine(
+        tape.concat_cols(top, per_node),
+        tape.param(params["head_w"]),
+        tape.param(params["head_b"]),
+    )
+    return tape.reshape(out, (config.n_nodes, 1)) if single else out

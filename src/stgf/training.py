@@ -1,11 +1,13 @@
 """Optimization loop, optimizer, metrics, and the historical-average baseline.
 
 Training iterates seeded-shuffled mini-batches of window samples. Each
-sample runs on its own tape; per-parameter gradients are accumulated with
-weight 1/batch-size, so the step direction is the gradient of the mean
-per-sample loss and batch size 1 recovers plain per-slot updates. Losses
-are computed on normalized targets; reported evaluation metrics are always
-on the raw flow scale.
+mini-batch runs forward as one batch on one tape, which yields the vector
+of per-sample losses; backward starts from its mean, so the step direction
+is the gradient of the mean per-sample loss and batch size 1 recovers
+plain per-slot updates. Evaluation runs forward only, in batches of at most
+``FORECAST_BATCH`` windows on tapes that record nothing. Losses are
+computed on normalized targets; reported evaluation metrics are always on
+the raw flow scale.
 """
 
 from __future__ import annotations
@@ -185,8 +187,14 @@ class TrainResult:
     prepared: PreparedData
 
 
-def _local_view(model_config: ModelConfig, dataset: SignalDataset) -> np.ndarray:
-    """Check that the dataset fits the model; return its normalized distance view."""
+# windows per forward-only batch: bounds the live intermediates of an
+# evaluation pass, which peak near 200 MB for 32 windows at the paper
+# default on 170 nodes
+FORECAST_BATCH = 32
+
+
+def _check_geometry(model_config: ModelConfig, dataset: SignalDataset) -> None:
+    """Refuse a dataset whose node, channel or covariate layout the model cannot serve."""
     if model_config.n_nodes != dataset.n_nodes:
         raise ValidationError(
             f"model expects {model_config.n_nodes} nodes, dataset has {dataset.n_nodes}"
@@ -200,6 +208,11 @@ def _local_view(model_config: ModelConfig, dataset: SignalDataset) -> np.ndarray
             f"model expects external dim {model_config.external_dim}, "
             f"dataset has {dataset.external_dim}"
         )
+
+
+def _local_view(model_config: ModelConfig, dataset: SignalDataset) -> np.ndarray:
+    """Check that the dataset fits the model; return its normalized distance view."""
+    _check_geometry(model_config, dataset)
     return normalize_adjacency(build_local_adjacency(dataset.graph))
 
 
@@ -211,16 +224,20 @@ def _forecast(
 ) -> list[np.ndarray]:
     """Normalized N x 1 forecasts for (window, covariates) pairs on the dataset's graph.
 
-    Forward only: each window runs on its own tape and nothing is kept for
-    a backward pass.
+    Forward only: windows run in batches of ``FORECAST_BATCH`` on tapes
+    that record nothing, so no intermediate outlives its use.
     """
     local_norm = _local_view(model_config, dataset)
     if not windows:
         raise ValidationError("cannot evaluate on an empty sample list")
-    return [
-        model_forward(Tape(), params, x, external, local_norm, model_config).value
-        for x, external in windows
-    ]
+    preds: list[np.ndarray] = []
+    for start in range(0, len(windows), FORECAST_BATCH):
+        chunk = windows[start : start + FORECAST_BATCH]
+        x = np.stack([w for w, _ in chunk])
+        external = np.stack([e for _, e in chunk])
+        out = model_forward(Tape(record=False), params, x, external, local_norm, model_config)
+        preds.extend(out.value)
+    return preds
 
 
 def mean_sample_mse(
@@ -251,8 +268,8 @@ def train(
     """Run the full loop and return the best-validation parameter snapshot.
 
     Deterministic given (seed, configs, dataset): initialization and every
-    epoch's batch order come from one seeded generator, and accumulation
-    order within a batch is fixed.
+    epoch's batch order come from one seeded generator, and each batch's
+    summation order is fixed by its shapes.
     """
     local_norm = _local_view(model_config, dataset)
     prepared = prepare_samples(
@@ -275,22 +292,25 @@ def train(
         epoch_losses = np.zeros(n_train)
         for batch_index, start in enumerate(range(0, n_train, train_config.batch_size)):
             batch = order[start : start + train_config.batch_size]
-            params.zero_grads()
-            for i in batch:
-                sample = prepared.train[int(i)]
-                tape = Tape()
-                pred = model_forward(
-                    tape, params, sample.x, sample.external, local_norm, model_config
+            samples = [prepared.train[i] for i in batch]
+            tape = Tape()
+            pred = model_forward(
+                tape,
+                params,
+                np.stack([s.x for s in samples]),
+                np.stack([s.external for s in samples]),
+                local_norm,
+                model_config,
+            )
+            losses = tape.mse_per_sample(pred, tape.constant(np.stack([s.y_norm for s in samples])))
+            if not np.all(np.isfinite(losses.value)):
+                raise NumericalError(
+                    f"non-finite training loss at epoch {epoch}, batch {batch_index}"
                 )
-                loss = tape.mse_loss(pred, tape.constant(sample.y_norm))
-                value = loss.value.item()
-                if not math.isfinite(value):
-                    raise NumericalError(
-                        f"non-finite training loss at epoch {epoch}, batch {batch_index}"
-                    )
-                epoch_losses[int(i)] = value
-                tape.backward(loss)
-                tape.accumulate_param_grads(params, scale=1.0 / len(batch))
+            epoch_losses[batch] = losses.value
+            tape.backward(tape.mean(losses))
+            params.zero_grads()
+            tape.accumulate_param_grads(params)
             clip_gradients(params, train_config.clip_norm)
             adam_step(params, {p.name: p.grad for p in params}, state, train_config)
 

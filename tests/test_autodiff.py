@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -304,3 +306,207 @@ def test_gradients_match_finite_differences_on_random_graphs():
             lambda tape: _build_from_program(tape, params, program, target), params, step=1e-6
         )
         assert err < 1e-5, f"case {_case}: relative error {err:.3e}"
+
+
+# ------------------------------------------------------------- batched ops
+
+
+def _probe(tape, node, seed):
+    """A scalar with a nontrivial upstream gradient for every entry of node."""
+    weights = np.random.default_rng(seed).normal(size=node.value.shape)
+    return tape.sum(tape.hadamard(node, tape.constant(weights)))
+
+
+def _params(seed, **shapes):
+    rng = np.random.default_rng(seed)
+    return {name: Parameter(name, rng.uniform(-1.5, 1.5, size=s)) for name, s in shapes.items()}
+
+
+def _check(build, params):
+    err = grad_check(build, list(params.values()), step=1e-6)
+    assert err < 1e-7, f"relative error {err:.3e}"
+
+
+def test_grad_check_matmul_shared_left_matrix_times_stack():
+    p = _params(1, a=(3, 3), s=(2, 4, 3, 2))
+    _check(lambda t: _probe(t, t.matmul(t.param(p["a"]), t.param(p["s"])), 10), p)
+
+
+def test_grad_check_matmul_stack_times_shared_right_matrix():
+    p = _params(2, s=(2, 3, 4), m=(4, 2))
+    _check(lambda t: _probe(t, t.matmul(t.param(p["s"]), t.param(p["m"])), 11), p)
+
+
+def test_matmul_stack_matches_per_matrix_products():
+    rng = np.random.default_rng(3)
+    a, s, m = rng.normal(size=(3, 3)), rng.normal(size=(4, 3, 2)), rng.normal(size=(2, 5))
+    t = Tape()
+    left = t.matmul(t.constant(a), t.constant(s)).value
+    right = t.matmul(t.constant(s), t.constant(m)).value
+    for k in range(4):
+        np.testing.assert_allclose(left[k], a @ s[k], rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(right[k], s[k] @ m, rtol=1e-14, atol=1e-14)
+    with pytest.raises(ShapeError):
+        t.matmul(t.constant(s), t.constant(s))
+
+
+@pytest.mark.parametrize("act", [None, "relu", "sigmoid", "tanh", ("sigmoid", "tanh", "relu")])
+def test_grad_check_affine(act):
+    p = _params(4, x=(2, 3, 4), w=(4, 6), b=(1, 6))
+
+    def build(t):
+        out = t.affine(t.param(p["x"]), t.param(p["w"]), t.param(p["b"]), act=act)
+        return _probe(t, out, 12)
+
+    _check(build, p)
+
+
+def test_affine_matches_matmul_plus_bias_and_activation():
+    rng = np.random.default_rng(5)
+    x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 6)), rng.normal(size=(1, 6))
+    t = Tape()
+    plain = t.affine(t.constant(x), t.constant(w), t.constant(b)).value
+    np.testing.assert_allclose(plain, x @ w + b, rtol=1e-14, atol=1e-14)
+    blocks = t.affine(t.constant(x), t.constant(w), t.constant(b), act=("relu", "tanh")).value
+    np.testing.assert_allclose(blocks[..., :3], np.maximum(x @ w + b, 0.0)[..., :3], atol=1e-14)
+    np.testing.assert_allclose(blocks[..., 3:], np.tanh(x @ w + b)[..., 3:], atol=1e-14)
+    no_bias = t.affine(t.constant(x), t.constant(w)).value
+    np.testing.assert_allclose(no_bias, x @ w, rtol=1e-14, atol=1e-14)
+    with pytest.raises(ShapeError):
+        t.affine(t.constant(x), t.constant(w), act=("relu",) * 4)
+
+
+def test_grad_check_weighted_sum_broadcasts_weights_over_leading_axes():
+    p = _params(6, h0=(2, 3, 4), h1=(2, 3, 4), h2=(2, 3, 4), w0=(3, 4), w1=(4,), w2=(2, 3, 4))
+
+    def build(t):
+        parts = [t.param(p[f"h{k}"]) for k in range(3)]
+        weights = [t.param(p[f"w{k}"]) for k in range(3)]
+        return _probe(t, t.weighted_sum(parts, weights), 13)
+
+    _check(build, p)
+
+
+def test_grad_check_split_cols_and_unstack_views():
+    p = _params(7, x=(3, 2, 5))
+
+    def build(t):
+        x = t.param(p["x"])
+        left, right = t.split_cols(x, [2, 3])
+        first, _, last = t.unstack(x)
+        # x is also read whole, so block and whole gradients meet in one adjoint
+        terms = [_probe(t, left, 14), _probe(t, x, 15), _probe(t, right, 16), _probe(t, last, 17)]
+        total = terms[0]
+        for term in terms[1:]:
+            total = t.add(total, term)
+        return t.add(total, _probe(t, first, 18))
+
+    _check(build, p)
+
+
+def test_split_cols_and_unstack_return_views():
+    t = Tape()
+    x = t.constant(np.arange(24.0).reshape(2, 3, 4))
+    left, right = t.split_cols(x, [1, 3])
+    assert np.shares_memory(left.value, x.value) and np.shares_memory(right.value, x.value)
+    np.testing.assert_array_equal(right.value, x.value[..., 1:])
+    parts = t.unstack(x)
+    assert len(parts) == 2 and all(np.shares_memory(q.value, x.value) for q in parts)
+    with pytest.raises(ShapeError):
+        t.split_cols(x, [1, 2])
+
+
+def test_unused_block_gets_zero_gradient():
+    t = Tape()
+    w = Parameter("w", np.ones((2, 4)))
+    left, _ = t.split_cols(t.param(w), [1, 3])
+    t.backward(t.sum(left))
+    np.testing.assert_array_equal(t.grad_for(w), [[1.0, 0, 0, 0], [1.0, 0, 0, 0]])
+
+
+def test_grad_check_reshape_broadcast_and_concat():
+    p = _params(8, row=(1, 3), cols=(2, 1, 3), x=(2, 5, 2))
+
+    def build(t):
+        wide = t.broadcast_to(t.param(p["row"]), (2, 5, 3))
+        tall = t.broadcast_to(t.param(p["cols"]), (2, 5, 3))
+        joined = t.concat_cols(wide, t.param(p["x"]), tall)
+        return _probe(t, t.reshape(joined, (10, 8)), 19)
+
+    _check(build, p)
+
+
+def test_grad_check_mse_per_sample_and_mean():
+    p = _params(9, pred=(3, 4, 1))
+    target = np.random.default_rng(20).normal(size=(3, 4, 1))
+
+    def build(t):
+        losses = t.mse_per_sample(t.param(p["pred"]), t.constant(target))
+        return t.add(t.mean(losses), _probe(t, losses, 21))
+
+    _check(build, p)
+
+
+def test_mse_per_sample_entries_are_per_sample_mse_loss():
+    rng = np.random.default_rng(22)
+    pred, target = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 4, 2))
+    t = Tape()
+    vec = t.mse_per_sample(t.constant(pred), t.constant(target)).value
+    for b in range(3):
+        one = t.mse_loss(t.constant(pred[b]), t.constant(target[b])).value
+        assert vec[b] == pytest.approx(float(one), rel=1e-15)
+    assert float(t.mean(t.constant(vec)).value) == pytest.approx(vec.mean(), rel=1e-15)
+
+
+def test_param_cols_binds_the_join_once_and_splits_gradients():
+    t = Tape()
+    a, b = Parameter("a", np.ones((2, 1))), Parameter("b", np.full((2, 2), 2.0))
+    joined = t.param_cols([a, b])
+    assert t.param_cols([a, b]) is joined
+    np.testing.assert_array_equal(joined.value, [[1.0, 2.0, 2.0], [1.0, 2.0, 2.0]])
+    t.backward(t.sum(t.hadamard(joined, joined)))
+    np.testing.assert_array_equal(t.grad_for(a), 2.0 * a.value)
+    np.testing.assert_array_equal(t.grad_for(b), 2.0 * b.value)
+
+
+def test_forward_only_tape_records_nothing_and_refuses_backward():
+    rng = np.random.default_rng(23)
+    w = Parameter("w", rng.normal(size=(3, 2)))
+    x = rng.normal(size=(4, 3))
+
+    def build(t):
+        return t.sum(t.tanh(t.matmul(t.constant(x), t.param(w))))
+
+    recorded, free = Tape(), Tape(record=False)
+    loss = build(free)
+    assert free.nodes == []
+    assert float(loss.value) == float(build(recorded).value)
+    with pytest.raises(ContractError):
+        free.backward(loss)
+
+
+def test_backward_keeps_no_adjoint_for_constants():
+    # a constant-only subgraph keeps no closure; the parameter still gets its gradient
+    t = Tape()
+    w = Parameter("w", [[2.0]])
+    c = t.relu(t.constant([[3.0]]))
+    loss = t.sum(t.hadamard(c, t.param(w)))
+    assert c._vjp is None and not c.needs_grad
+    t.backward(loss)
+    np.testing.assert_array_equal(t.grad_for(w), [[3.0]])
+
+
+def test_sigmoid_tanh_form_matches_the_piecewise_reference():
+    x = np.concatenate([np.linspace(-800.0, 800.0, 16001), [-745.0, -40.0, 0.0, 40.0]])
+    pos = x >= 0
+    reference = np.empty_like(x)
+    reference[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    reference[~pos] = ex / (1.0 + ex)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        t = Tape()
+        out = t.sigmoid(t.constant(x)).value
+    assert np.all(np.isfinite(out))
+    assert np.max(np.abs(out - reference)) <= 1e-15
+    assert out[0] == 0.0 and out[16000] == 1.0

@@ -1,5 +1,6 @@
 """End-to-end command-line tests driving main() in process."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from stgf.checkpoint import load_checkpoint
 from stgf.cli import build_run_config, main
-from stgf.data import load_dataset
+from stgf.data import load_dataset, save_dataset
 
 FAST_SET = [
     "--set", "model.gcn_dims=[4]",
@@ -221,6 +222,27 @@ def test_eval_geometry_mismatch_exits_2(run_dir, tmp_path, capsys):
     assert "3" in err and "5" in err
 
 
+@pytest.fixture
+def two_channel_dir(tmp_path, data_dir):
+    """The toy dataset with its last channel dropped."""
+    full = load_dataset(data_dir)
+    path = tmp_path / "two-channel"
+    save_dataset(
+        dataclasses.replace(
+            full, signals=full.signals[:, :, :2], channel_names=full.channel_names[:2]
+        ),
+        path,
+    )
+    return path
+
+
+def test_eval_channel_mismatch_exits_2(run_dir, two_channel_dir, capsys):
+    code = main(["eval", "--checkpoint", str(run_dir / "checkpoint"),
+                 "--data", str(two_channel_dir)])
+    assert code == 2
+    assert "model expects 3 channels, dataset has 2" in capsys.readouterr().err
+
+
 def test_eval_missing_checkpoint_exits_2(tmp_path, data_dir):
     assert main(["eval", "--checkpoint", str(tmp_path / "nope"),
                  "--data", str(data_dir)]) == 2
@@ -258,6 +280,13 @@ def test_predict_geometry_mismatch_exits_2(run_dir, tmp_path, capsys):
                  "--data", str(tmp_path / "other"), "--at", "50"])
     assert code == 2
     assert "model expects 3 nodes, dataset has 4" in capsys.readouterr().err
+
+
+def test_predict_channel_mismatch_exits_2(run_dir, two_channel_dir, capsys):
+    code = main(["predict", "--checkpoint", str(run_dir / "checkpoint"),
+                 "--data", str(two_channel_dir), "--at", "50"])
+    assert code == 2
+    assert "model expects 3 channels, dataset has 2" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ inspect

@@ -255,6 +255,29 @@ def test_window_fields_match_the_raw_series():
     assert s.x.min() >= 0.0 and s.x.max() <= 1.0
 
 
+def test_windows_are_read_only_views_with_unchanged_values():
+    ds = toy_dataset(t=8)
+    stats = minmax_fit(ds.signals)
+    samples = make_windows(ds, stats, 3)
+    normalized = minmax_apply(ds.signals, stats)
+    for s in samples:
+        t = s.target_slot
+        assert np.array_equal(s.x, normalized[t - 3 : t])
+        assert np.array_equal(s.y_norm, normalized[t, :, 0:1])
+        assert np.array_equal(s.y, ds.signals[t, :, 0:1])
+        assert np.array_equal(s.external, ds.externals[t])
+    # one normalized copy backs every window
+    assert samples[0].x.base is not None
+    assert samples[0].x.base is samples[-1].x.base is samples[-1].y_norm.base
+    s = samples[0]
+    for field in (s.x, s.y, s.y_norm, s.external):
+        with pytest.raises(ValueError):
+            field[...] = 0.0
+    # the dataset's own arrays stay writable
+    ds.signals[0, 0, 0] += 0.0
+    ds.externals[0, 0] += 0.0
+
+
 def test_windows_reject_short_series():
     ds = toy_dataset(t=3)
     with pytest.raises(ValidationError):

@@ -10,9 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# 04_train_small.py is left out: it trains for about a minute
 @pytest.mark.parametrize(
-    "script", ["01_autodiff_basics.py", "02_graph_views.py", "03_make_dataset.py"]
+    "script",
+    ["01_autodiff_basics.py", "02_graph_views.py", "03_make_dataset.py", "04_train_small.py"],
 )
 def test_demo_exits_cleanly(script, tmp_path):
     env = dict(os.environ)

@@ -252,6 +252,20 @@ def test_train_is_reproducible():
         assert np.array_equal(pa.value, pb.value)
 
 
+def test_batched_training_is_bitwise_reproducible():
+    # full batches and a short last batch, two LSTM layers
+    ds, cfg = small_setup(n_slots=96, lstm_layers=2)
+    tc = TrainConfig(epochs=2, batch_size=12, seed=11)
+    a = train(ds, cfg, tc)
+    b = train(ds, cfg, tc)
+    assert len(a.prepared.train) % 12 != 0
+    assert [(r.train_mse, r.val_mse) for r in a.curve] == [
+        (r.train_mse, r.val_mse) for r in b.curve
+    ]
+    for pa, pb in zip(a.params, b.params):
+        assert pa.value.tobytes() == pb.value.tobytes(), pa.name
+
+
 def test_zero_learning_rate_freezes_the_curve():
     ds, cfg = small_setup()
     tc = TrainConfig(epochs=3, batch_size=16, seed=3, learning_rate=0.0)
