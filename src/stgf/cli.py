@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -329,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval-minutes", type=int, default=5)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true", help="overwrite a non-empty directory")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model and write a run directory")
     p.add_argument("--config", help="JSON file of dotted config keys")
@@ -338,35 +338,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ablation", choices=ABLATIONS)
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override one config key (repeatable)")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint against a dataset split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--out", help="directory for metrics.json/predictions.csv")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="predict one slot's flow for every node")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--at", type=int, required=True, metavar="MINUTES",
                    help="target timestamp in minutes since slot 0")
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("inspect", help="describe a dataset or checkpoint")
     p.add_argument("--data")
     p.add_argument("--checkpoint")
-    p.set_defaults(func=cmd_inspect)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parsing leaves it unchanged, so calls share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # looked up per call, so a wrapper set on a cmd_* attribute after the
+        # parser was built still runs
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,10 @@ An STGF directory holds one multi-channel sensor-network series:
 Slot t starts at minute t * interval_minutes, with slot 0 at midnight of
 day 0. Categorical covariates are stored as names on disk and expanded to
 one-hot blocks on load, so the in-memory external matrix is purely numeric.
+The covariate codec works one field's column at a time: ``encode`` turns
+all T strings of a field into its T x width block in one call, ``decode``
+turns the block back into T strings. The file itself is row-major, one
+line per slot, as listed above.
 """
 
 from __future__ import annotations
@@ -55,26 +59,34 @@ class ExternalField:
     def width(self) -> int:
         return len(self.categories) if self.kind == "categorical" else 1
 
-    def encode(self, raw: str) -> np.ndarray:
+    def encode(self, values: Sequence[str]) -> np.ndarray:
+        """Map a column of raw strings to a len(values) x width block.
+
+        Categorical values become one-hot rows; continuous values go
+        through ``float``, so they accept exactly Python's float syntax.
+        """
         if self.kind == "continuous":
-            return np.array([float(raw)])
-        out = np.zeros(len(self.categories))
+            return np.array([float(v) for v in values]).reshape(-1, 1)
+        lookup = {c: i for i, c in enumerate(self.categories)}
         try:
-            out[self.categories.index(raw)] = 1.0
-        except ValueError:
+            hot = [lookup[v] for v in values]
+        except KeyError as exc:
             raise ValidationError(
-                f"external field {self.name!r}: unknown category {raw!r}, "
+                f"external field {self.name!r}: unknown category {exc.args[0]!r}, "
                 f"expected one of {list(self.categories)}"
             ) from None
-        return out
+        return np.eye(len(self.categories))[hot]
 
-    def decode(self, block: np.ndarray) -> str:
+    def decode(self, block: np.ndarray) -> list[str]:
+        """Inverse of ``encode``: one string per row of a rows x width block."""
         if self.kind == "continuous":
-            return repr(float(block[0]))
-        hot = np.flatnonzero(block == 1.0)
-        if hot.size != 1 or block.sum() != 1.0:
-            raise ValidationError(f"external field {self.name!r}: block {block} is not one-hot")
-        return self.categories[int(hot[0])]
+            return [repr(v) for v in block[:, 0].tolist()]
+        hot = block == 1.0
+        valid = (hot.sum(axis=1) == 1) & (block.sum(axis=1) == 1.0)
+        if not valid.all():
+            bad = block[int(np.argmin(valid))]
+            raise ValidationError(f"external field {self.name!r}: block {bad} is not one-hot")
+        return [self.categories[i] for i in hot.argmax(axis=1).tolist()]
 
     def to_dict(self) -> dict:
         d: dict = {"name": self.name, "kind": self.kind}
@@ -203,12 +215,12 @@ def save_dataset(dataset: SignalDataset, path: str | Path) -> None:
     with open(root / "externals.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f.name for f in dataset.external_fields])
-        for t in range(dataset.n_slots):
-            row, offset = [], 0
-            for f in dataset.external_fields:
-                row.append(f.decode(dataset.externals[t, offset : offset + f.width]))
-                offset += f.width
-            writer.writerow(row)
+        columns, offset = [], 0
+        for f in dataset.external_fields:
+            columns.append(f.decode(dataset.externals[:, offset : offset + f.width]))
+            offset += f.width
+        # an empty schema still writes one (empty) line per slot
+        writer.writerows(zip(*columns) if columns else [[]] * dataset.n_slots)
 
 
 def _require_file(root: Path, name: str) -> Path:
@@ -279,30 +291,40 @@ def load_dataset(path: str | Path) -> SignalDataset:
         raise LoadError(f"{edges_path}: {exc}") from None
 
     ext_path = _require_file(root, "externals.csv")
-    encoded = np.zeros((t, external_width(fields)))
+    rows, linenos, problem = [], [], None
     with open(ext_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != [f.name for f in fields]:
             raise LoadError(f"{ext_path}: header {header} does not match the schema")
-        count = 0
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if count >= t:
-                raise LoadError(f"{ext_path}: more rows than the {t} slots in meta.json")
+            if len(rows) >= t:
+                problem = f"more rows than the {t} slots in meta.json"
+                break
             if len(row) != len(fields):
-                raise LoadError(f"{ext_path}: line {lineno}: expected {len(fields)} columns, got {len(row)}")
-            offset = 0
+                problem = f"line {lineno}: expected {len(fields)} columns, got {len(row)}"
+                break
+            rows.append(row)
+            linenos.append(lineno)
+    # the rows above a malformed one are encoded before its fault is raised,
+    # so the error names the first bad line in file order, whatever its kind
+    try:
+        blocks = [f.encode(column) for f, column in zip(fields, zip(*rows))]
+    except ValueError:
+        # find the first bad cell in row, then field, order
+        for row, lineno in zip(rows, linenos):
             for f, raw in zip(fields, row):
                 try:
-                    encoded[count, offset : offset + f.width] = f.encode(raw)
-                except (ValueError, ValidationError) as exc:
+                    f.encode([raw])
+                except ValueError as exc:
                     raise LoadError(f"{ext_path}: line {lineno}: {exc}") from None
-                offset += f.width
-            count += 1
-    if count != t:
-        raise LoadError(f"{ext_path}: {count} rows for {t} slots in meta.json")
+        raise
+    if problem is not None:
+        raise LoadError(f"{ext_path}: {problem}")
+    if len(rows) != t:
+        raise LoadError(f"{ext_path}: {len(rows)} rows for {t} slots in meta.json")
 
     try:
         return SignalDataset(
@@ -312,7 +334,7 @@ def load_dataset(path: str | Path) -> SignalDataset:
             channel_names=channel_names,
             node_ids=node_ids,
             external_fields=fields,
-            externals=encoded,
+            externals=np.hstack(blocks),
         )
     except ValidationError as exc:
         raise LoadError(f"{root}: inconsistent dataset ({exc})") from None

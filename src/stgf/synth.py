@@ -173,14 +173,13 @@ def build_synthetic(
     )
 
     fields = DEFAULT_EXTERNAL_FIELDS
-    weather_names = fields[1].categories
-    externals = np.zeros((n_slots, sum(f.width for f in fields)))
     day_field, weather_field = fields[0], fields[1]
-    for t in range(n_slots):
-        d = int(day_index[t])
-        externals[t, 0:3] = day_field.encode(str(day_names[d]))
-        externals[t, 3:7] = weather_field.encode(weather_names[int(weather_index[d])])
-        externals[t, 7] = temperature[t]
+    weather_names = np.asarray(weather_field.categories, dtype=object)
+    externals = np.hstack([
+        day_field.encode(day_names[day_index].tolist()),
+        weather_field.encode(weather_names[weather_index][day_index].tolist()),
+        temperature[:, None],
+    ])
 
     return SignalDataset(
         signals=signals,

@@ -203,10 +203,24 @@ def _check_geometry(model_config: ModelConfig, dataset: SignalDataset) -> None:
         raise ValidationError(
             f"model expects {model_config.n_channels} channels, dataset has {dataset.n_channels}"
         )
-    if model_config.external_dim != dataset.external_dim:
+    # external_encode reads one one-hot block per cardinality, in order, then
+    # the continuous columns
+    expected = [f"categorical[{c}]" for c in model_config.external_cardinalities]
+    expected += ["continuous"] * model_config.external_continuous
+    found = [
+        f"categorical[{len(f.categories)}]" if f.kind == "categorical" else f.kind
+        for f in dataset.external_fields
+    ]
+    for k, (want, have) in enumerate(zip(expected, found)):
+        if want != have:
+            name = dataset.external_fields[k].name
+            raise ValidationError(
+                f"model expects covariate field {k} to be {want}, dataset field {k} "
+                f"({name!r}) is {have}"
+            )
+    if len(expected) != len(found):
         raise ValidationError(
-            f"model expects external dim {model_config.external_dim}, "
-            f"dataset has {dataset.external_dim}"
+            f"model expects {len(expected)} covariate fields, dataset has {len(found)}"
         )
 
 
@@ -403,27 +417,21 @@ def ha_baseline(
     if not eval_samples:
         raise ValidationError("cannot evaluate on an empty sample list")
 
-    def clock(sample: WindowSample) -> int:
-        return (sample.target_slot * interval_minutes) % MINUTES_PER_DAY
+    def clocks(samples: Sequence[WindowSample]) -> np.ndarray:
+        slots = np.array([s.target_slot for s in samples])
+        return (slots * interval_minutes) % MINUTES_PER_DAY
 
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for sample in train_samples:
-        key = clock(sample)
-        if key not in sums:
-            sums[key] = np.zeros_like(sample.y)
-            counts[key] = 0
-        sums[key] += sample.y
-        counts[key] += 1
-    node_mean = np.mean([s.y for s in train_samples], axis=0)
+    train_y = np.stack([s.y for s in train_samples])
+    keys, key_of = np.unique(clocks(train_samples), return_inverse=True)
+    # np.add.at adds in sample order, so each clock's sum is formed in the
+    # same order as a running total over the samples
+    sums = np.zeros((len(keys),) + train_y.shape[1:])
+    np.add.at(sums, key_of, train_y)
+    means = sums / np.bincount(key_of)[:, None, None]
+    node_mean = np.mean(train_y, axis=0)
 
-    truths = []
-    preds = []
-    for sample in eval_samples:
-        key = clock(sample)
-        if key in sums:
-            preds.append(sums[key] / counts[key])
-        else:
-            preds.append(node_mean)
-        truths.append(sample.y)
-    return compute_metrics(np.stack(truths), np.stack(preds))
+    eval_keys = clocks(eval_samples)
+    at = np.minimum(np.searchsorted(keys, eval_keys), len(keys) - 1)
+    seen = (keys[at] == eval_keys)[:, None, None]
+    preds = np.where(seen, means[at], node_mean)
+    return compute_metrics(np.stack([s.y for s in eval_samples]), preds)

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +291,75 @@ def test_predict_channel_mismatch_exits_2(run_dir, two_channel_dir, capsys):
                  "--data", str(two_channel_dir), "--at", "50"])
     assert code == 2
     assert "model expects 3 channels, dataset has 2" in capsys.readouterr().err
+
+
+# covariate fields in another order than the default schema the checkpoint
+# was trained on: same total width, different layout
+REORDERED_SCHEMAS = {
+    "weather-first": (
+        (1, 0, 2),
+        "model expects covariate field 0 to be categorical[3], "
+        "dataset field 0 ('weather') is categorical[4]",
+    ),
+    "temperature-first": (
+        (2, 0, 1),
+        "model expects covariate field 0 to be categorical[3], "
+        "dataset field 0 ('temperature') is continuous",
+    ),
+}
+
+
+def _reordered_copy(data_dir, path, order):
+    full = load_dataset(data_dir)
+    blocks, offset = [], 0
+    for f in full.external_fields:
+        blocks.append(full.externals[:, offset : offset + f.width])
+        offset += f.width
+    save_dataset(
+        dataclasses.replace(
+            full,
+            external_fields=tuple(full.external_fields[k] for k in order),
+            externals=np.hstack([blocks[k] for k in order]),
+        ),
+        path,
+    )
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("schema", sorted(REORDERED_SCHEMAS))
+def test_covariate_layout_mismatch_exits_2(run_dir, data_dir, tmp_path, capsys, command, schema):
+    order, message = REORDERED_SCHEMAS[schema]
+    _reordered_copy(data_dir, tmp_path / "reordered", order)
+    argv = [command, "--checkpoint", str(run_dir / "checkpoint"),
+            "--data", str(tmp_path / "reordered")]
+    if command == "predict":
+        argv += ["--at", "50"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+# ------------------------------------------------------------- one process
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(run_dir, data_dir, tmp_path, capsys):
+    ckpt = str(run_dir / "checkpoint")
+    calls = [
+        ["predict", "--checkpoint"],
+        ["predict", "--checkpoint", ckpt, "--data", str(data_dir), "--at", "50"],
+        ["eval", "--checkpoint", ckpt, "--data", str(data_dir), "--out", str(tmp_path / "e")],
+    ]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "stgf.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert fresh.returncode == 0 and "wrote" in fresh.stdout
 
 
 # ------------------------------------------------------------------ inspect

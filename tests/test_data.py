@@ -1,7 +1,12 @@
 """Dataset format, normalization, windowing and split tests."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stgf.data import (
     DEFAULT_CHANNEL_NAMES,
@@ -28,13 +33,13 @@ def toy_dataset(t=12, n=3, c=3, seed=0, interval=5):
     rng = np.random.default_rng(seed)
     signals = rng.uniform(0.0, 100.0, size=(t, n, c))
     fields = DEFAULT_EXTERNAL_FIELDS
-    externals = np.zeros((t, external_width(fields)))
     day_names = ["weekday", "weekend", "holiday"]
     weather_names = ["clear", "rain", "snow", "other"]
-    for slot in range(t):
-        externals[slot, 0:3] = fields[0].encode(day_names[slot % 3])
-        externals[slot, 3:7] = fields[1].encode(weather_names[slot % 4])
-        externals[slot, 7] = rng.uniform(0.0, 1.0)
+    externals = np.hstack([
+        fields[0].encode([day_names[slot % 3] for slot in range(t)]),
+        fields[1].encode([weather_names[slot % 4] for slot in range(t)]),
+        rng.uniform(0.0, 1.0, size=(t, 1)),
+    ])
     edges = tuple((i, i + 1, 1.0 + 0.5 * i) for i in range(n - 1))
     return SignalDataset(
         signals=signals,
@@ -56,14 +61,43 @@ def dir_bytes(path):
 
 def test_external_field_encodes_one_hot():
     f = ExternalField("weather", "categorical", ("clear", "rain"))
-    assert np.array_equal(f.encode("rain"), [0.0, 1.0])
-    assert f.decode(np.array([1.0, 0.0])) == "clear"
+    assert np.array_equal(f.encode(["rain"]), [[0.0, 1.0]])
+    assert f.decode(np.array([[1.0, 0.0]])) == ["clear"]
+    assert np.array_equal(f.encode(["rain", "clear", "rain"]), [[0, 1], [1, 0], [0, 1]])
+    assert f.decode(np.array([[0.0, 1.0], [1.0, 0.0]])) == ["rain", "clear"]
 
 
 def test_external_field_rejects_unknown_category():
     f = ExternalField("weather", "categorical", ("clear", "rain"))
-    with pytest.raises(ValidationError, match="unknown category"):
-        f.encode("hail")
+    with pytest.raises(ValidationError, match="unknown category 'hail'"):
+        f.encode(["hail"])
+    with pytest.raises(ValidationError, match="unknown category 'hail'"):
+        f.encode(["rain", "hail", "snow"])
+
+
+def test_external_field_continuous_column():
+    f = ExternalField("temperature", "continuous")
+    block = f.encode(["0.5", "-1e300", " 2 ", "1_000"])
+    assert block.shape == (4, 1)
+    assert block[:, 0].tolist() == [0.5, -1e300, 2.0, 1000.0]
+    assert f.decode(block) == ["0.5", "-1e+300", "2.0", "1000.0"]
+    with pytest.raises(ValueError, match="could not convert string to float: 'warm'"):
+        f.encode(["1.0", "warm"])
+
+
+def test_external_field_decode_rejects_a_block_that_is_not_one_hot():
+    f = ExternalField("weather", "categorical", ("clear", "rain", "snow"))
+    for bad in ([0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.5, 0.5, 0.0], [1.0, 0.0, 2.0]):
+        block = np.array([[0.0, 1.0, 0.0], bad])
+        with pytest.raises(ValidationError, match=r"'weather': block \[.*\] is not one-hot"):
+            f.decode(block)
+
+
+def test_save_refuses_externals_that_are_not_one_hot(tmp_path):
+    ds = toy_dataset()
+    ds.externals[5, 3:7] = [0.0, 1.0, 1.0, 0.0]
+    with pytest.raises(ValidationError, match="'weather': block .* is not one-hot"):
+        save_dataset(ds, tmp_path / "d")
 
 
 def test_external_field_validation():
@@ -143,6 +177,132 @@ def test_load_rejects_external_row_count_mismatch(tmp_path):
     path.write_text("\n".join(lines[:-2]) + "\n")
     with pytest.raises(LoadError, match=r"externals\.csv"):
         load_dataset(tmp_path / "d")
+
+
+def _set_cell(lines, lineno, field, value):
+    cells = lines[lineno - 1].split(",")
+    cells[field] = value
+    lines[lineno - 1] = ",".join(cells)
+
+
+# Each case edits externals.csv of toy_dataset() (12 slots, header on line
+# 1) and gives the message load_dataset must raise after the file name.
+# Line numbers count blank lines, and when a file has several faults the
+# first one in file order (row, then field) is named.
+EXTERNALS_FAULTS = {
+    "unknown-category": (
+        lambda lines: _set_cell(lines, 5, 0, "tsunami"),
+        "line 5: external field 'day_type': unknown category 'tsunami', "
+        "expected one of ['weekday', 'weekend', 'holiday']",
+    ),
+    "unparsable-float": (
+        lambda lines: _set_cell(lines, 7, 2, "warm"),
+        "line 7: could not convert string to float: 'warm'",
+    ),
+    "wrong-column-count": (
+        lambda lines: lines.__setitem__(3, lines[3].rsplit(",", 1)[0]),
+        "line 4: expected 3 columns, got 2",
+    ),
+    "extra-rows": (
+        lambda lines: lines.extend([lines[1], lines[2]]),
+        "more rows than the 12 slots in meta.json",
+    ),
+    "missing-rows": (
+        lambda lines: lines.__delitem__(slice(-2, None)),
+        "10 rows for 12 slots in meta.json",
+    ),
+    "blank-lines-before-bad-row": (
+        lambda lines: (lines.insert(3, ""), lines.insert(3, ""), _set_cell(lines, 9, 1, "hail")),
+        "line 9: external field 'weather': unknown category 'hail', "
+        "expected one of ['clear', 'rain', 'snow', 'other']",
+    ),
+    "bad-cell-above-wrong-column-count": (
+        lambda lines: (_set_cell(lines, 3, 2, "x"), lines.__setitem__(5, "weekday")),
+        "line 3: could not convert string to float: 'x'",
+    ),
+    "wrong-column-count-above-bad-cell": (
+        lambda lines: (_set_cell(lines, 8, 2, "x"), lines.__setitem__(5, "weekday")),
+        "line 6: expected 3 columns, got 1",
+    ),
+    "bad-cell-above-extra-rows": (
+        lambda lines: (_set_cell(lines, 13, 0, "someday"), lines.append(lines[1])),
+        "line 13: external field 'day_type': unknown category 'someday', "
+        "expected one of ['weekday', 'weekend', 'holiday']",
+    ),
+    "bad-cell-with-missing-rows": (
+        lambda lines: (_set_cell(lines, 4, 2, "nope"), lines.pop()),
+        "line 4: could not convert string to float: 'nope'",
+    ),
+    "earlier-row-wins-over-earlier-field": (
+        lambda lines: (_set_cell(lines, 3, 2, "x"), _set_cell(lines, 6, 0, "tsunami")),
+        "line 3: could not convert string to float: 'x'",
+    ),
+    "earlier-field-wins-within-a-row": (
+        lambda lines: (_set_cell(lines, 6, 2, "x"), _set_cell(lines, 6, 1, "hail")),
+        "line 6: external field 'weather': unknown category 'hail', "
+        "expected one of ['clear', 'rain', 'snow', 'other']",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTERNALS_FAULTS))
+def test_load_names_the_first_bad_externals_line(tmp_path, case):
+    mutate, message = EXTERNALS_FAULTS[case]
+    save_dataset(toy_dataset(), tmp_path / "d")
+    path = tmp_path / "d" / "externals.csv"
+    lines = path.read_text().splitlines()
+    mutate(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LoadError) as info:
+        load_dataset(tmp_path / "d")
+    assert str(info.value) == f"{path}: {message}"
+
+
+# names that need csv quoting or are not ASCII
+_LABELS = st.text(alphabet=st.sampled_from('ab ,"\'é日-'), min_size=1, max_size=6)
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e300, -1e300, -1.5]),
+)
+
+
+@st.composite
+def covariate_datasets(draw):
+    t = draw(st.integers(1, 6))
+    fields, blocks = [], []
+    for k in range(draw(st.integers(1, 4))):
+        name = draw(_LABELS)
+        if draw(st.booleans()):
+            cats = draw(st.lists(_LABELS, min_size=2, max_size=4, unique=True))
+            fields.append(ExternalField(name, "categorical", tuple(cats)))
+            hot = draw(st.lists(st.integers(0, len(cats) - 1), min_size=t, max_size=t))
+            blocks.append(np.eye(len(cats))[hot])
+        else:
+            fields.append(ExternalField(name, "continuous"))
+            values = draw(st.lists(_VALUES, min_size=t, max_size=t))
+            blocks.append(np.array(values).reshape(t, 1))
+    return SignalDataset(
+        signals=np.zeros((t, 1, 1)),
+        graph=GraphSpec(n_nodes=1, edges=()),
+        interval_minutes=5,
+        channel_names=("flow",),
+        node_ids=("n0",),
+        external_fields=fields,
+        externals=np.hstack(blocks),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(covariate_datasets())
+def test_covariates_round_trip_through_the_csv(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp) / "a", Path(tmp) / "b"
+        save_dataset(ds, a)
+        loaded = load_dataset(a)
+        assert loaded.external_fields == ds.external_fields
+        assert np.array_equal(loaded.externals, ds.externals)
+        save_dataset(loaded, b)
+        assert dir_bytes(a) == dir_bytes(b)
 
 
 def test_large_meta_shape_is_accepted(tmp_path):

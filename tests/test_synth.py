@@ -1,5 +1,7 @@
 """Generator determinism, format validity and channel-correlation targets."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,33 @@ def test_same_seed_gives_identical_directories(tmp_path):
     generate_synthetic(tmp_path / "b", seed=7, n_nodes=5, n_slots=128)
     for name in ("meta.json", "signals.bin", "edges.csv", "externals.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# SHA-256 of every file generate_synthetic writes for seed 0 at the two
+# benchmark shapes; any change to the generator or the on-disk format
+# shows up here
+GOLDEN_SHA256 = {
+    (10, 2016, "ring"): {
+        "edges.csv": "0abbe20bfe7fbd807a43faeff79cd06b206c6ddb6e18949c6aab71c44d3dc19a",
+        "externals.csv": "e63471bdc66cbd83631fe04e5f0038048593141d30c924c691878d967db05597",
+        "meta.json": "216069248e9b19d908afae676ece663e62533b2a9cfed2d37b01fd1b4f97260f",
+        "signals.bin": "487a01f0416713c80e73b01160b7af5e669b467d534c56cecb26806f694c119b",
+    },
+    (170, 64, "grid"): {
+        "edges.csv": "46848a7d883c99c82533b526fa61c6f5270bb7d71dcb3368451a3ea12c7127cd",
+        "externals.csv": "fe9883041c1cfbdb33ff39e5ed3f71192116cabd3fc9e6b8ffb0ad0d5eb5f33a",
+        "meta.json": "8d2c79ecb0a4ab9a75f18fd14f80b36bb1e1fd546101e6010249a2f7b1d330ca",
+        "signals.bin": "23288041deb79939df0f6496820bbe262554a081b9ea76a9ecae74e9476ae276",
+    },
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_SHA256))
+def test_generated_files_match_the_golden_digests(tmp_path, shape):
+    n_nodes, n_slots, topology = shape
+    generate_synthetic(tmp_path, seed=0, n_nodes=n_nodes, n_slots=n_slots, topology=topology)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == GOLDEN_SHA256[shape]
 
 
 def test_different_seeds_differ(tmp_path):

@@ -221,6 +221,31 @@ def test_ha_falls_back_to_the_node_mean():
     assert m.mae == pytest.approx(6.0)
 
 
+def _ha_by_loop(train_samples, eval_samples, interval_minutes):
+    """Reference: a running total per clock time, one sample at a time."""
+    sums, counts = {}, {}
+    for s in train_samples:
+        key = (s.target_slot * interval_minutes) % 1440
+        sums[key] = sums.get(key, 0.0) + s.y
+        counts[key] = counts.get(key, 0) + 1
+    node_mean = np.mean([s.y for s in train_samples], axis=0)
+    preds = []
+    for s in eval_samples:
+        key = (s.target_slot * interval_minutes) % 1440
+        preds.append(sums[key] / counts[key] if key in sums else node_mean)
+    return compute_metrics(np.stack([s.y for s in eval_samples]), np.stack(preds))
+
+
+def test_ha_matches_the_per_sample_loop_bitwise():
+    rng = np.random.default_rng(4)
+    train_s = [fake_sample(t, rng.uniform(0.0, 500.0, size=4)) for t in range(7, 700)]
+    eval_s = [fake_sample(t, rng.uniform(0.0, 500.0, size=4)) for t in range(650, 1200, 3)]
+    # 5 and 60 minutes sum several samples per clock time; at 7 minutes most
+    # evaluation clock times were never trained and fall back to the node mean
+    for interval in (5, 7, 60):
+        assert ha_baseline(train_s, eval_s, interval) == _ha_by_loop(train_s, eval_s, interval)
+
+
 def test_ha_rejects_empty_training_split():
     with pytest.raises(ValidationError):
         ha_baseline([], [fake_sample(1, [1.0])], 5)
