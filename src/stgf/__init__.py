@@ -8,6 +8,7 @@ from .data import (
     PreparedData,
     SignalDataset,
     WindowSample,
+    WindowSet,
     chronological_split,
     load_dataset,
     make_windows,
@@ -76,6 +77,7 @@ __all__ = [
     "UsageError",
     "ValidationError",
     "WindowSample",
+    "WindowSet",
     "adaptive_adjacency",
     "as_tensor",
     "build_local_adjacency",

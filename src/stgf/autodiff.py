@@ -13,8 +13,10 @@ keeps no closure and receives no adjoint.
 Values are plain numpy arrays in double precision. A leading batch axis
 (or several) is allowed wherever an op reads only the trailing axes: the
 columns are the last axis, and ``matmul`` multiplies a shared matrix into
-a stack of matrices from either side. Elementwise ops still require
-exactly equal shapes; every broadcast is an op of its own
+a stack of matrices from either side. ``take`` gathers entries along the
+first axis by an index array and scatters their adjoints back with
+``np.add.at``, so an entry may be picked more than once. Elementwise ops
+still require exactly equal shapes; every broadcast is an op of its own
 (``broadcast_to``, or the bias row of ``affine``) whose backward sums the
 gradient back over the broadcast axes.
 
@@ -417,6 +419,29 @@ class Tape:
         if a.value.ndim < 1:
             raise ShapeError("unstack: operand must have at least one axis")
         return [self._view("unstack", a, k) for k in range(a.value.shape[0])]
+
+    def take(self, a: Node, index) -> Node:
+        """``a[index]``: entries of ``a`` along its first axis, picked by an
+        integer array of any shape, which leads the result's shape.
+
+        An entry picked several times receives the sum of those picks'
+        adjoints.
+        """
+        av = a.value
+        index = np.asarray(index)
+        if av.ndim < 1 or index.dtype.kind not in "iu":
+            raise ShapeError(
+                f"take: needs an integer index into an array, got {index.dtype} into {av.shape}"
+            )
+        if index.size and (index.min() < 0 or index.max() >= av.shape[0]):
+            raise ShapeError(f"take: index outside [0, {av.shape[0]})")
+
+        def vjp(g: Array):
+            total = np.zeros(av.shape)
+            np.add.at(total, index, g)
+            return (total,)
+
+        return self._push("take", (a,), av[index], vjp)
 
     def _view(self, op: str, a: Node, index) -> Node:
         def vjp(g: Array):

@@ -28,7 +28,6 @@ from .data import (
     chronological_split,
     load_dataset,
     make_windows,
-    minmax_apply,
     minmax_invert,
 )
 from .errors import NumericalError, UsageError, ValidationError
@@ -152,6 +151,8 @@ def _split_for_eval(dataset: SignalDataset, ckpt: LoadedCheckpoint, which: str):
     # geometry first: normalizing a dataset of another channel count fails
     # inside numpy instead of naming the difference
     _check_geometry(ckpt.model_config, dataset)
+    # the splits are slices of target slots; only the rows the chosen
+    # split's windows read are normalized, and the HA baseline reads none
     samples = make_windows(dataset, ckpt.stats, ckpt.model_config.window)
     train_s, val_s, test_s = chronological_split(
         samples,
@@ -240,10 +241,14 @@ def cmd_eval(args) -> int:
     with open(out_dir / "predictions.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["timestamp", "node_id", "y_true", "y_pred"])
-        for row in rows:
-            writer.writerow(
-                [row.timestamp_minutes, row.node_id, repr(row.y_true), repr(row.y_pred)]
+        writer.writerows(
+            zip(
+                rows.timestamp_minutes.tolist(),
+                rows.node_id,
+                map(repr, rows.y_true.tolist()),
+                map(repr, rows.y_pred.tolist()),
             )
+        )
 
     _print_metrics_table(sys.stdout, {"model": metrics, "ha": ha}, args.split, len(chosen))
     print(f"wrote {out_dir / 'metrics.json'} and {out_dir / 'predictions.csv'}")
@@ -268,8 +273,9 @@ def cmd_predict(args) -> int:
         )
 
     _check_geometry(ckpt.model_config, dataset)
-    x = minmax_apply(dataset.signals[slot - window : slot], ckpt.stats)
-    (out,) = _forecast(ckpt.params, ckpt.model_config, dataset, [(x, dataset.externals[slot])])
+    k = slot - window
+    one = make_windows(dataset, ckpt.stats, window)[k : k + 1]
+    (out,) = _forecast(ckpt.params, ckpt.model_config, dataset, one)
     y_pred = minmax_invert(out, ckpt.stats, channel=0)
 
     print(f"prediction for slot {slot} (minute {args.at})")

@@ -16,6 +16,14 @@ The covariate codec works one field's column at a time: ``encode`` turns
 all T strings of a field into its T x width block in one call, ``decode``
 turns the block back into T strings. The file itself is row-major, one
 line per slot, as listed above.
+
+Windows are not objects in memory. A ``WindowSet`` is an integer array of
+target slots over one stretch of the series: window k reads slots
+[t - P, t) of the normalized signals and targets slot t. Splits, batches
+and forecast chunks are sub-arrays of those targets, and the model reads a
+batch as the block of distinct slots its windows cover plus a B x P index
+into that block. ``WindowSample`` is the one-window view that indexing a
+set returns.
 """
 
 from __future__ import annotations
@@ -415,8 +423,8 @@ def minmax_invert(x: np.ndarray, stats: NormStats, channel: int | None = None) -
 class WindowSample:
     """One training example: slots [t - P, t) predicting flow at slot t.
 
-    The arrays are read-only views into the dataset and into one
-    normalized copy of its signals, shared by every window of a set.
+    The arrays are read-only views into the dataset and into the one
+    normalized copy of its signals that every window of a set shares.
     """
 
     x: np.ndarray
@@ -426,7 +434,135 @@ class WindowSample:
     target_slot: int
 
 
-def make_windows(dataset: SignalDataset, stats: NormStats, window: int) -> list[WindowSample]:
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
+class _Stretch:
+    """Consecutive rows of one series: raw signals, covariates and their
+    normalized copy, which is made on first use and then shared."""
+
+    def __init__(self, signals, externals, stats: NormStats | None, normalized=None):
+        self.signals = _read_only(signals)
+        self.externals = _read_only(externals)
+        self.stats = stats
+        self._normalized = None if normalized is None else _read_only(normalized)
+
+    @property
+    def normalized(self) -> np.ndarray:
+        if self._normalized is None:
+            self._normalized = _read_only(minmax_apply(self.signals, self.stats))
+        return self._normalized
+
+    def rows(self, lo: int, hi: int) -> "_Stretch":
+        made = None if self._normalized is None else self._normalized[lo:hi]
+        return _Stretch(self.signals[lo:hi], self.externals[lo:hi], self.stats, made)
+
+
+class WindowSet:
+    """Sliding windows held as arrays, not objects.
+
+    Window k reads the normalized rows [p - P, p) of a stretch of the series
+    and targets row p = ``positions[k]``, which is slot ``target_slots[k]``
+    of the dataset. The normalized copy is made when a window first needs
+    it, so a set that only reads targets (the historical average) never
+    normalizes, and a slice normalizes only the rows its windows read. Raw
+    targets and covariates are views of the dataset's arrays, and the
+    normalized copy is taken from them at that first use, so the dataset
+    must not be edited while its windows are in use.
+
+    ``len``, iteration and an int index give read-only ``WindowSample``
+    views; a slice or an integer array gives another set. The model reads
+    a set through ``inputs``, and metrics through ``y`` and ``y_norm``.
+    """
+
+    def __init__(self, stretch: _Stretch, window: int, positions, target_slots) -> None:
+        self._stretch = stretch
+        self.window = window
+        self.positions = np.asarray(positions, dtype=np.int64)
+        self.target_slots = np.asarray(target_slots, dtype=np.int64)
+
+    @classmethod
+    def from_samples(cls, samples: Sequence[WindowSample]) -> "WindowSet":
+        """The windows of a ``WindowSample`` list, each copied onto P + 1 rows
+        of its own: its inputs, then its target."""
+        if not len(samples):
+            raise ValidationError("cannot build a window set from no samples")
+        x = np.stack([s.x for s in samples])
+        n, p = x.shape[:2]
+        rows = np.zeros((n, p + 1) + x.shape[2:])
+        rows[:, :p] = x
+        rows[:, p, :, 0:1] = np.stack([s.y_norm for s in samples])
+        raw = np.zeros_like(rows)
+        raw[:, p, :, 0:1] = np.stack([s.y for s in samples])
+        external = np.stack([s.external for s in samples])
+        externals = np.zeros((n, p + 1, external.shape[-1]))
+        externals[:, p] = external
+        stretch = _Stretch(
+            raw.reshape(-1, *x.shape[2:]),
+            externals.reshape(n * (p + 1), -1),
+            None,
+            rows.reshape(-1, *x.shape[2:]),
+        )
+        positions = np.arange(n) * (p + 1) + p
+        return cls(stretch, p, positions, [s.target_slot for s in samples])
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def __getitem__(self, k):
+        if isinstance(k, (int, np.integer)):
+            t = int(self.positions[k])
+            s, normalized = self._stretch, self._stretch.normalized
+            return WindowSample(
+                x=normalized[t - self.window : t],
+                external=s.externals[t],
+                y=s.signals[t, :, 0:1],
+                y_norm=normalized[t, :, 0:1],
+                target_slot=int(self.target_slots[k]),
+            )
+        positions, target_slots = self.positions[k], self.target_slots[k]
+        if not isinstance(k, slice) or not len(positions):
+            return WindowSet(self._stretch, self.window, positions, target_slots)
+        # a slice keeps only the rows its windows read
+        lo, hi = int(positions.min()) - self.window, int(positions.max()) + 1
+        return WindowSet(self._stretch.rows(lo, hi), self.window, positions - lo, target_slots)
+
+    def inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What ``model_forward`` reads for these windows: the S distinct
+        normalized slots they cover (S x N x C, in slot order), each window's
+        P slots as rows of that block (B x P), and the covariates at each
+        target (B x E)."""
+        wanted = self.positions[:, None] + np.arange(-self.window, 0)
+        distinct, index = np.unique(wanted, return_inverse=True)
+        return (
+            self._stretch.normalized[distinct],
+            index.reshape(wanted.shape),
+            self._stretch.externals[self.positions],
+        )
+
+    @property
+    def y(self) -> np.ndarray:
+        """Raw target flow, B x N x 1."""
+        return self._stretch.signals[self.positions, :, 0:1]
+
+    @property
+    def y_norm(self) -> np.ndarray:
+        """Normalized target flow, B x N x 1."""
+        return self._stretch.normalized[self.positions, :, 0:1]
+
+
+def as_window_set(samples: WindowSet | Sequence[WindowSample]) -> WindowSet:
+    """``samples`` itself if it is a set, else the set of its windows."""
+    return samples if isinstance(samples, WindowSet) else WindowSet.from_samples(samples)
+
+
+def make_windows(dataset: SignalDataset, stats: NormStats, window: int) -> WindowSet:
     """All sliding windows in chronological order; sample k targets slot
     window + k, for a total of T - window samples."""
     if window < 1:
@@ -434,22 +570,9 @@ def make_windows(dataset: SignalDataset, stats: NormStats, window: int) -> list[
     t_total = dataset.n_slots
     if t_total <= window:
         raise ValidationError(f"need more than {window} slots to form windows, have {t_total}")
-    normalized = minmax_apply(dataset.signals, stats)
-    normalized.setflags(write=False)
-    signals = dataset.signals.view()
-    signals.setflags(write=False)
-    externals = dataset.externals.view()
-    externals.setflags(write=False)
-    return [
-        WindowSample(
-            x=normalized[t - window : t],
-            external=externals[t],
-            y=signals[t, :, 0:1],
-            y_norm=normalized[t, :, 0:1],
-            target_slot=t,
-        )
-        for t in range(window, t_total)
-    ]
+    stretch = _Stretch(dataset.signals, dataset.externals, stats)
+    targets = np.arange(window, t_total)
+    return WindowSet(stretch, window, targets, targets)
 
 
 def split_sizes(n: int, train_frac: float, val_frac: float) -> tuple[int, int, int]:
@@ -467,16 +590,17 @@ def split_sizes(n: int, train_frac: float, val_frac: float) -> tuple[int, int, i
     return n_train, n_val, n_test
 
 
-def chronological_split(
-    samples: Sequence[WindowSample], train_frac: float = 0.7, val_frac: float = 0.1
-) -> tuple[list[WindowSample], list[WindowSample], list[WindowSample]]:
-    """Contiguous train/val/test partition, no shuffling across boundaries."""
+def chronological_split(samples, train_frac: float = 0.7, val_frac: float = 0.1):
+    """Contiguous train/val/test partition, no shuffling across boundaries.
+
+    Each part is a slice of ``samples``: a window set gives window sets,
+    a list gives lists.
+    """
     n_train, n_val, _ = split_sizes(len(samples), train_frac, val_frac)
-    ordered = list(samples)
     return (
-        ordered[:n_train],
-        ordered[n_train : n_train + n_val],
-        ordered[n_train + n_val :],
+        samples[:n_train],
+        samples[n_train : n_train + n_val],
+        samples[n_train + n_val :],
     )
 
 
@@ -484,9 +608,9 @@ def chronological_split(
 class PreparedData:
     """Windowed, normalized, chronologically split view of one dataset."""
 
-    train: list[WindowSample]
-    val: list[WindowSample]
-    test: list[WindowSample]
+    train: WindowSet
+    val: WindowSet
+    test: WindowSet
     stats: NormStats
     window: int
 

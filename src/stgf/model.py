@@ -8,9 +8,10 @@ whose weights are shared across nodes. A compact encoding of calendar and
 weather covariates is concatenated to the final hidden state before the
 linear prediction head.
 
-A forward pass takes a batch of windows. Slots, channels and windows are
-batch axes of one convolution stack per view, so a batch costs one pass,
-not one per window.
+A forward pass takes a batch of windows as a block of distinct slots plus
+an index of each window's slots into it. Slots and channels are batch
+axes of one convolution stack per view, so a batch costs one pass, and a
+slot that several windows read is convolved once.
 
 All functions here record onto a caller-supplied tape; nothing mutates
 parameters. Forward passes are deterministic given parameter values.
@@ -352,33 +353,54 @@ def model_forward(
     external: np.ndarray,
     local_norm: np.ndarray | None,
     config: ModelConfig,
+    index: np.ndarray | None = None,
 ) -> Node:
-    """Full forward pass for a batch: B x P x N x C windows to B x N x 1.
+    """Full forward pass for a batch of B windows, giving B x N x 1.
 
-    ``external`` holds one covariate vector per window (B x E). A single
-    P x N x C window with its length-E vector is the batch of one and
-    comes back as an N x 1 forecast.
+    With ``index`` (a B x P integer array), ``window`` is an S x N x C block
+    of distinct normalized slots and window b reads the slots
+    ``window[index[b]]``; consecutive windows share P - 1 slots, so each
+    slot is convolved once however many windows read it. Without it,
+    ``window`` holds the windows themselves (B x P x N x C) and is taken
+    as B * P slots under an ``arange`` index, through the same code. A
+    single P x N x C window with its length-E vector is the batch of one
+    and comes back as an N x 1 forecast.
 
-    Window values are expected already scaled to [0, 1]. Both adjacencies
-    are entered once per tape. Each active view convolves every slot of
-    every window in one stack, the views are fused, then all LSTM layers
-    step once per slot. The covariate encoding is computed once per
-    window, broadcast to every node, concatenated to the top-layer hidden
-    state, and mapped through the linear head.
+    ``external`` holds one covariate vector per window (B x E). Both
+    adjacencies are entered once per tape. Each active view convolves the
+    slot block in one stack, the views are fused, the fused slot features
+    are gathered into a P x B x N x F sequence by the index, and all LSTM
+    layers step once per slot position. The covariate encoding is computed
+    once per window, broadcast to every node, concatenated to the
+    top-layer hidden state, and mapped through the linear head.
     """
     window = np.asarray(window, dtype=np.float64)
-    expected = (config.window, config.n_nodes, config.n_channels)
-    single = window.ndim == 3
-    batch = window[None] if single else window
-    if batch.ndim != 4 or batch.shape[1:] != expected:
-        raise ShapeError(
-            f"model input window: expected shape {expected} or batch x {expected}, "
-            f"got {window.shape}"
-        )
-    n_batch = batch.shape[0]
     external = np.asarray(external, dtype=np.float64)
-    if single:
-        external = external.reshape(1, -1)
+    slot_shape = (config.n_nodes, config.n_channels)
+    single = index is None and window.ndim == 3
+    if index is None:
+        expected = (config.window, *slot_shape)
+        batch = window[None] if single else window
+        if batch.ndim != 4 or batch.shape[1:] != expected:
+            raise ShapeError(
+                f"model input window: expected shape {expected} or batch x {expected}, "
+                f"got {window.shape}"
+            )
+        window = batch.reshape(-1, *slot_shape)
+        index = np.arange(len(window)).reshape(len(batch), config.window)
+        if single:
+            external = external.reshape(1, -1)
+    else:
+        index = np.asarray(index)
+        if index.ndim != 2 or index.shape[1] != config.window:
+            raise ShapeError(
+                f"model input index: expected batch x {config.window}, got shape {index.shape}"
+            )
+        if window.ndim != 3 or window.shape[1:] != slot_shape:
+            raise ShapeError(
+                f"model input window: expected slots x {slot_shape}, got {window.shape}"
+            )
+    n_batch = len(index)
     if external.ndim != 2 or external.shape[0] != n_batch:
         raise ShapeError(
             f"model input covariates: expected one row per window ({n_batch}), "
@@ -403,16 +425,16 @@ def model_forward(
         # matrix is applied directly.
         adj_global = adaptive_adjacency(tape, tape.param(params["node_embedding"]))
 
-    # slot axis first, so each LSTM step reads one contiguous B x N x F block
-    slots = batch.transpose(1, 0, 2, 3)
-    h_local = cgcn_forward(tape, slots, adj_local, params, "local", config) if use_local else None
+    h_local = cgcn_forward(tape, window, adj_local, params, "local", config) if use_local else None
     h_global = (
-        cgcn_forward(tape, slots, adj_global, params, "global", config) if use_global else None
+        cgcn_forward(tape, window, adj_global, params, "global", config) if use_global else None
     )
     features = multiview_fuse(tape, h_local, h_global, config.ablation)
+    # slot position first, so each LSTM step reads one contiguous B x N x F block
+    sequence = tape.take(features, index.T)
 
     state = HiddenState.zeros(tape, config, (n_batch,))
-    for x_in in tape.unstack(features):
+    for x_in in tape.unstack(sequence):
         new_layers = []
         for layer, (h_prev, c_prev) in enumerate(state.layers):
             h, c = lstm_cell(tape, x_in, h_prev, c_prev, params, layer)

@@ -1,13 +1,17 @@
 """Optimization loop, optimizer, metrics, and the historical-average baseline.
 
-Training iterates seeded-shuffled mini-batches of window samples. Each
+Training iterates seeded-shuffled mini-batches of windows. A split is a
+``WindowSet``: target slots over one normalized series, so a batch is an
+integer array of windows, and ``WindowSet.inputs`` turns it into the
+distinct slots those windows read plus each window's index into them. Each
 mini-batch runs forward as one batch on one tape, which yields the vector
 of per-sample losses; backward starts from its mean, so the step direction
 is the gradient of the mean per-sample loss and batch size 1 recovers
-plain per-slot updates. Evaluation runs forward only, in batches of at most
-``FORECAST_BATCH`` windows on tapes that record nothing. Losses are
-computed on normalized targets; reported evaluation metrics are always on
-the raw flow scale.
+plain per-slot updates. Evaluation runs forward only, in chunks of at most
+``FORECAST_BATCH`` windows on tapes that record nothing, and builds its
+metrics and prediction table from arrays. Losses are computed on
+normalized targets; reported evaluation metrics are always on the raw flow
+scale.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from .data import (
     PreparedData,
     SignalDataset,
     WindowSample,
+    WindowSet,
+    as_window_set,
     minmax_invert,
     prepare_samples,
 )
@@ -234,39 +240,41 @@ def _forecast(
     params: ModelParams,
     model_config: ModelConfig,
     dataset: SignalDataset,
-    windows: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> list[np.ndarray]:
-    """Normalized N x 1 forecasts for (window, covariates) pairs on the dataset's graph.
+    windows: WindowSet,
+) -> np.ndarray:
+    """Normalized B x N x 1 forecasts for a window set on the dataset's graph.
 
-    Forward only: windows run in batches of ``FORECAST_BATCH`` on tapes
-    that record nothing, so no intermediate outlives its use.
+    Forward only: windows run in chunks of ``FORECAST_BATCH`` on tapes that
+    record nothing, so no intermediate outlives its use.
     """
     local_norm = _local_view(model_config, dataset)
-    if not windows:
+    if not len(windows):
         raise ValidationError("cannot evaluate on an empty sample list")
-    preds: list[np.ndarray] = []
+    preds = []
     for start in range(0, len(windows), FORECAST_BATCH):
-        chunk = windows[start : start + FORECAST_BATCH]
-        x = np.stack([w for w, _ in chunk])
-        external = np.stack([e for _, e in chunk])
-        out = model_forward(Tape(record=False), params, x, external, local_norm, model_config)
-        preds.extend(out.value)
-    return preds
+        slots, index, external = windows[start : start + FORECAST_BATCH].inputs()
+        out = model_forward(
+            Tape(record=False), params, slots, external, local_norm, model_config, index
+        )
+        preds.append(out.value)
+    return np.concatenate(preds)
 
 
 def mean_sample_mse(
     params: ModelParams,
     model_config: ModelConfig,
-    samples: Sequence[WindowSample],
+    samples: WindowSet | Sequence[WindowSample],
     dataset: SignalDataset,
 ) -> float:
     """Mean over samples of the per-sample normalized MSE (the training loss)."""
-    preds = _forecast(params, model_config, dataset, [(s.x, s.external) for s in samples])
+    windows = as_window_set(samples)
+    diff = _forecast(params, model_config, dataset, windows) - windows.y_norm
     total = 0.0
-    for pred, sample in zip(preds, samples):
-        diff = pred - sample.y_norm
-        total += (np.sum(diff * diff) / pred.shape[0]).item()
-    return total / len(samples)
+    # a running total over the windows in order, summed as one window at a
+    # time, so the figure does not depend on how windows are chunked
+    for d in diff:
+        total += (np.sum(d * d) / d.shape[0]).item()
+    return total / len(windows)
 
 
 def _snapshot(params: ModelParams) -> ModelParams:
@@ -306,17 +314,11 @@ def train(
         epoch_losses = np.zeros(n_train)
         for batch_index, start in enumerate(range(0, n_train, train_config.batch_size)):
             batch = order[start : start + train_config.batch_size]
-            samples = [prepared.train[i] for i in batch]
+            windows = prepared.train[batch]
+            slots, index, external = windows.inputs()
             tape = Tape()
-            pred = model_forward(
-                tape,
-                params,
-                np.stack([s.x for s in samples]),
-                np.stack([s.external for s in samples]),
-                local_norm,
-                model_config,
-            )
-            losses = tape.mse_per_sample(pred, tape.constant(np.stack([s.y_norm for s in samples])))
+            pred = model_forward(tape, params, slots, external, local_norm, model_config, index)
+            losses = tape.mse_per_sample(pred, tape.constant(windows.y_norm))
             if not np.all(np.isfinite(losses.value)):
                 raise NumericalError(
                     f"non-finite training loss at epoch {epoch}, batch {batch_index}"
@@ -367,62 +369,92 @@ class PredictionRow:
     y_pred: float
 
 
+@dataclass(eq=False)
+class PredictionTable:
+    """One row per (sample, node), sample-major, held as columns.
+
+    An int index and iteration give ``PredictionRow`` objects; a slice
+    gives a table of those rows.
+    """
+
+    timestamp_minutes: np.ndarray
+    node_id: list[str]
+    y_true: np.ndarray
+    y_pred: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.y_true)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return PredictionTable(
+                self.timestamp_minutes[k], self.node_id[k], self.y_true[k], self.y_pred[k]
+            )
+        return PredictionRow(
+            int(self.timestamp_minutes[k]),
+            self.node_id[k],
+            float(self.y_true[k]),
+            float(self.y_pred[k]),
+        )
+
+    def __iter__(self):
+        return map(
+            PredictionRow,
+            self.timestamp_minutes.tolist(),
+            self.node_id,
+            self.y_true.tolist(),
+            self.y_pred.tolist(),
+        )
+
+
 def evaluate(
     params: ModelParams,
     model_config: ModelConfig,
     stats: NormStats,
     dataset: SignalDataset,
-    samples: Sequence[WindowSample],
-) -> tuple[Metrics, list[PredictionRow]]:
+    samples: WindowSet | Sequence[WindowSample],
+) -> tuple[Metrics, PredictionTable]:
     """Raw-scale metrics plus one table row per (sample, node).
 
     Predictions come out of the model normalized and are mapped back to
     flow units with the training stats before the error summary.
     """
-    outs = _forecast(params, model_config, dataset, [(s.x, s.external) for s in samples])
-    rows: list[PredictionRow] = []
-    truths = []
-    preds = []
-    for sample, out in zip(samples, outs):
-        y_pred = minmax_invert(out, stats, channel=0)
-        truths.append(sample.y)
-        preds.append(y_pred)
-        ts = sample.target_slot * dataset.interval_minutes
-        for v in range(dataset.n_nodes):
-            rows.append(
-                PredictionRow(
-                    timestamp_minutes=ts,
-                    node_id=dataset.node_ids[v],
-                    y_true=float(sample.y[v, 0]),
-                    y_pred=float(y_pred[v, 0]),
-                )
-            )
-    metrics = compute_metrics(np.stack(truths), np.stack(preds))
-    return metrics, rows
+    windows = as_window_set(samples)
+    y_pred = minmax_invert(_forecast(params, model_config, dataset, windows), stats, channel=0)
+    y_true = windows.y
+    timestamps = windows.target_slots * dataset.interval_minutes
+    table = PredictionTable(
+        timestamp_minutes=np.repeat(timestamps, dataset.n_nodes),
+        node_id=list(dataset.node_ids) * len(windows),
+        y_true=y_true.reshape(-1),
+        y_pred=y_pred.reshape(-1),
+    )
+    return compute_metrics(y_true, y_pred), table
 
 
 def ha_baseline(
-    train_samples: Sequence[WindowSample],
-    eval_samples: Sequence[WindowSample],
+    train_samples: WindowSet | Sequence[WindowSample],
+    eval_samples: WindowSet | Sequence[WindowSample],
     interval_minutes: int,
 ) -> Metrics:
     """Historical average: per-node mean flow at the same clock time.
 
     The prediction for node v at time-of-day s is the mean of the training
     targets observed at (v, s); clock times never seen in training fall
-    back to the node's overall training mean.
+    back to the node's overall training mean. Only target slots and raw
+    targets are read, so the windows are never normalized.
     """
-    if not train_samples:
+    if not len(train_samples):
         raise ValidationError("historical average needs a nonempty training split")
-    if not eval_samples:
+    if not len(eval_samples):
         raise ValidationError("cannot evaluate on an empty sample list")
+    train_windows, eval_windows = as_window_set(train_samples), as_window_set(eval_samples)
 
-    def clocks(samples: Sequence[WindowSample]) -> np.ndarray:
-        slots = np.array([s.target_slot for s in samples])
-        return (slots * interval_minutes) % MINUTES_PER_DAY
+    def clocks(windows: WindowSet) -> np.ndarray:
+        return (windows.target_slots * interval_minutes) % MINUTES_PER_DAY
 
-    train_y = np.stack([s.y for s in train_samples])
-    keys, key_of = np.unique(clocks(train_samples), return_inverse=True)
+    train_y = train_windows.y
+    keys, key_of = np.unique(clocks(train_windows), return_inverse=True)
     # np.add.at adds in sample order, so each clock's sum is formed in the
     # same order as a running total over the samples
     sums = np.zeros((len(keys),) + train_y.shape[1:])
@@ -430,8 +462,8 @@ def ha_baseline(
     means = sums / np.bincount(key_of)[:, None, None]
     node_mean = np.mean(train_y, axis=0)
 
-    eval_keys = clocks(eval_samples)
+    eval_keys = clocks(eval_windows)
     at = np.minimum(np.searchsorted(keys, eval_keys), len(keys) - 1)
     seen = (keys[at] == eval_keys)[:, None, None]
     preds = np.where(seen, means[at], node_mean)
-    return compute_metrics(np.stack([s.y for s in eval_samples]), preds)
+    return compute_metrics(eval_windows.y, preds)

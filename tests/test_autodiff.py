@@ -404,6 +404,36 @@ def test_grad_check_split_cols_and_unstack_views():
     _check(build, p)
 
 
+def test_grad_check_take_with_repeated_and_unread_entries():
+    p = _params(8, x=(5, 3, 2))
+    # entry 2 is picked three times, 0 twice, 4 never
+    index = np.array([[0, 2], [2, 2], [3, 0]])
+
+    def build(t):
+        x = t.param(p["x"])
+        # the whole x is read too, so picked and whole adjoints meet
+        return t.add(_probe(t, t.take(x, index), 19), _probe(t, x, 20))
+
+    _check(build, p)
+
+
+def test_take_values_and_scatter_added_gradient():
+    t = Tape()
+    x = Parameter("x", np.arange(8.0).reshape(4, 2))
+    picked = t.take(t.param(x), np.array([[3, 1], [1, 1]]))
+    np.testing.assert_array_equal(picked.value, [[[6, 7], [2, 3]], [[2, 3], [2, 3]]])
+    t.backward(t.sum(picked))
+    np.testing.assert_array_equal(t.grad_for(x), [[0, 0], [3, 3], [0, 0], [1, 1]])
+
+
+def test_take_rejects_bad_indices():
+    t = Tape()
+    x = t.constant(np.zeros((3, 2)))
+    for bad in (np.array([3]), np.array([-1]), np.array([0.0])):
+        with pytest.raises(ShapeError, match="take"):
+            t.take(x, bad)
+
+
 def test_split_cols_and_unstack_return_views():
     t = Tape()
     x = t.constant(np.arange(24.0).reshape(2, 3, 4))

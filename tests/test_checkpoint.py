@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stgf.checkpoint import CHECKPOINT_FORMAT, load_checkpoint, save_checkpoint
 from stgf.data import NormStats
@@ -95,3 +97,156 @@ def test_inconsistent_offset_table_rejected(tmp_path):
 
 def test_format_tag_value():
     assert CHECKPOINT_FORMAT == "stgf-checkpoint-v1"
+
+
+# --------------------------------------------------------- malformed manifests
+
+
+def _edit_manifest(directory, edit):
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest = edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def _set(key, value, inner=None):
+    def edit(manifest):
+        if inner is None:
+            manifest[key] = value
+        else:
+            manifest[key][inner] = value
+        return manifest
+
+    return edit
+
+
+def _drop(key, inner):
+    def edit(manifest):
+        del manifest[key][inner]
+        return manifest
+
+    return edit
+
+
+# each of these escaped load_checkpoint as a raw exception, so `stgf predict`
+# ended in a traceback instead of exit 2
+MALFORMED_MANIFESTS = {
+    "extra-model-config-key": _set("model_config", 3, "hidden_size"),
+    "model-config-list": _set("model_config", [1, 2]),
+    "norm-stats-without-maximum": _drop("norm_stats", "maximum"),
+    "params-number": _set("params", 5),
+    "total-size-string": _set("total_size", "x"),
+    "train-config-list": _set("train_config", [1, 2]),
+    "manifest-list": lambda manifest: [manifest],
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_MANIFESTS.values(), ids=MALFORMED_MANIFESTS)
+def test_malformed_manifest_raises_load_error(tmp_path, edit):
+    params, cfg, tc, stats = fixtures()
+    save_checkpoint(params, cfg, tc, stats, tmp_path / "ck")
+    _edit_manifest(tmp_path / "ck", edit)
+    with pytest.raises(LoadError, match="manifest.json"):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_norm_stats_of_another_channel_count_rejected(tmp_path):
+    params, cfg, tc, stats = fixtures()
+    save_checkpoint(params, cfg, tc, stats, tmp_path / "ck")
+    _edit_manifest(tmp_path / "ck", _set("norm_stats", {"minimum": [0.0], "maximum": [1.0]}))
+    with pytest.raises(LoadError, match="channels"):
+        load_checkpoint(tmp_path / "ck")
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _containers(node, path=()):
+    """Every dict or list in a JSON tree, with its path from the root."""
+    if isinstance(node, (dict, list)):
+        yield path, node
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _containers(child, path + (key,))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_mutated_manifest_loads_or_raises_load_error(tmp_path, data):
+    params, cfg, tc, stats = fixtures()
+    root = tmp_path / "ck"
+    if not (root / "manifest.json").is_file():
+        save_checkpoint(params, cfg, tc, stats, root)
+    pristine = (root / "manifest.json").read_text()
+    manifest = json.loads(pristine)
+    _, target = data.draw(st.sampled_from(list(_containers(manifest))))
+    keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+    action = data.draw(st.sampled_from(["replace", "delete", "insert"] if keys else ["insert"]))
+    if action == "insert":
+        key = data.draw(st.text(max_size=5)) if isinstance(target, dict) else len(target)
+        if isinstance(target, dict):
+            target[key] = data.draw(json_values)
+        else:
+            target.append(data.draw(json_values))
+    else:
+        key = data.draw(st.sampled_from(keys))
+        if action == "delete":
+            del target[key]
+        else:
+            target[key] = data.draw(json_values)
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    try:
+        load_checkpoint(root)
+    except LoadError:
+        pass
+    finally:
+        (root / "manifest.json").write_text(pristine)
+
+
+# ------------------------------------------------------------- atomic saves
+
+
+def test_interrupted_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    import stgf.checkpoint as checkpoint
+
+    params, cfg, tc, stats = fixtures(seed=1)
+    save_checkpoint(params, cfg, tc, stats, tmp_path / "ck")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "ck").iterdir()}
+
+    def interrupted(path, data):
+        # half the blob reaches the disk, then the process is stopped
+        if path.name.startswith(".params.bin"):
+            path.write_bytes(data[: len(data) // 2])
+            raise KeyboardInterrupt
+        path.write_bytes(data)
+
+    monkeypatch.setattr(checkpoint, "_write_file", interrupted)
+    newer, _, _, _ = fixtures(seed=2)
+    with pytest.raises(KeyboardInterrupt):
+        save_checkpoint(newer, cfg, tc, stats, tmp_path / "ck")
+
+    after = {p.name: p.read_bytes() for p in (tmp_path / "ck").iterdir()}
+    assert after == before
+    loaded = load_checkpoint(tmp_path / "ck")
+    for p, q in zip(params, loaded.params):
+        assert np.allclose(p.value, q.value, rtol=1.2e-7, atol=1e-30)
+
+
+def test_save_load_save_is_byte_identical_and_leaves_no_temp_files(tmp_path):
+    params, cfg, tc, stats = fixtures(seed=4)
+    save_checkpoint(params, cfg, tc, stats, tmp_path / "ck")
+    first = {p.name: p.read_bytes() for p in (tmp_path / "ck").iterdir()}
+    loaded = load_checkpoint(tmp_path / "ck")
+    save_checkpoint(loaded.params, loaded.model_config, loaded.train_config, loaded.stats,
+                    tmp_path / "ck")
+    second = {p.name: p.read_bytes() for p in (tmp_path / "ck").iterdir()}
+    assert sorted(first) == ["manifest.json", "params.bin"]
+    assert second == first

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 from stgf.checkpoint import load_checkpoint
 from stgf.cli import build_run_config, main
 from stgf.data import load_dataset, save_dataset
+from test_checkpoint import MALFORMED_MANIFESTS
 
 FAST_SET = [
     "--set", "model.gcn_dims=[4]",
@@ -216,6 +218,24 @@ def test_eval_writes_metrics_and_predictions(run_dir, data_dir, capsys):
     assert len(lines) == 1 + n_test * dataset.n_nodes
 
 
+def test_eval_predictions_csv_holds_the_table_rows(run_dir, data_dir, tmp_path):
+    from stgf.cli import _split_for_eval
+    from stgf.training import evaluate
+
+    out = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint"),
+                 "--data", str(data_dir), "--out", str(out)]) == 0
+    ckpt = load_checkpoint(run_dir / "checkpoint")
+    dataset = load_dataset(data_dir)
+    _, chosen = _split_for_eval(dataset, ckpt, "test")
+    # the table of the same windows given one object each, written row by row
+    _, rows = evaluate(ckpt.params, ckpt.model_config, ckpt.stats, dataset, list(chosen))
+    want = ["timestamp,node_id,y_true,y_pred"] + [
+        f"{r.timestamp_minutes},{r.node_id},{r.y_true!r},{r.y_pred!r}" for r in rows
+    ]
+    assert (out / "predictions.csv").read_text() == "\n".join(want) + "\n"
+
+
 def test_eval_geometry_mismatch_exits_2(run_dir, tmp_path, capsys):
     assert main(["synth", "--seed", "2", "--nodes", "5", "--slots", "64",
                  "--out", str(tmp_path / "other")]) == 0
@@ -284,6 +304,17 @@ def test_predict_geometry_mismatch_exits_2(run_dir, tmp_path, capsys):
                  "--data", str(tmp_path / "other"), "--at", "50"])
     assert code == 2
     assert "model expects 3 nodes, dataset has 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", MALFORMED_MANIFESTS.values(), ids=MALFORMED_MANIFESTS)
+def test_predict_with_a_malformed_manifest_exits_2(run_dir, data_dir, tmp_path, capsys, edit):
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(run_dir / "checkpoint", ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    (ckpt / "manifest.json").write_text(json.dumps(edit(manifest)))
+    code = main(["predict", "--checkpoint", str(ckpt), "--data", str(data_dir), "--at", "50"])
+    assert code == 2
+    assert "manifest.json" in capsys.readouterr().err
 
 
 def test_predict_channel_mismatch_exits_2(run_dir, two_channel_dir, capsys):

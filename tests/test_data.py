@@ -14,6 +14,8 @@ from stgf.data import (
     ExternalField,
     NormStats,
     SignalDataset,
+    WindowSet,
+    as_window_set,
     chronological_split,
     external_width,
     load_dataset,
@@ -397,7 +399,8 @@ def test_window_targets_are_offset_by_index():
 def test_window_uses_only_past_slots_for_inputs():
     ds = toy_dataset(t=10)
     stats = minmax_fit(ds.signals, end_slot=8)
-    before = make_windows(ds, stats, 3)
+    # a set normalizes on first use, so the views are taken before the edit
+    before = list(make_windows(ds, stats, 3))
     ds.signals[9] += 500.0
     after = make_windows(ds, stats, 3)
     k = 5  # target slot 8: inputs are slots 5..7
@@ -436,6 +439,90 @@ def test_windows_are_read_only_views_with_unchanged_values():
     # the dataset's own arrays stay writable
     ds.signals[0, 0, 0] += 0.0
     ds.externals[0, 0] += 0.0
+
+
+def _per_window_objects(ds, stats, window):
+    """Reference: the windows as one object each, as make_windows once built them."""
+    normalized = minmax_apply(ds.signals, stats)
+    return [
+        (normalized[t - window : t], ds.externals[t], ds.signals[t, :, 0:1],
+         normalized[t, :, 0:1], t)
+        for t in range(window, ds.n_slots)
+    ]
+
+
+def _same_window(sample, reference):
+    x, external, y, y_norm, target_slot = reference
+    assert sample.target_slot == target_slot and type(sample.target_slot) is int
+    for got, want in zip((sample.x, sample.external, sample.y, sample.y_norm), (x, external, y, y_norm)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    window=st.sampled_from([1, 3, 7]),
+    extra=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_window_set_equals_the_per_window_objects(window, extra, seed, data):
+    ds = toy_dataset(t=window + extra, seed=seed)
+    stats = minmax_fit(ds.signals, end_slot=window + 1)
+    windows = make_windows(ds, stats, window)
+    reference = _per_window_objects(ds, stats, window)
+    assert len(windows) == len(reference)
+    for sample, want in zip(windows, reference):
+        _same_window(sample, want)
+    # int indexing, negative included, on the set and on a slice of it
+    k = data.draw(st.integers(-len(reference), len(reference) - 1))
+    _same_window(windows[k], reference[k])
+    picked = data.draw(st.slices(len(reference)))
+    part = windows[picked]
+    assert isinstance(part, WindowSet) and len(part) == len(reference[picked])
+    for sample, want in zip(part, reference[picked]):
+        _same_window(sample, want)
+    if len(part):
+        j = data.draw(st.integers(-len(part), len(part) - 1))
+        _same_window(part[j], reference[picked][j])
+        # the model's view of the slice: distinct slots plus an index
+        slots, index, external = part.inputs()
+        assert len(np.unique(index)) == len(slots) <= len(part) * window
+        for b, want in enumerate(reference[picked]):
+            assert np.array_equal(slots[index[b]], want[0])
+            assert np.array_equal(external[b], want[1])
+        assert np.array_equal(part.y, np.stack([w[2] for w in reference[picked]]))
+        assert np.array_equal(part.y_norm, np.stack([w[3] for w in reference[picked]]))
+        assert np.array_equal(part.target_slots, [w[4] for w in reference[picked]])
+    with pytest.raises(IndexError):
+        windows[len(reference)]
+
+
+def test_window_set_of_a_sample_list_reads_the_same_windows():
+    ds = toy_dataset(t=30)
+    windows = make_windows(ds, minmax_fit(ds.signals), 3)
+    picked = [windows[k] for k in (20, 2, 3, 3)]
+    adapted = as_window_set(picked)
+    assert as_window_set(windows) is windows
+    for sample, want in zip(adapted, picked):
+        assert sample.target_slot == want.target_slot
+        for field in ("x", "external", "y", "y_norm"):
+            assert np.array_equal(getattr(sample, field), getattr(want, field))
+    slots, index, external = adapted.inputs()
+    for b, want in enumerate(picked):
+        assert np.array_equal(slots[index[b]], want.x)
+    with pytest.raises(ValidationError):
+        as_window_set([])
+
+
+def test_a_split_normalizes_only_the_rows_its_windows_read():
+    ds = toy_dataset(t=40)
+    stats = minmax_fit(ds.signals)
+    windows = make_windows(ds, stats, 3)
+    test = windows[30:]
+    assert np.array_equal(test.y[:, :, 0], ds.signals[33:, :, 0])
+    # targets 33..39 read slots 30..39: ten normalized rows back the split
+    assert test[0].x.base.shape == (10, 3, 3)
+    assert np.array_equal(test[0].x, minmax_apply(ds.signals[30:33], stats))
 
 
 def test_windows_reject_short_series():

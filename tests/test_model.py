@@ -510,6 +510,72 @@ def test_batch_agrees_with_batches_of_one(overrides):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300), p.name
 
 
+# each window's slots as rows of an 8-slot block: overlapping windows that
+# share P - 1 slots, and a batch that repeats a window outright
+SHARED_SLOT_BATCHES = {
+    "overlapping": np.array([[0, 1, 2], [1, 2, 3], [2, 3, 4], [5, 6, 7]]),
+    "repeated": np.array([[0, 1, 2], [4, 5, 6], [0, 1, 2]]),
+}
+
+
+@pytest.mark.parametrize("index", SHARED_SLOT_BATCHES.values(), ids=SHARED_SLOT_BATCHES)
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"lstm_layers": 2, "ablation": "no-channelwise"}],
+    ids=["criterion-4", "two-layer-no-channelwise"],
+)
+def test_shared_slots_agree_with_per_window_passes(overrides, index):
+    cfg = ModelConfig(**{**CRITERION_4, **overrides})
+    params = init_params(cfg, np.random.default_rng(33))
+    slots = np.random.default_rng(70).uniform(size=(8, cfg.n_nodes, cfg.n_channels))
+    _, externals, local_norm, targets = random_batch(cfg, len(index), seed=80)
+
+    tape = Tape()
+    out = model_forward(tape, params, slots, externals, local_norm, cfg, index)
+    assert out.value.shape == (len(index), cfg.n_nodes, 1)
+    tape.backward(tape.mean(tape.mse_per_sample(out, tape.constant(targets))))
+
+    want_grads = {p.name: np.zeros_like(p.value) for p in params}
+    for b, rows in enumerate(index):
+        one = Tape()
+        pred = model_forward(one, params, slots[rows], externals[b], local_norm, cfg)
+        scale = np.max(np.abs(pred.value))
+        assert np.max(np.abs(out.value[b] - pred.value)) <= 1e-12 * scale
+        one.backward(one.mse_loss(pred, one.constant(targets[b])))
+        for p in params:
+            want_grads[p.name] += one.grad_for(p) / len(index)
+
+    for p in params:
+        got, want = tape.grad_for(p), want_grads[p.name]
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300), p.name
+
+
+def test_forward_convolves_each_distinct_slot_once():
+    cfg = ModelConfig(**CRITERION_4)
+    params = init_params(cfg, np.random.default_rng(34))
+    slots = np.random.default_rng(71).uniform(size=(8, cfg.n_nodes, cfg.n_channels))
+    _, externals, local_norm, _ = random_batch(cfg, 4, seed=81)
+    tape = Tape()
+    model_forward(tape, params, slots, externals, local_norm, cfg, SHARED_SLOT_BATCHES["overlapping"])
+    # the first layer of each view's stack sees the 8 slots, not 4 x 3 window slots
+    first = [n for n in tape.nodes if n.op == "matmul" and n.value.shape[-2:] == (cfg.n_nodes, 1)]
+    assert [n.value.shape[:2] for n in first] == [(cfg.n_channels, 8)] * 2
+
+
+def test_forward_rejects_a_bad_slot_index():
+    cfg = tiny_config()
+    params = init_params(cfg, np.random.default_rng(0))
+    _, external, local_norm = random_inputs(cfg)
+    slots = np.zeros((4, cfg.n_nodes, cfg.n_channels))
+    externals = np.stack([external, external])
+    with pytest.raises(ShapeError, match="model input index"):
+        model_forward(Tape(), params, slots, externals, local_norm, cfg, np.zeros((2, 3), int))
+    with pytest.raises(ShapeError, match="model input window"):
+        model_forward(Tape(), params, slots[:, :, :1], externals, local_norm, cfg, np.zeros((2, 2), int))
+    with pytest.raises(ShapeError, match="take"):
+        model_forward(Tape(), params, slots, externals, local_norm, cfg, np.full((2, 2), 4))
+
+
 def test_forward_rejects_covariates_of_another_batch_size():
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(0))

@@ -355,6 +355,44 @@ def test_evaluate_rejects_wrong_model_geometry():
         evaluate(params, wrong, prepared.stats, ds, prepared.test)
 
 
+def test_evaluate_table_matches_per_window_forecasts():
+    from stgf.autodiff import Tape
+    from stgf.data import minmax_invert
+    from stgf.graphs import build_local_adjacency, normalize_adjacency
+    from stgf.model import model_forward
+    from stgf.training import PredictionRow
+
+    ds, cfg = small_setup()
+    params = init_params(cfg, np.random.default_rng(3))
+    prepared = prepare_samples(ds, cfg.window, 0.7, 0.1)
+    metrics, table = evaluate(params, cfg, prepared.stats, ds, prepared.test)
+    # a plain list of the same windows gives the same bytes
+    list_metrics, list_table = evaluate(params, cfg, prepared.stats, ds, list(prepared.test))
+    assert metrics == list_metrics and list(table) == list(list_table)
+
+    local_norm = normalize_adjacency(build_local_adjacency(ds.graph))
+    rows = list(table)
+    assert len(rows) == len(table) == len(prepared.test) * ds.n_nodes
+    assert table[-1] == rows[-1] and list(table[2:5]) == rows[2:5]
+    for k, sample in enumerate(prepared.test):
+        out = model_forward(Tape(), params, sample.x, sample.external, local_norm, cfg).value
+        y_pred = minmax_invert(out, prepared.stats, channel=0)
+        for v, node in enumerate(ds.node_ids):
+            row = rows[k * ds.n_nodes + v]
+            assert row == PredictionRow(
+                sample.target_slot * ds.interval_minutes, node, float(sample.y[v, 0]), row.y_pred
+            )
+            assert row.y_pred == pytest.approx(float(y_pred[v, 0]), rel=1e-12)
+
+
+def test_ha_reads_a_window_set_as_its_samples():
+    ds, cfg = small_setup()
+    prepared = prepare_samples(ds, cfg.window, 0.7, 0.1)
+    got = ha_baseline(prepared.train, prepared.test, ds.interval_minutes)
+    assert got == ha_baseline(list(prepared.train), list(prepared.test), ds.interval_minutes)
+    assert got == _ha_by_loop(list(prepared.train), list(prepared.test), ds.interval_minutes)
+
+
 def test_mean_sample_mse_matches_manual_average():
     ds, cfg = small_setup()
     params = init_params(cfg, np.random.default_rng(2))
