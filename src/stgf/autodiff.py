@@ -7,8 +7,9 @@ adjoints of its inputs. ``Tape.backward`` walks the list in reverse, which
 is a valid traversal order because an op can only reference nodes created
 before it. Each intermediate adjoint is dropped as soon as its node's
 closure has consumed it; only those of bound parameters are kept, in one
-store the tape owns. A node none of whose inputs leads back to a parameter
-keeps no closure and receives no adjoint.
+store the tape owns (``grad_for`` reads it, ``accumulate_param_grads``
+adds it into a caller's gradient arrays). A node none of whose inputs
+leads back to a parameter keeps no closure and receives no adjoint.
 
 Values are plain numpy arrays in double precision. A leading batch axis
 (or several) is allowed wherever an op reads only the trailing axes: the
@@ -120,19 +121,16 @@ class Node:
 class Parameter:
     """A named trainable array that persists across tapes.
 
-    ``grad`` is the optimizer-facing accumulator; the training loop folds
-    each tape's gradients into it with ``Tape.accumulate_param_grads``.
+    A parameter holds no gradient: a tape keeps the gradients of the
+    parameters bound on it (``Tape.grad_for``). Inside a ``ModelParams``
+    the value is a view into the set's one flat vector.
     """
 
-    __slots__ = ("name", "value", "grad")
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str, value) -> None:
         self.name = name
         self.value = as_tensor(value)
-        self.grad = np.zeros_like(self.value)
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter({self.name!r}, shape={self.value.shape})"
@@ -593,12 +591,14 @@ class Tape:
         g = self._grads.get(p)
         return np.zeros_like(p.value) if g is None else g.copy()
 
-    def accumulate_param_grads(self, params: Iterable[Parameter]) -> None:
-        """Fold this tape's parameter gradients into each ``Parameter.grad``."""
-        for p in params:
+    def accumulate_param_grads(self, params: Iterable[Parameter], grads: Iterable[Array]) -> None:
+        """Add this tape's gradient of each parameter into the matching array
+        of ``grads``, e.g. the views ``ModelParams.split`` cuts from one flat
+        gradient vector."""
+        for p, total in zip(params, grads):
             g = self._grads.get(p)
             if g is not None:
-                p.grad += g
+                total += g
 
     # --------------------------------------------------------------- helpers
 

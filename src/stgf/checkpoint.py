@@ -5,18 +5,21 @@ Layout:
     manifest.json  format tag, model config, training config (with seed),
                    normalization stats, and a parameter table of
                    name/shape/offset entries (offsets in float32 elements)
-    params.bin     little-endian float32, parameters concatenated flat in
-                   manifest order
+    params.bin     little-endian float32: the ``ModelParams`` vector, which
+                   holds the parameters back to back in manifest order
 
 Values quantize to single precision on save, so one round trip perturbs
 each entry by at most one float32 ulp and a second save reproduces the
-first byte for byte.
+first byte for byte. A load converts the blob to float64 once and the
+loaded parameters are views into that one vector.
 
 A save writes both files under temporary names in the checkpoint
 directory and then renames them into place, ``params.bin`` first, so a
 save interrupted while writing leaves the previous checkpoint as it was.
 A load refuses a manifest of the wrong structure with a ``LoadError``
-naming the manifest, before any value from it is used.
+naming the manifest, before any value from it is used; that includes a
+parameter table whose names, shapes or order differ from the layout the
+manifest's model config builds (``model.param_layout``).
 """
 
 from __future__ import annotations
@@ -25,14 +28,14 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Parameter
 from .data import NormStats
 from .errors import LoadError
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig, ModelParams, param_layout
 
 CHECKPOINT_FORMAT = "stgf-checkpoint-v1"
 
@@ -56,25 +59,16 @@ def save_checkpoint(
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
 
-    table = []
-    offset = 0
-    chunks = []
-    for p in params:
-        table.append({"name": p.name, "shape": list(p.value.shape), "offset": offset})
-        offset += p.value.size
-        chunks.append(p.value.reshape(-1))
-    blob = np.concatenate(chunks).astype("<f4")
-
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "model_config": model_config.to_dict(),
         "train_config": dict(train_config),
         "norm_stats": stats.to_dict(),
-        "params": table,
-        "total_size": int(offset),
+        "params": _table(params.layout()),
+        "total_size": params.values.size,
     }
     staged = {
-        "params.bin": blob.tobytes(),
+        "params.bin": params.values.astype("<f4"),
         "manifest.json": (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(),
     }
     temps = [root / f".{name}.tmp" for name in staged]
@@ -88,7 +82,7 @@ def save_checkpoint(
             temp.unlink(missing_ok=True)
 
 
-def _write_file(path: Path, data: bytes) -> None:
+def _write_file(path: Path, data: bytes | np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(data)
 
@@ -129,38 +123,31 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             f"the model has {model_config.n_channels}"
         )
     train_config = section("train_config", _train_config)
-    total = section("total_size", _count)
 
-    payload = blob_path.read_bytes()
-    if len(payload) != total * 4:
+    # the table must be the one a save of this model config writes
+    layout = param_layout(model_config)
+    for k, (have, want) in enumerate(zip_longest(section("params", list), _table(layout))):
+        if have != want:
+            expected = "no more parameters"
+            if want is not None:
+                expected = f"{want['name']!r} of shape {tuple(want['shape'])} at blob cursor {want['offset']}"
+            raise LoadError(
+                f"{manifest_path}: parameter {k} is {'missing' if have is None else have}, "
+                f"the model config expects {expected}"
+            )
+    size = sum(math.prod(shape) for _, shape in layout)
+    if manifest["total_size"] != size:
         raise LoadError(
-            f"{blob_path}: expected {total * 4} bytes for {total} float32 values, got {len(payload)}"
+            f"{manifest_path}: total_size is {manifest['total_size']!r}, the table covers {size}"
+        )
+    payload = blob_path.read_bytes()
+    if len(payload) != size * 4:
+        raise LoadError(
+            f"{blob_path}: expected {size * 4} bytes for {size} float32 values, got {len(payload)}"
         )
     flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-
-    params = ModelParams()
-    cursor = 0
-    for entry in section("params", list):
-        try:
-            name, offset = _object(entry)["name"], _count(entry["offset"])
-            shape = tuple(_count(d) for d in entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LoadError(f"{manifest_path}: malformed parameter entry {entry} ({exc})") from None
-        size = math.prod(shape)
-        if not isinstance(name, str) or name in params:
-            raise LoadError(f"{manifest_path}: parameter name {name!r} is not a new string")
-        if offset != cursor or offset + size > total:
-            raise LoadError(
-                f"{manifest_path}: parameter {name!r} spans [{offset}, {offset + size}) "
-                f"but the blob cursor is at {cursor} of {total}"
-            )
-        params.add(Parameter(name, flat[offset : offset + size].reshape(shape)))
-        cursor += size
-    if cursor != total:
-        raise LoadError(f"{manifest_path}: parameter table covers {cursor} of {total} values")
-
     return LoadedCheckpoint(
-        params=params,
+        params=ModelParams.view(flat, layout),
         model_config=model_config,
         stats=stats,
         train_config=train_config,
@@ -168,24 +155,22 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     )
 
 
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
-    return dict(value)
+def _table(layout: list[tuple[str, tuple[int, ...]]]) -> list[dict]:
+    """Manifest entries of a layout, with offsets in float32 elements."""
+    offsets = np.cumsum([0, *(math.prod(shape) for _, shape in layout)]).tolist()
+    return [
+        {"name": name, "shape": list(shape), "offset": offset}
+        for (name, shape), offset in zip(layout, offsets)
+    ]
 
 
 def _train_config(value) -> dict:
-    config = _object(value)
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    config = dict(value)
     # eval splits the dataset by these
     for key in ("train_frac", "val_frac"):
         frac = config.get(key, 0.5)
         if isinstance(frac, bool) or not isinstance(frac, (int, float)) or not math.isfinite(frac):
             raise ValueError(f"{key} must be a finite number, got {frac!r}")
     return config
-
-
-def _count(value) -> int:
-    """A JSON integer >= 0 (bools excluded)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"expected a count, got {value!r}")
-    return value

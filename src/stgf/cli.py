@@ -62,11 +62,14 @@ def _default_config() -> dict:
 
 
 def _coerce(key: str, value):
-    """Cast int and float keys to the type of their default."""
+    """Cast int and float keys to the type of their default; a bool is
+    refused, and so is a float for an int key, rather than truncated."""
     kind = type(_default_config()[key])
     if kind not in (int, float):
         return value
     try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)):
+            raise TypeError
         return kind(value)
     except (TypeError, ValueError):
         raise ValidationError(f"config key {key!r}: cannot interpret {value!r}") from None
@@ -111,22 +114,17 @@ def build_run_config(
 
 
 def _model_config_for(dataset: SignalDataset, cfg: dict) -> ModelConfig:
-    cards = tuple(
-        len(f.categories) for f in dataset.external_fields if f.kind == "categorical"
-    )
-    continuous = sum(1 for f in dataset.external_fields if f.kind == "continuous")
+    fields = dataset.external_fields
     return ModelConfig(
         n_nodes=dataset.n_nodes,
         n_channels=dataset.n_channels,
-        window=cfg["model.window"],
-        gcn_dims=tuple(int(d) for d in cfg["model.gcn_dims"]),
-        lstm_layers=cfg["model.lstm_layers"],
-        lstm_hidden=cfg["model.lstm_hidden"],
-        embed_dim=cfg["model.embed_dim"],
-        external_cardinalities=cards,
-        external_continuous=continuous,
-        external_hidden=cfg["model.external_hidden"],
-        ablation=cfg["model.ablation"],
+        external_cardinalities=tuple(len(f.categories) for f in fields if f.kind == "categorical"),
+        external_continuous=sum(1 for f in fields if f.kind == "continuous"),
+        **{
+            f.name: cfg[f"model.{f.name}"]
+            for f in dataclasses.fields(ModelConfig)
+            if f.name not in _DERIVED_MODEL_FIELDS
+        },
     )
 
 

@@ -19,14 +19,15 @@ parameters. Forward passes are deterministic given parameter values.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Node, Parameter, Tape
 from .errors import ShapeError, ValidationError
-from .graphs import adaptive_adjacency, init_node_embedding
+from .graphs import adaptive_adjacency
 
 ABLATIONS = ("full", "local-only", "global-only", "no-channelwise")
 VIEWS = ("local", "global")
@@ -35,6 +36,16 @@ LSTM_GATE_ACT = {"f": "sigmoid", "i": "sigmoid", "c": "tanh", "o": "sigmoid"}
 
 # width of each categorical covariate's embedding rows
 EXTERNAL_EMBED_WIDTH = 4
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``; a bool or a float, even an
+    integral one, is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 @dataclass
@@ -54,18 +65,18 @@ class ModelConfig:
     ablation: str = "full"
 
     def __post_init__(self):
-        self.gcn_dims = tuple(int(d) for d in self.gcn_dims)
-        self.external_cardinalities = tuple(int(c) for c in self.external_cardinalities)
-        if self.n_nodes < 1 or self.n_channels < 1 or self.window < 1:
-            raise ValidationError("node count, channel count and window length must be >= 1")
-        if not self.gcn_dims or any(d < 1 for d in self.gcn_dims):
-            raise ValidationError(f"gcn_dims must be nonempty positive, got {self.gcn_dims}")
-        if self.lstm_layers < 1 or self.lstm_hidden < 1:
-            raise ValidationError("lstm_layers and lstm_hidden must be >= 1")
-        if self.embed_dim < 1 or self.external_hidden < 1:
-            raise ValidationError("embed_dim and external_hidden must be >= 1")
-        if any(c < 1 for c in self.external_cardinalities) or self.external_continuous < 0:
-            raise ValidationError("invalid external feature layout")
+        # field types are strings here (postponed annotations)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            least = 0 if f.name == "external_continuous" else 1
+            if f.type == "int":
+                setattr(self, f.name, _integer(f.name, value, least))
+            elif f.type == "tuple[int, ...]":
+                if not isinstance(value, (Sequence, np.ndarray)):
+                    raise ValidationError(f"{f.name} must be a list of integers, got {value!r}")
+                setattr(self, f.name, tuple(_integer(f.name, v, least) for v in value))
+        if not self.gcn_dims:
+            raise ValidationError("gcn_dims must not be empty")
         if self.ablation not in ABLATIONS:
             raise ValidationError(f"unknown ablation {self.ablation!r}, expected one of {ABLATIONS}")
 
@@ -104,22 +115,41 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+        return cls(**d)
 
 
 class ModelParams:
-    """Named, ordered collection of trainable tensors. Names are unique."""
+    """Named, ordered trainable tensors held in one flat float64 vector.
+
+    ``values`` holds every parameter's entries back to back, in order (the
+    order of the checkpoint table), and each ``Parameter.value`` is a
+    reshaped view into it. So one operation on the vector updates, copies
+    or saves every parameter. Names are unique.
+    """
 
     def __init__(self, params: Sequence[Parameter] = ()):
+        """Pack the parameters' values into a new vector and rebind each
+        ``Parameter.value`` to its view of it, so a parameter belongs to
+        the last set built from it."""
+        params = list(params)
+        self.values = np.concatenate([np.zeros(0), *(p.value.reshape(-1) for p in params)])
         self._by_name: dict[str, Parameter] = {}
-        for p in params:
-            self.add(p)
+        for p, view in zip(params, _split(self.values, [p.value.shape for p in params])):
+            if p.name in self._by_name:
+                raise ValidationError(f"duplicate parameter name {p.name!r}")
+            p.value = view
+            self._by_name[p.name] = p
 
-    def add(self, p: Parameter) -> Parameter:
-        if p.name in self._by_name:
-            raise ValidationError(f"duplicate parameter name {p.name!r}")
-        self._by_name[p.name] = p
-        return p
+    @classmethod
+    def view(cls, values: np.ndarray, layout: Sequence[tuple[str, tuple[int, ...]]]) -> ModelParams:
+        """Parameters named and shaped by ``layout`` (unique names, as many
+        entries in all as ``values`` holds) whose values are views into
+        ``values`` itself, which is not copied."""
+        params = cls()
+        params.values = values
+        for (name, _), v in zip(layout, _split(values, [shape for _, shape in layout])):
+            params._by_name[name] = Parameter(name, v)
+        return params
 
     def __getitem__(self, name: str) -> Parameter:
         return self._by_name[name]
@@ -136,56 +166,83 @@ class ModelParams:
     def names(self) -> list[str]:
         return list(self._by_name)
 
+    def layout(self) -> list[tuple[str, tuple[int, ...]]]:
+        return [(p.name, p.value.shape) for p in self]
+
     def total_size(self) -> int:
-        return sum(p.value.size for p in self)
+        return self.values.size
 
-    def zero_grads(self) -> None:
-        for p in self:
-            p.zero_grad()
+    def split(self, vector: np.ndarray) -> list[np.ndarray]:
+        """A vector laid out like ``values``, as one view per parameter."""
+        return _split(vector, [p.value.shape for p in self])
+
+    def copy(self) -> ModelParams:
+        """An independent set of the same layout: one copy of the vector."""
+        return ModelParams.view(self.values.copy(), self.layout())
 
 
-def _uniform(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+def _split(vector: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    bounds = np.cumsum([0, *(math.prod(shape) for shape in shapes)]).tolist()
+    return [vector[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+
+
+def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
+    """(name, shape, fan-in) of every parameter in table order; a bias has
+    fan-in 0."""
+    specs = [("node_embedding", (config.n_nodes, config.embed_dim), config.embed_dim)]
+    layer_dims = config.gcn_layer_dims()
+    for view in config.active_views:
+        for l, (d_in, d_out) in enumerate(layer_dims):
+            specs.append((f"gcn_{view}_w{l}", (d_in, d_out), d_in))
+    if config.channelwise:
+        f = config.feature_dim
+        for view in config.active_views:
+            for i in range(config.n_channels):
+                specs.append((f"fuse_{view}_w{i}", (config.n_nodes, f), f))
+
+    hidden = config.lstm_hidden
+    for layer, d_in in enumerate(config.lstm_input_dims()):
+        z = hidden + d_in
+        for gate in LSTM_GATES:
+            specs.append((f"lstm{layer}_w{gate}", (z, hidden), z))
+            specs.append((f"lstm{layer}_b{gate}", (1, hidden), 0))
+
+    for k, card in enumerate(config.external_cardinalities):
+        specs.append((f"ext_embed{k}", (card, EXTERNAL_EMBED_WIDTH), card))
+    enc_in = EXTERNAL_EMBED_WIDTH * len(config.external_cardinalities) + config.external_continuous
+    specs.append(("ext_dense_w", (enc_in, config.external_hidden), enc_in))
+    specs.append(("ext_dense_b", (1, config.external_hidden), 0))
+
+    head_in = hidden + config.external_hidden
+    specs.append(("head_w", (head_in, 1), head_in))
+    specs.append(("head_b", (1, 1), 0))
+    return specs
+
+
+def param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every parameter of the configured variant, in the
+    order of the checkpoint table; nothing is drawn."""
+    return [(name, shape) for name, shape, _ in _param_specs(config)]
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """Draw a fresh parameter set for the configured variant.
 
-    Dense and graph-convolution weights are uniform(-1/sqrt(fan_in), ..);
-    the LSTM forget-gate bias starts at 1.0 and all other biases at zero.
-    The node embedding is created under every variant so that runs which
-    ignore it can be shown to be independent of its value.
+    Dense, graph-convolution and embedding weights are
+    uniform(-1/sqrt(fan_in), ..), drawn in table order straight into the
+    flat vector; the LSTM forget-gate bias starts at 1.0 and all other
+    biases at zero. The node embedding is created under every variant so
+    that runs which ignore it can be shown to be independent of its value.
     """
-    params = ModelParams()
-    params.add(init_node_embedding(config.n_nodes, config.embed_dim, rng))
-
-    layer_dims = config.gcn_layer_dims()
-    for view in config.active_views:
-        for l, (d_in, d_out) in enumerate(layer_dims):
-            params.add(Parameter(f"gcn_{view}_w{l}", _uniform(rng, d_in, (d_in, d_out))))
-    if config.channelwise:
-        f = config.feature_dim
-        for view in config.active_views:
-            for i in range(config.n_channels):
-                params.add(Parameter(f"fuse_{view}_w{i}", _uniform(rng, f, (config.n_nodes, f))))
-
-    for layer, d_in in enumerate(config.lstm_input_dims()):
-        z = config.lstm_hidden + d_in
-        for gate in LSTM_GATES:
-            params.add(Parameter(f"lstm{layer}_w{gate}", _uniform(rng, z, (z, config.lstm_hidden))))
-            bias = np.full((1, config.lstm_hidden), 1.0 if gate == "f" else 0.0)
-            params.add(Parameter(f"lstm{layer}_b{gate}", bias))
-
-    for k, card in enumerate(config.external_cardinalities):
-        params.add(Parameter(f"ext_embed{k}", _uniform(rng, card, (card, EXTERNAL_EMBED_WIDTH))))
-    enc_in = EXTERNAL_EMBED_WIDTH * len(config.external_cardinalities) + config.external_continuous
-    params.add(Parameter("ext_dense_w", _uniform(rng, enc_in, (enc_in, config.external_hidden))))
-    params.add(Parameter("ext_dense_b", np.zeros((1, config.external_hidden))))
-
-    head_in = config.lstm_hidden + config.external_hidden
-    params.add(Parameter("head_w", _uniform(rng, head_in, (head_in, 1))))
-    params.add(Parameter("head_b", np.zeros((1, 1))))
+    specs = _param_specs(config)
+    layout = param_layout(config)
+    params = ModelParams.view(np.zeros(sum(math.prod(shape) for _, shape in layout)), layout)
+    for p, (_, shape, fan_in) in zip(params, specs):
+        if fan_in:
+            bound = 1.0 / np.sqrt(fan_in)
+            p.value[...] = rng.uniform(-bound, bound, size=shape)
+    for layer in range(config.lstm_layers):
+        params[f"lstm{layer}_bf"].value[...] = 1.0
     return params
 
 

@@ -7,7 +7,11 @@ distinct slots those windows read plus each window's index into them. Each
 mini-batch runs forward as one batch on one tape, which yields the vector
 of per-sample losses; backward starts from its mean, so the step direction
 is the gradient of the mean per-sample loss and batch size 1 recovers
-plain per-slot updates. Evaluation runs forward only, in chunks of at most
+plain per-slot updates. The optimizer works on whole vectors laid out like
+``ModelParams.values``: each step adds the tape's parameter gradients into
+one flat gradient vector, clips it and takes one Adam step with moment
+vectors ``m`` and ``v``; the best-epoch snapshot is one copy of the
+parameter vector. Evaluation runs forward only, in chunks of at most
 ``FORECAST_BATCH`` windows on tapes that record nothing, and builds its
 metrics and prediction table from arrays. Losses are computed on
 normalized targets; reported evaluation metrics are always on the raw flow
@@ -17,12 +21,12 @@ scale.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Parameter, Tape
+from .autodiff import Tape
 from .checkpoint import save_checkpoint
 from .data import (
     MINUTES_PER_DAY,
@@ -116,60 +120,53 @@ def compute_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators keyed by parameter name."""
+    """First/second moment vectors, laid out like ``ModelParams.values``."""
 
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    step: int
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        return cls(
-            step=0,
-            m={p.name: np.zeros_like(p.value) for p in params},
-            v={p.name: np.zeros_like(p.value) for p in params},
-        )
+        return cls(step=0, m=np.zeros_like(params.values), v=np.zeros_like(params.values))
 
 
-def adam_step(
-    params: ModelParams,
-    grads: Mapping[str, np.ndarray],
-    state: AdamState,
-    config: TrainConfig,
-) -> None:
-    """One bias-corrected adaptive-moment update, in place."""
+def _check_finite(params: ModelParams, grad: np.ndarray, where: str = "") -> None:
+    if not np.all(np.isfinite(grad)):
+        bad = next(p for p, g in zip(params, params.split(grad)) if not np.all(np.isfinite(g)))
+        raise NumericalError(f"non-finite gradient for parameter {bad.name!r}{where}")
+
+
+def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState, config: TrainConfig) -> None:
+    """One bias-corrected adaptive-moment update of every parameter, in
+    place, from the flat gradient vector ``grad``."""
     state.step += 1
     t = state.step
-    for p in params:
-        g = np.asarray(grads[p.name], dtype=np.float64)
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for parameter {p.name!r} at step {t}")
-        m = state.m[p.name]
-        v = state.v[p.name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * g * g
-        m_hat = m / (1.0 - config.beta1**t)
-        v_hat = v / (1.0 - config.beta2**t)
-        p.value -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    _check_finite(params, grad, f" at step {t}")
+    m, v = state.m, state.v
+    m *= config.beta1
+    m += (1.0 - config.beta1) * grad
+    v *= config.beta2
+    v += (1.0 - config.beta2) * grad * grad
+    m_hat = m / (1.0 - config.beta1**t)
+    v_hat = v / (1.0 - config.beta2**t)
+    params.values -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
 
 
-def clip_gradients(params: ModelParams, max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most max_norm.
+def clip_gradients(params: ModelParams, grad: np.ndarray, max_norm: float) -> float:
+    """Scale the flat gradient vector in place so its norm is at most max_norm.
 
-    Returns the pre-clip norm.
+    The squared norm is summed one parameter's segment at a time, in table
+    order, as over separate tensors; one sum over the whole vector would
+    round differently. Returns the pre-clip norm.
     """
+    _check_finite(params, grad)
     total = 0.0
-    for p in params:
-        if not np.all(np.isfinite(p.grad)):
-            raise NumericalError(f"non-finite gradient for parameter {p.name!r}")
-        total += float(np.sum(p.grad * p.grad))
+    for g in params.split(grad):
+        total += float(np.sum(g * g))
     norm = math.sqrt(total)
     if norm > max_norm:
-        scale = max_norm / norm
-        for p in params:
-            p.grad *= scale
+        grad *= max_norm / norm
     return norm
 
 
@@ -277,10 +274,6 @@ def mean_sample_mse(
     return total / len(windows)
 
 
-def _snapshot(params: ModelParams) -> ModelParams:
-    return ModelParams([Parameter(p.name, p.value.copy()) for p in params])
-
-
 def train(
     dataset: SignalDataset,
     model_config: ModelConfig,
@@ -301,11 +294,12 @@ def train(
     rng = np.random.default_rng(train_config.seed)
     params = init_params(model_config, rng)
     state = AdamState.for_params(params)
+    grad = np.zeros_like(params.values)
 
     curve: list[EpochRecord] = []
     best_val = math.inf
     best_epoch = 0
-    best_params = _snapshot(params)
+    best_params = params.copy()
 
     n_train = len(prepared.train)
     for epoch in range(1, train_config.epochs + 1):
@@ -325,10 +319,10 @@ def train(
                 )
             epoch_losses[batch] = losses.value
             tape.backward(tape.mean(losses))
-            params.zero_grads()
-            tape.accumulate_param_grads(params)
-            clip_gradients(params, train_config.clip_norm)
-            adam_step(params, {p.name: p.grad for p in params}, state, train_config)
+            grad[...] = 0.0
+            tape.accumulate_param_grads(params, params.split(grad))
+            clip_gradients(params, grad, train_config.clip_norm)
+            adam_step(params, grad, state, train_config)
 
         train_mse = float(epoch_losses.mean())
         val_mse = mean_sample_mse(params, model_config, prepared.val, dataset)
@@ -338,7 +332,7 @@ def train(
         if val_mse < best_val:
             best_val = val_mse
             best_epoch = epoch
-            best_params = _snapshot(params)
+            best_params = params.copy()
             if train_config.checkpoint_dir is not None:
                 save_checkpoint(
                     best_params,

@@ -250,3 +250,141 @@ def test_save_load_save_is_byte_identical_and_leaves_no_temp_files(tmp_path):
     second = {p.name: p.read_bytes() for p in (tmp_path / "ck").iterdir()}
     assert sorted(first) == ["manifest.json", "params.bin"]
     assert second == first
+
+
+# ------------------------------------------------------------ the flat vector
+
+
+def test_params_bin_is_the_float32_bytes_of_the_vector(tmp_path):
+    params, cfg, tc, stats = fixtures(seed=5)
+    save_checkpoint(params, cfg, tc, stats, tmp_path / "ck")
+    blob = (tmp_path / "ck" / "params.bin").read_bytes()
+    assert blob == params.values.astype("<f4").tobytes()
+    manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+    assert manifest["total_size"] == params.values.size
+    assert [(e["name"], tuple(e["shape"])) for e in manifest["params"]] == params.layout()
+
+
+def test_loaded_parameters_are_views_of_one_vector(tmp_path):
+    params, cfg, tc, stats = fixtures(seed=6)
+    save_checkpoint(params, cfg, tc, stats, tmp_path / "ck")
+    loaded = load_checkpoint(tmp_path / "ck").params
+    assert loaded.values.dtype == np.float64
+    assert np.array_equal(loaded.values, params.values.astype("<f4"))
+    for p in loaded:
+        assert np.shares_memory(p.value, loaded.values)
+
+
+# --------------------------------------- a table that does not fit its config
+
+
+def rewrite_table(directory, edit_entries=None, edit_config=None):
+    """Rewrite the table and blob from edited (name, value) entries, keeping
+    offsets, total_size and blob length consistent with each other."""
+    loaded = load_checkpoint(directory)
+    entries = [(p.name, p.value) for p in loaded.params]
+    if edit_entries is not None:
+        entries = edit_entries(entries)
+    manifest = loaded.manifest
+    table, offset = [], 0
+    for name, value in entries:
+        table.append({"name": name, "shape": list(value.shape), "offset": offset})
+        offset += value.size
+    manifest["params"], manifest["total_size"] = table, offset
+    if edit_config is not None:
+        edit_config(manifest["model_config"])
+    flat = np.concatenate([np.zeros(0)] + [v.reshape(-1) for _, v in entries])
+    (directory / "params.bin").write_bytes(flat.astype("<f4").tobytes())
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _renamed(entries):
+    return [("gcn_local_wX" if n == "gcn_local_w0" else n, v) for n, v in entries]
+
+
+def _swapped(entries):
+    names = [n for n, _ in entries]
+    i, j = names.index("gcn_local_w0"), names.index("lstm0_wf")
+    names[i], names[j] = names[j], names[i]
+    return [(n, v) for n, (_, v) in zip(names, entries)]
+
+
+def _hidden_9(model_config):
+    model_config["lstm_hidden"] = 9
+
+
+# (entries edit, config edit, the first difference the error names)
+MISFITTING_TABLES = {
+    "renamed": (_renamed, None, "parameter 1 is {'name': 'gcn_local_wX', 'shape': [1, 3], "
+                "'offset': 8}, the model config expects 'gcn_local_w0' of shape (1, 3)"),
+    "swapped": (_swapped, None, "parameter 1 is {'name': 'lstm0_wf', 'shape': [1, 3], "
+                "'offset': 8}, the model config expects 'gcn_local_w0' of shape (1, 3)"),
+    "missing": (lambda e: e[:-1], None, "parameter 19 is missing, "
+                "the model config expects 'head_b' of shape (1, 1) at blob cursor 276"),
+    "missing-middle": (lambda e: e[:2] + e[3:], None, "parameter 2 is {'name': 'fuse_local_w0', "
+                       "'shape': [4, 3], 'offset': 11}, the model config expects 'gcn_global_w0'"),
+    "extra": (lambda e: e + [("extra", np.ones((1, 2)))], None,
+              "parameter 20 is {'name': 'extra', 'shape': [1, 2], 'offset': 277}, "
+              "the model config expects no more parameters"),
+    "lstm-hidden-9": (None, _hidden_9, "parameter 7 is {'name': 'lstm0_wf', 'shape': [8, 5], "
+                      "'offset': 62}, the model config expects 'lstm0_wf' of shape (12, 9)"),
+}
+
+
+@pytest.mark.parametrize("case", MISFITTING_TABLES.values(), ids=MISFITTING_TABLES)
+def test_table_that_does_not_fit_the_model_config_raises_load_error(tmp_path, case):
+    edit_entries, edit_config, message = case
+    params, cfg, tc, stats = fixtures()
+    save_checkpoint(params, cfg, tc, stats, tmp_path / "ck")
+    rewrite_table(tmp_path / "ck", edit_entries, edit_config)
+    with pytest.raises(LoadError, match="manifest.json") as info:
+        load_checkpoint(tmp_path / "ck")
+    assert message in str(info.value)
+
+
+NON_INTEGER_GEOMETRY = {
+    "window-2.0": ("window", 2.0, "2.0"),
+    "n-nodes-4.5": ("n_nodes", 4.5, "4.5"),
+    "gcn-dims-8.7": ("gcn_dims", [8.7], "8.7"),
+    "lstm-hidden-true": ("lstm_hidden", True, "True"),
+    "cardinality-2.0": ("external_cardinalities", [2.0], "2.0"),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGER_GEOMETRY.values(), ids=NON_INTEGER_GEOMETRY)
+def test_non_integer_geometry_raises_load_error(tmp_path, case):
+    key, value, shown = case
+    params, cfg, tc, stats = fixtures()
+    save_checkpoint(params, cfg, tc, stats, tmp_path / "ck")
+    _edit_manifest(tmp_path / "ck", _set("model_config", value, key))
+    with pytest.raises(LoadError, match="manifest.json") as info:
+        load_checkpoint(tmp_path / "ck")
+    assert f"{key} must be an integer, got {shown}" in str(info.value)
+
+
+def test_total_size_that_does_not_fit_the_table_raises_load_error(tmp_path):
+    params, cfg, tc, stats = fixtures()
+    save_checkpoint(params, cfg, tc, stats, tmp_path / "ck")
+    _edit_manifest(tmp_path / "ck", _set("total_size", params.values.size + 1))
+    with pytest.raises(LoadError, match=f"total_size is {params.values.size + 1}, the table covers"):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_load_allocates_the_blob_and_one_float64_vector_only(tmp_path):
+    import tracemalloc
+
+    cfg = ModelConfig(n_nodes=40, n_channels=2, gcn_dims=(8, 16), lstm_layers=1, lstm_hidden=256)
+    params = init_params(cfg, np.random.default_rng(0))
+    stats = NormStats(np.zeros(2), np.ones(2))
+    save_checkpoint(params, cfg, TrainConfig().to_dict(), stats, tmp_path / "ck")
+    n = params.values.size
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(tmp_path / "ck")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.params.values.size == n
+    # the float32 bytes read from disk plus their float64 copy, with room for
+    # the manifest; a gradient buffer per parameter would add another 8 n
+    assert peak < 12 * n + 200_000

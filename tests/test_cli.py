@@ -14,7 +14,8 @@ import pytest
 from stgf.checkpoint import load_checkpoint
 from stgf.cli import build_run_config, main
 from stgf.data import load_dataset, save_dataset
-from test_checkpoint import MALFORMED_MANIFESTS
+from stgf.errors import ValidationError
+from test_checkpoint import MALFORMED_MANIFESTS, MISFITTING_TABLES, rewrite_table
 
 FAST_SET = [
     "--set", "model.gcn_dims=[4]",
@@ -315,6 +316,51 @@ def test_predict_with_a_malformed_manifest_exits_2(run_dir, data_dir, tmp_path, 
     code = main(["predict", "--checkpoint", str(ckpt), "--data", str(data_dir), "--at", "50"])
     assert code == 2
     assert "manifest.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", MISFITTING_TABLES.values(), ids=MISFITTING_TABLES)
+def test_predict_with_a_table_that_does_not_fit_its_config_exits_2(
+    run_dir, data_dir, tmp_path, capsys, case
+):
+    edit_entries, edit_config, _ = case
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(run_dir / "checkpoint", ckpt)
+    rewrite_table(ckpt, edit_entries, edit_config)
+    code = main(["predict", "--checkpoint", str(ckpt), "--data", str(data_dir), "--at", "50"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "the model config expects" in err
+
+
+@pytest.mark.parametrize("key, value", [("window", 2.0), ("n_nodes", 4.5), ("gcn_dims", [4.7])])
+def test_predict_with_non_integer_geometry_exits_2(run_dir, data_dir, tmp_path, capsys, key, value):
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(run_dir / "checkpoint", ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["model_config"][key] = value
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    code = main(["predict", "--checkpoint", str(ckpt), "--data", str(data_dir), "--at", "50"])
+    assert code == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["model.window=2.5", "model.window=2.0", "model.gcn_dims=[4,8.7]", "model.lstm_hidden=true",
+     "train.epochs=1.5"],
+)
+def test_set_refuses_a_non_integer_for_an_integer_key(tmp_path, data_dir, capsys, entry):
+    code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
+                 *FAST_SET, "--set", entry])
+    assert code == 2
+    assert not (tmp_path / "r" / "checkpoint").exists()
+    assert entry.split("=")[0].split(".")[1] in capsys.readouterr().err
+
+
+def test_set_refuses_a_bool_for_a_float_key():
+    with pytest.raises(ValidationError, match="train.learning_rate"):
+        build_run_config(None, None, ["train.learning_rate=true"])
+    assert build_run_config(None, None, ["train.learning_rate=1"])["train.learning_rate"] == 1.0
 
 
 def test_predict_channel_mismatch_exits_2(run_dir, two_channel_dir, capsys):

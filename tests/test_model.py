@@ -18,6 +18,7 @@ from stgf.model import (
     lstm_cell,
     model_forward,
     multiview_fuse,
+    param_layout,
 )
 
 
@@ -68,6 +69,28 @@ def test_config_rejects_unknown_ablation():
 def test_config_rejects_empty_gcn_stack():
     with pytest.raises(ValidationError):
         tiny_config(gcn_dims=())
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("window", 2.0),
+        ("n_nodes", 4.5),
+        ("lstm_hidden", True),
+        ("gcn_dims", (4, 8.7)),
+        ("gcn_dims", 5),
+        ("external_cardinalities", (2, False)),
+    ],
+)
+def test_config_refuses_non_integer_geometry(key, value):
+    with pytest.raises(ValidationError, match=f"{key} must be "):
+        tiny_config(**{key: value})
+
+
+def test_config_keeps_integer_geometry_as_ints():
+    cfg = tiny_config(gcn_dims=[np.int64(2), 3], window=np.int32(2))
+    assert cfg.gcn_dims == (2, 3) and type(cfg.gcn_dims[0]) is int
+    assert type(cfg.window) is int
 
 
 def test_external_dim_counts_categories_and_continuous():
@@ -135,10 +158,53 @@ def test_param_names_are_stable():
     ]
 
 
+def reference_init(config, rng):
+    """The per-tensor initializer the flat one replaced, as (name, value)."""
+
+    def uniform(fan_in, shape):
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=shape)
+
+    out = [("node_embedding", uniform(config.embed_dim, (config.n_nodes, config.embed_dim)))]
+    for view in config.active_views:
+        for l, (d_in, d_out) in enumerate(config.gcn_layer_dims()):
+            out.append((f"gcn_{view}_w{l}", uniform(d_in, (d_in, d_out))))
+    if config.channelwise:
+        f = config.feature_dim
+        for view in config.active_views:
+            for i in range(config.n_channels):
+                out.append((f"fuse_{view}_w{i}", uniform(f, (config.n_nodes, f))))
+    for layer, d_in in enumerate(config.lstm_input_dims()):
+        z = config.lstm_hidden + d_in
+        for gate in "fico":
+            out.append((f"lstm{layer}_w{gate}", uniform(z, (z, config.lstm_hidden))))
+            out.append((f"lstm{layer}_b{gate}", np.full((1, config.lstm_hidden), float(gate == "f"))))
+    for k, card in enumerate(config.external_cardinalities):
+        out.append((f"ext_embed{k}", uniform(card, (card, EXTERNAL_EMBED_WIDTH))))
+    enc_in = EXTERNAL_EMBED_WIDTH * len(config.external_cardinalities) + config.external_continuous
+    out.append(("ext_dense_w", uniform(enc_in, (enc_in, config.external_hidden))))
+    out.append(("ext_dense_b", np.zeros((1, config.external_hidden))))
+    head_in = config.lstm_hidden + config.external_hidden
+    out.append(("head_w", uniform(head_in, (head_in, 1))))
+    out.append(("head_b", np.zeros((1, 1))))
+    return out
+
+
+@pytest.mark.parametrize("ablation", ["full", "local-only", "global-only", "no-channelwise"])
+def test_init_params_draws_what_the_per_tensor_initializer_drew(ablation):
+    cfg = tiny_config(ablation=ablation, lstm_layers=2, external_cardinalities=(2, 3))
+    params = init_params(cfg, np.random.default_rng(4))
+    want = reference_init(cfg, np.random.default_rng(4))
+    assert params.layout() == [(name, value.shape) for name, value in want]
+    assert params.layout() == param_layout(cfg)
+    for p, (_, value) in zip(params, want):
+        assert np.array_equal(p.value, value), p.name
+        assert np.shares_memory(p.value, params.values)
+
+
 def test_model_params_rejects_duplicate_names():
-    params = ModelParams([Parameter("w", np.zeros((1, 1)))])
-    with pytest.raises(ValidationError):
-        params.add(Parameter("w", np.ones((1, 1))))
+    with pytest.raises(ValidationError, match="duplicate parameter name 'w'"):
+        ModelParams([Parameter("w", np.zeros((1, 1))), Parameter("w", np.ones((1, 1)))])
 
 
 # ------------------------------------------------------------------- cgcn
@@ -215,13 +281,11 @@ def _lstm_reference(x, h_prev, c_prev, w):
 def test_lstm_cell_matches_reference_transcription():
     rng = np.random.default_rng(21)
     n, d_in, hidden = 4, 3, 5
-    params = ModelParams()
     w = {}
     for gate in "fico":
         w[f"w{gate}"] = rng.normal(size=(hidden + d_in, hidden))
         w[f"b{gate}"] = rng.normal(size=(1, hidden))
-        params.add(Parameter(f"lstm0_w{gate}", w[f"w{gate}"]))
-        params.add(Parameter(f"lstm0_b{gate}", w[f"b{gate}"]))
+    params = ModelParams([Parameter(f"lstm0_{key}", value) for key, value in w.items()])
     x = rng.normal(size=(n, d_in))
     h_prev = rng.normal(size=(n, hidden))
     c_prev = rng.normal(size=(n, hidden))
@@ -237,10 +301,10 @@ def test_lstm_cell_matches_reference_transcription():
 
 def test_lstm_cell_zero_weights_halve_the_memory():
     n, d_in, hidden = 2, 3, 4
-    params = ModelParams()
-    for gate in "fico":
-        params.add(Parameter(f"lstm0_w{gate}", np.zeros((hidden + d_in, hidden))))
-        params.add(Parameter(f"lstm0_b{gate}", np.zeros((1, hidden))))
+    params = ModelParams(
+        [Parameter(f"lstm0_w{gate}", np.zeros((hidden + d_in, hidden))) for gate in "fico"]
+        + [Parameter(f"lstm0_b{gate}", np.zeros((1, hidden))) for gate in "fico"]
+    )
     c_prev = np.arange(n * hidden, dtype=float).reshape(n, hidden)
     tape = Tape()
     h, c = lstm_cell(
@@ -258,10 +322,13 @@ def test_lstm_cell_zero_weights_halve_the_memory():
 def test_lstm_hidden_state_is_strictly_bounded():
     rng = np.random.default_rng(2)
     hidden, d_in = 6, 6
-    params = ModelParams()
-    for gate in "fico":
-        params.add(Parameter(f"lstm0_w{gate}", rng.normal(scale=5.0, size=(hidden + d_in, hidden))))
-        params.add(Parameter(f"lstm0_b{gate}", rng.normal(scale=5.0, size=(1, hidden))))
+    params = ModelParams(
+        [
+            Parameter(f"lstm0_{kind}{gate}", rng.normal(scale=5.0, size=shape))
+            for gate in "fico"
+            for kind, shape in (("w", (hidden + d_in, hidden)), ("b", (1, hidden)))
+        ]
+    )
     tape = Tape()
     h, _ = lstm_cell(
         tape,
@@ -279,11 +346,14 @@ def test_lstm_hidden_state_is_strictly_bounded():
 
 def test_external_encode_picks_the_right_embedding_row():
     cfg = tiny_config(external_cardinalities=(3,), external_continuous=1, external_hidden=5)
-    params = ModelParams()
     table = np.arange(3 * EXTERNAL_EMBED_WIDTH, dtype=float).reshape(3, EXTERNAL_EMBED_WIDTH)
-    params.add(Parameter("ext_embed0", table))
-    params.add(Parameter("ext_dense_w", np.eye(EXTERNAL_EMBED_WIDTH + 1, 5)))
-    params.add(Parameter("ext_dense_b", np.zeros((1, 5))))
+    params = ModelParams(
+        [
+            Parameter("ext_embed0", table),
+            Parameter("ext_dense_w", np.eye(EXTERNAL_EMBED_WIDTH + 1, 5)),
+            Parameter("ext_dense_b", np.zeros((1, 5))),
+        ]
+    )
     raw = np.array([0.0, 0.0, 1.0, 0.25])
     out = external_encode(Tape(), raw, params, cfg).value
     want = np.maximum(np.concatenate([table[2], [0.25]]) @ np.eye(5, 5), 0.0)[None, :]
@@ -394,10 +464,9 @@ def test_single_channel_unit_fusion_matches_no_channelwise():
     full = init_params(cfg_full, np.random.default_rng(17))
     for view in ("local", "global"):
         full[f"fuse_{view}_w0"].value[:] = 1.0
-    flat = ModelParams()
-    for p in full:
-        if not p.name.startswith("fuse_"):
-            flat.add(Parameter(p.name, p.value.copy()))
+    flat = ModelParams(
+        [Parameter(p.name, p.value.copy()) for p in full if not p.name.startswith("fuse_")]
+    )
     window, external, local_norm = random_inputs(cfg_full, seed=6)
     a = model_forward(Tape(), full, window, external, local_norm, cfg_full).value
     b = model_forward(Tape(), flat, window, external, local_norm, cfg_flat).value

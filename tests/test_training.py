@@ -73,14 +73,14 @@ def test_adam_zero_gradient_is_a_fixed_point():
     params, state = one_param([[1.5, -2.0]])
     before = params["w"].value.copy()
     for _ in range(10):
-        adam_step(params, {"w": np.zeros((1, 2))}, state, TrainConfig())
+        adam_step(params, np.zeros(2), state, TrainConfig())
     assert np.array_equal(params["w"].value, before)
 
 
 def test_adam_first_step_magnitude_is_the_learning_rate():
     tc = TrainConfig(learning_rate=0.1)
     params, state = one_param([[3.0, -0.5]])
-    adam_step(params, {"w": np.array([[4.0, -2.0]])}, state, tc)
+    adam_step(params, np.array([4.0, -2.0]), state, tc)
     delta = params["w"].value - np.array([[3.0, -0.5]])
     assert np.allclose(delta, [[-0.1, 0.1]], rtol=0.0, atol=1e-8)
 
@@ -89,15 +89,15 @@ def test_adam_converges_on_a_quadratic_bowl():
     tc = TrainConfig(learning_rate=0.1)
     params, state = one_param([1.0])
     for _ in range(200):
-        grad = 2.0 * params["w"].value
-        adam_step(params, {"w": grad}, state, tc)
+        grad = 2.0 * params.values
+        adam_step(params, grad, state, tc)
     assert abs(params["w"].value[0]) < 1e-3
 
 
 def test_adam_rejects_non_finite_gradient():
     params, state = one_param([1.0])
     with pytest.raises(NumericalError, match="'w'"):
-        adam_step(params, {"w": np.array([np.nan])}, state, TrainConfig())
+        adam_step(params, np.array([np.nan]), state, TrainConfig())
 
 
 def test_adam_is_deterministic_given_state():
@@ -106,33 +106,109 @@ def test_adam_is_deterministic_given_state():
     for _ in range(2):
         params, state = one_param([0.3, 0.7])
         for step in range(5):
-            adam_step(params, {"w": np.array([0.1 * step, -0.2])}, state, tc)
+            adam_step(params, np.array([0.1 * step, -0.2]), state, tc)
         runs.append(params["w"].value.copy())
     assert np.array_equal(runs[0], runs[1])
 
 
 def test_clip_rescales_only_above_the_threshold():
     params = ModelParams([Parameter("a", np.array([3.0])), Parameter("b", np.array([4.0]))])
-    for p in params:
-        p.grad = p.value.copy()
-    norm = clip_gradients(params, 2.5)
+    grad = params.values.copy()
+    norm = clip_gradients(params, grad, 2.5)
     assert norm == pytest.approx(5.0)
-    assert params["a"].grad[0] == pytest.approx(1.5)
-    assert params["b"].grad[0] == pytest.approx(2.0)
+    assert grad[0] == pytest.approx(1.5)
+    assert grad[1] == pytest.approx(2.0)
 
-    for p in params:
-        p.grad = np.array([0.1])
-    norm = clip_gradients(params, 2.5)
+    grad = np.array([0.1, 0.1])
+    norm = clip_gradients(params, grad, 2.5)
     assert norm == pytest.approx(math.sqrt(0.02))
-    assert params["a"].grad[0] == pytest.approx(0.1)
+    assert grad[0] == pytest.approx(0.1)
 
 
 def test_clip_names_the_broken_parameter():
     params = ModelParams([Parameter("ok", np.array([1.0])), Parameter("bad", np.array([1.0]))])
-    params["ok"].grad = np.array([1.0])
-    params["bad"].grad = np.array([np.inf])
     with pytest.raises(NumericalError, match="'bad'"):
-        clip_gradients(params, 1.0)
+        clip_gradients(params, np.array([1.0, np.inf]), 1.0)
+
+
+# The per-tensor optimizer the flat-vector versions replaced, kept as the
+# oracle: the flat versions must match it bitwise.
+
+
+def reference_clip(grads: dict, max_norm: float) -> float:
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    norm = math.sqrt(total)
+    if norm > max_norm:
+        scale = max_norm / norm
+        for g in grads.values():
+            g *= scale
+    return norm
+
+
+def reference_adam(values: dict, grads: dict, m: dict, v: dict, t: int, config: TrainConfig):
+    for name, value in values.items():
+        g = grads[name]
+        m[name] *= config.beta1
+        m[name] += (1.0 - config.beta1) * g
+        v[name] *= config.beta2
+        v[name] += (1.0 - config.beta2) * g * g
+        m_hat = m[name] / (1.0 - config.beta1**t)
+        v_hat = v[name] / (1.0 - config.beta2**t)
+        value -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+
+
+MIXED_SHAPES = {"w": (5, 3), "b": (1, 3), "table": (4, 2), "head_b": (1, 1), "wide": (2, 17)}
+
+
+def test_flat_optimizer_matches_the_per_tensor_reference_bitwise():
+    rng = np.random.default_rng(8)
+    tc = TrainConfig(learning_rate=0.01, clip_norm=1.5)
+    params = ModelParams([Parameter(n, rng.normal(size=s)) for n, s in MIXED_SHAPES.items()])
+    state = AdamState.for_params(params)
+    values = {p.name: p.value.copy() for p in params}
+    m = {n: np.zeros(s) for n, s in MIXED_SHAPES.items()}
+    v = {n: np.zeros(s) for n, s in MIXED_SHAPES.items()}
+    grad = np.zeros_like(params.values)
+    norms = []
+    for t in range(1, 8):
+        # the norm grows with t past clip_norm, so early steps do not clip
+        grads = {n: rng.normal(scale=0.05 * t, size=s) for n, s in MIXED_SHAPES.items()}
+        for view, g in zip(params.split(grad), grads.values()):
+            view[...] = g
+        norms.append(clip_gradients(params, grad, tc.clip_norm))
+        assert norms[-1] == reference_clip(grads, tc.clip_norm)
+        adam_step(params, grad, state, tc)
+        reference_adam(values, grads, m, v, t, tc)
+        assert state.step == t
+        for p, m_flat, v_flat in zip(params, params.split(state.m), params.split(state.v)):
+            assert np.array_equal(p.value, values[p.name])
+            assert np.array_equal(m_flat, m[p.name])
+            assert np.array_equal(v_flat, v[p.name])
+    assert min(norms) < tc.clip_norm < max(norms)
+
+
+def test_parameter_values_are_views_of_the_vector():
+    params = init_params(ModelConfig(n_nodes=3, **SMALL_MODEL), np.random.default_rng(0))
+    offset = 0
+    for p in params:
+        assert np.shares_memory(p.value, params.values)
+        assert np.array_equal(p.value.reshape(-1), params.values[offset : offset + p.value.size])
+        offset += p.value.size
+    assert offset == params.values.size == params.total_size()
+    params.values[0] = 7.0
+    assert params["node_embedding"].value[0, 0] == 7.0
+
+
+def test_snapshot_does_not_move_when_training_continues():
+    params, state = one_param([[0.5, -0.5, 2.0]])
+    snapshot = params.copy()
+    assert not np.shares_memory(snapshot.values, params.values)
+    assert np.shares_memory(snapshot["w"].value, snapshot.values)
+    adam_step(params, np.array([1.0, -1.0, 0.5]), state, TrainConfig(learning_rate=0.1))
+    assert not np.array_equal(params["w"].value, snapshot["w"].value)
+    assert np.array_equal(snapshot["w"].value, [[0.5, -0.5, 2.0]])
 
 
 # ------------------------------------------------------------------- metrics
