@@ -299,11 +299,9 @@ def cmd_inspect(args) -> int:
             col = dataset.signals[:, :, c]
             print(f"  channel {name}: min {col.min():.3f}, mean {col.mean():.3f}, "
                   f"max {col.max():.3f}")
-        schema = ", ".join(
-            f"{f.name}[{len(f.categories)}]" if f.kind == "categorical" else f.name
-            for f in dataset.external_fields
-        )
-        print(f"  externals ({dataset.external_dim} dims): {schema}")
+        for f in dataset.external_fields:
+            categories = f" [{', '.join(f.categories)}]" if f.categories else ""
+            print(f"  external {f.name}: {f.kind}{categories}")
     if args.checkpoint:
         ckpt = load_checkpoint(args.checkpoint)
         print(f"checkpoint {args.checkpoint}")

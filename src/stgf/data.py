@@ -10,12 +10,11 @@ An STGF directory holds one multi-channel sensor-network series:
                    category names for categorical fields, decimals otherwise
 
 Slot t starts at minute t * interval_minutes, with slot 0 at midnight of
-day 0. Categorical covariates are stored as names on disk and expanded to
-one-hot blocks on load, so the in-memory external matrix is purely numeric.
-The covariate codec works one field's column at a time: ``encode`` turns
-all T strings of a field into its T x width block in one call, ``decode``
-turns the block back into T strings. The file itself is row-major, one
-line per slot, as listed above.
+day 0. Categorical covariates are stored as names on disk and as category
+codes in memory: the external matrix is T x F, each categorical field's
+code column first, then each continuous field's values, each group in
+schema order. The codec works one field's column at a time: ``encode``
+turns its T strings into T codes or values, ``decode`` turns them back.
 
 Windows are not objects in memory. A ``WindowSet`` is an integer array of
 target slots over one stretch of the series: window k reads slots
@@ -63,38 +62,30 @@ class ExternalField:
         elif self.categories:
             raise ValidationError(f"external field {self.name!r}: continuous fields take no categories")
 
-    @property
-    def width(self) -> int:
-        return len(self.categories) if self.kind == "categorical" else 1
-
     def encode(self, values: Sequence[str]) -> np.ndarray:
-        """Map a column of raw strings to a len(values) x width block.
-
-        Categorical values become one-hot rows; continuous values go
-        through ``float``, so they accept exactly Python's float syntax.
-        """
+        """Map a column of raw strings to its category codes, or to finite
+        values through ``float`` (exactly Python's float syntax)."""
         if self.kind == "continuous":
-            return np.array([float(v) for v in values]).reshape(-1, 1)
+            column = np.array([float(v) for v in values])
+            finite = np.isfinite(column)
+            if not finite.all():
+                raw = values[int(np.argmin(finite))]
+                raise ValidationError(f"external field {self.name!r}: {raw!r} is not a finite number")
+            return column
         lookup = {c: i for i, c in enumerate(self.categories)}
         try:
-            hot = [lookup[v] for v in values]
+            return np.array([lookup[v] for v in values], dtype=np.float64)
         except KeyError as exc:
             raise ValidationError(
                 f"external field {self.name!r}: unknown category {exc.args[0]!r}, "
                 f"expected one of {list(self.categories)}"
             ) from None
-        return np.eye(len(self.categories))[hot]
 
-    def decode(self, block: np.ndarray) -> list[str]:
-        """Inverse of ``encode``: one string per row of a rows x width block."""
+    def decode(self, column: np.ndarray) -> list[str]:
+        """Inverse of ``encode``: one string per entry of a valid column."""
         if self.kind == "continuous":
-            return [repr(v) for v in block[:, 0].tolist()]
-        hot = block == 1.0
-        valid = (hot.sum(axis=1) == 1) & (block.sum(axis=1) == 1.0)
-        if not valid.all():
-            bad = block[int(np.argmin(valid))]
-            raise ValidationError(f"external field {self.name!r}: block {bad} is not one-hot")
-        return [self.categories[i] for i in hot.argmax(axis=1).tolist()]
+            return [repr(v) for v in column.tolist()]
+        return [self.categories[i] for i in column.astype(np.int64).tolist()]
 
     def to_dict(self) -> dict:
         d: dict = {"name": self.name, "kind": self.kind}
@@ -116,8 +107,11 @@ DEFAULT_EXTERNAL_FIELDS = (
 DEFAULT_CHANNEL_NAMES = ("flow", "speed", "occupancy")
 
 
-def external_width(fields: Sequence[ExternalField]) -> int:
-    return sum(f.width for f in fields)
+def external_columns(fields: Sequence[ExternalField]) -> list[int]:
+    """Each field's column of the externals matrix: categorical fields
+    first, then continuous ones, each group in schema order."""
+    order = sorted(range(len(fields)), key=lambda k: fields[k].kind == "continuous")
+    return [order.index(k) for k in range(len(fields))]
 
 
 @dataclass
@@ -161,9 +155,24 @@ class SignalDataset:
             raise ValidationError("node ids must be unique")
         if self.graph.n_nodes != n:
             raise ValidationError(f"graph has {self.graph.n_nodes} nodes, signals have {n}")
-        want = (t, external_width(self.external_fields))
+        self.check_externals()
+
+    def check_externals(self) -> None:
+        """Refuse externals that are not T category codes and finite values
+        per field. Run when the dataset is built, and again by a save."""
+        want = (self.n_slots, len(self.external_fields))
         if self.externals.shape != want:
             raise ValidationError(f"externals must be {want}, got {self.externals.shape}")
+        for f, j in zip(self.external_fields, external_columns(self.external_fields)):
+            column, card = self.externals[:, j], len(f.categories)
+            valid = np.isin(column, np.arange(card)) if card else np.isfinite(column)
+            if not valid.all():
+                slot = int(np.argmin(valid))
+                expected = f"a category code in [0, {card})" if card else "finite"
+                raise ValidationError(
+                    f"external field {f.name!r}: {column[slot].item()!r} at slot {slot} "
+                    f"is not {expected}"
+                )
 
     @property
     def n_slots(self) -> int:
@@ -176,10 +185,6 @@ class SignalDataset:
     @property
     def n_channels(self) -> int:
         return self.signals.shape[2]
-
-    @property
-    def external_dim(self) -> int:
-        return self.externals.shape[1]
 
     def timestamp_minutes(self, slot: int) -> int:
         return slot * self.interval_minutes
@@ -198,6 +203,7 @@ def save_dataset(dataset: SignalDataset, path: str | Path) -> None:
     floats are written with shortest round-trip decimals, and the signal
     payload is a straight float32 dump.
     """
+    dataset.check_externals()
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
 
@@ -222,11 +228,10 @@ def save_dataset(dataset: SignalDataset, path: str | Path) -> None:
 
     with open(root / "externals.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f.name for f in dataset.external_fields])
-        columns, offset = [], 0
-        for f in dataset.external_fields:
-            columns.append(f.decode(dataset.externals[:, offset : offset + f.width]))
-            offset += f.width
+        fields = dataset.external_fields
+        writer.writerow([f.name for f in fields])
+        in_schema_order = dataset.externals[:, external_columns(fields)].T
+        columns = [f.decode(column) for f, column in zip(fields, in_schema_order)]
         # an empty schema still writes one (empty) line per slot
         writer.writerows(zip(*columns) if columns else [[]] * dataset.n_slots)
 
@@ -318,8 +323,10 @@ def load_dataset(path: str | Path) -> SignalDataset:
             linenos.append(lineno)
     # the rows above a malformed one are encoded before its fault is raised,
     # so the error names the first bad line in file order, whatever its kind
+    externals = np.zeros((len(rows), len(fields)))
     try:
-        blocks = [f.encode(column) for f, column in zip(fields, zip(*rows))]
+        for f, j, column in zip(fields, external_columns(fields), zip(*rows)):
+            externals[:, j] = f.encode(column)
     except ValueError:
         # find the first bad cell in row, then field, order
         for row, lineno in zip(rows, linenos):
@@ -342,7 +349,7 @@ def load_dataset(path: str | Path) -> SignalDataset:
             channel_names=channel_names,
             node_ids=node_ids,
             external_fields=fields,
-            externals=np.hstack(blocks),
+            externals=externals,
         )
     except ValidationError as exc:
         raise LoadError(f"{root}: inconsistent dataset ({exc})") from None

@@ -84,7 +84,8 @@ class ModelConfig:
 
     @property
     def external_dim(self) -> int:
-        return sum(self.external_cardinalities) + self.external_continuous
+        """Length of a covariate row: a code per categorical field, then the values."""
+        return len(self.external_cardinalities) + self.external_continuous
 
     @property
     def feature_dim(self) -> int:
@@ -255,10 +256,6 @@ def channel_fuse(tape: Tape, channel_features: Sequence[Node], weights: Sequence
     An N x F weight is broadcast over any slot and batch axes of its
     channel's block.
     """
-    if len(channel_features) != len(weights) or not channel_features:
-        raise ShapeError(
-            f"channel_fuse: got {len(channel_features)} feature blocks for {len(weights)} weights"
-        )
     return tape.weighted_sum(channel_features, weights)
 
 
@@ -369,34 +366,37 @@ def external_encode(
     params: ModelParams,
     config: ModelConfig,
 ) -> Node:
-    """Encode covariate vectors to external_hidden features, one row each.
+    """Encode covariate rows to external_hidden features, one row each.
 
-    ``raw`` is one vector or a batch x external_dim matrix; a single vector
-    gives a 1 x external_hidden row. Categorical blocks are one-hot and
-    turn into embedding-row lookups (realized as a one-hot matmul so
-    gradients reach the right table row); continuous slots pass straight
-    through. A single dense layer plus relu mixes everything.
+    ``raw`` is one row or a batch x external_dim matrix laid out as
+    ``SignalDataset.externals``: one category code per categorical field,
+    then the continuous values; a single row gives a 1 x external_hidden
+    row. Each code gathers its row of the field's embedding table, so only
+    that row gets gradient; continuous values pass straight through. A
+    single dense layer plus relu mixes everything. A row in the one-hot
+    layout (a block per categorical field, then the continuous values) is
+    read as the codes of its ones.
     """
     raw = np.asarray(raw, dtype=np.float64)
     rows = raw.reshape(1, -1) if raw.ndim < 2 else raw
+    cards = config.external_cardinalities
+    one_hot_dim = sum(cards) + config.external_continuous
+    if rows.ndim == 2 and rows.shape[1] == one_hot_dim != config.external_dim:
+        *blocks, values = np.split(rows, np.cumsum(cards), axis=1)
+        codes = [block.argmax(axis=1) for block in blocks]
+        if not all(np.array_equal(b, np.eye(b.shape[1])[c]) for b, c in zip(blocks, codes)):
+            raise ValidationError("covariate rows in the one-hot layout need one 1 per block")
+        rows = np.column_stack([*codes, values])
     if rows.ndim != 2 or rows.shape[1] != config.external_dim:
         raise ShapeError(
             f"external vector: expected length {config.external_dim}, got shape {raw.shape}"
         )
-    pieces = []
-    offset = 0
-    for k, card in enumerate(config.external_cardinalities):
-        block = rows[:, offset : offset + card]
-        offset += card
-        valid = np.all((block == 0.0) | (block == 1.0), axis=1) & (block.sum(axis=1) == 1.0)
-        if not valid.all():
-            raise ValidationError(
-                f"categorical block {k} is not a valid one-hot over {card} categories: "
-                f"{block[np.argmin(valid)]}"
-            )
-        pieces.append(tape.matmul(tape.constant(block), tape.param(params[f"ext_embed{k}"])))
+    pieces = [
+        tape.take(tape.param(params[f"ext_embed{k}"]), rows[:, k].astype(np.int64))
+        for k in range(len(cards))
+    ]
     if config.external_continuous:
-        pieces.append(tape.constant(rows[:, offset:]))
+        pieces.append(tape.constant(rows[:, len(cards) :]))
     merged = tape.concat_cols(*pieces)
     return tape.affine(
         merged, tape.param(params["ext_dense_w"]), tape.param(params["ext_dense_b"]), act="relu"
@@ -423,7 +423,7 @@ def model_forward(
     single P x N x C window with its length-E vector is the batch of one
     and comes back as an N x 1 forecast.
 
-    ``external`` holds one covariate vector per window (B x E). Both
+    ``external`` holds one covariate row per window (B x E). Both
     adjacencies are entered once per tape. Each active view convolves the
     slot block in one stack, the views are fused, the fused slot features
     are gathered into a P x B x N x F sequence by the index, and all LSTM
@@ -432,7 +432,7 @@ def model_forward(
     top-layer hidden state, and mapped through the linear head.
     """
     window = np.asarray(window, dtype=np.float64)
-    external = np.asarray(external, dtype=np.float64)
+    external = np.atleast_2d(np.asarray(external, dtype=np.float64))
     slot_shape = (config.n_nodes, config.n_channels)
     single = index is None and window.ndim == 3
     if index is None:
@@ -445,8 +445,6 @@ def model_forward(
             )
         window = batch.reshape(-1, *slot_shape)
         index = np.arange(len(window)).reshape(len(batch), config.window)
-        if single:
-            external = external.reshape(1, -1)
     else:
         index = np.asarray(index)
         if index.ndim != 2 or index.shape[1] != config.window:
@@ -472,10 +470,6 @@ def model_forward(
         if local_norm is None:
             raise ShapeError("model input adjacency: local view requires the normalized matrix")
         adj_local = tape.constant(local_norm)
-        if adj_local.value.shape != (config.n_nodes, config.n_nodes):
-            raise ShapeError(
-                f"model input adjacency: expected {(config.n_nodes,) * 2}, got {adj_local.value.shape}"
-            )
     if use_global:
         # Rows of the learned adjacency sum to 1, so its degree matrix is the
         # identity and the symmetric degree scaling collapses to a no-op; the
@@ -490,15 +484,12 @@ def model_forward(
     # slot position first, so each LSTM step reads one contiguous B x N x F block
     sequence = tape.take(features, index.T)
 
-    state = HiddenState.zeros(tape, config, (n_batch,))
+    layers = HiddenState.zeros(tape, config, (n_batch,)).layers
     for x_in in tape.unstack(sequence):
-        new_layers = []
-        for layer, (h_prev, c_prev) in enumerate(state.layers):
-            h, c = lstm_cell(tape, x_in, h_prev, c_prev, params, layer)
-            new_layers.append((h, c))
-            x_in = h
-        state = HiddenState(new_layers)
-    top = state.layers[-1][0]
+        for layer, (h_prev, c_prev) in enumerate(layers):
+            layers[layer] = lstm_cell(tape, x_in, h_prev, c_prev, params, layer)
+            x_in = layers[layer][0]
+    top = layers[-1][0]
 
     encoded = external_encode(tape, external, params, config)
     per_node = tape.broadcast_to(

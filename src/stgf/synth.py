@@ -172,13 +172,11 @@ def build_synthetic(
         1.0,
     )
 
-    fields = DEFAULT_EXTERNAL_FIELDS
-    day_field, weather_field = fields[0], fields[1]
-    weather_names = np.asarray(weather_field.categories, dtype=object)
-    externals = np.hstack([
-        day_field.encode(day_names[day_index].tolist()),
-        weather_field.encode(weather_names[weather_index][day_index].tolist()),
-        temperature[:, None],
+    # weather draws index the weather field's categories, so they are its codes
+    externals = np.column_stack([
+        DEFAULT_EXTERNAL_FIELDS[0].encode(day_names[day_index].tolist()),
+        weather_index[day_index],
+        temperature,
     ])
 
     return SignalDataset(
@@ -187,7 +185,7 @@ def build_synthetic(
         interval_minutes=interval_minutes,
         channel_names=DEFAULT_CHANNEL_NAMES,
         node_ids=tuple(f"n{i:03d}" for i in range(n_nodes)),
-        external_fields=fields,
+        external_fields=DEFAULT_EXTERNAL_FIELDS,
         externals=externals,
     )
 

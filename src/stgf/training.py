@@ -137,20 +137,27 @@ def _check_finite(params: ModelParams, grad: np.ndarray, where: str = "") -> Non
         raise NumericalError(f"non-finite gradient for parameter {bad.name!r}{where}")
 
 
+# entries per block of an Adam update: 256 KB per float64 temporary
+ADAM_BLOCK = 32768
+
+
 def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState, config: TrainConfig) -> None:
     """One bias-corrected adaptive-moment update of every parameter, in
-    place, from the flat gradient vector ``grad``."""
+    place, from the flat gradient vector ``grad``, one block of
+    ``ADAM_BLOCK`` entries at a time so that the temporaries stay cached."""
     state.step += 1
     t = state.step
     _check_finite(params, grad, f" at step {t}")
-    m, v = state.m, state.v
-    m *= config.beta1
-    m += (1.0 - config.beta1) * grad
-    v *= config.beta2
-    v += (1.0 - config.beta2) * grad * grad
-    m_hat = m / (1.0 - config.beta1**t)
-    v_hat = v / (1.0 - config.beta2**t)
-    params.values -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    for lo in range(0, grad.size, ADAM_BLOCK):
+        block = slice(lo, lo + ADAM_BLOCK)
+        g, m, v = grad[block], state.m[block], state.v[block]
+        m *= config.beta1
+        m += (1.0 - config.beta1) * g
+        v *= config.beta2
+        v += (1.0 - config.beta2) * g * g
+        m_hat = m / (1.0 - config.beta1**t)
+        v_hat = v / (1.0 - config.beta2**t)
+        params.values[block] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
 
 
 def clip_gradients(params: ModelParams, grad: np.ndarray, max_norm: float) -> float:
@@ -197,7 +204,8 @@ FORECAST_BATCH = 32
 
 
 def _check_geometry(model_config: ModelConfig, dataset: SignalDataset) -> None:
-    """Refuse a dataset whose node, channel or covariate layout the model cannot serve."""
+    """Refuse a dataset whose node or channel count, categorical cardinalities
+    (in schema order) or continuous field count differ from the model's."""
     if model_config.n_nodes != dataset.n_nodes:
         raise ValidationError(
             f"model expects {model_config.n_nodes} nodes, dataset has {dataset.n_nodes}"
@@ -206,24 +214,20 @@ def _check_geometry(model_config: ModelConfig, dataset: SignalDataset) -> None:
         raise ValidationError(
             f"model expects {model_config.n_channels} channels, dataset has {dataset.n_channels}"
         )
-    # external_encode reads one one-hot block per cardinality, in order, then
-    # the continuous columns
-    expected = [f"categorical[{c}]" for c in model_config.external_cardinalities]
-    expected += ["continuous"] * model_config.external_continuous
-    found = [
-        f"categorical[{len(f.categories)}]" if f.kind == "categorical" else f.kind
-        for f in dataset.external_fields
-    ]
-    for k, (want, have) in enumerate(zip(expected, found)):
-        if want != have:
-            name = dataset.external_fields[k].name
+    # external_encode reads a code per categorical field in schema order, then the values
+    categorical = [f for f in dataset.external_fields if f.kind == "categorical"]
+    for k, (want, f) in enumerate(zip(model_config.external_cardinalities, categorical)):
+        if want != len(f.categories):
             raise ValidationError(
-                f"model expects covariate field {k} to be {want}, dataset field {k} "
-                f"({name!r}) is {have}"
+                f"model expects categorical covariate {k} to have {want} categories, "
+                f"dataset's ({f.name!r}) has {len(f.categories)}"
             )
-    if len(expected) != len(found):
+    want = (len(model_config.external_cardinalities), model_config.external_continuous)
+    have = (len(categorical), len(dataset.external_fields) - len(categorical))
+    if want != have:
         raise ValidationError(
-            f"model expects {len(expected)} covariate fields, dataset has {len(found)}"
+            f"model expects {want[0]} categorical and {want[1]} continuous covariates, "
+            f"dataset has {have[0]} and {have[1]}"
         )
 
 

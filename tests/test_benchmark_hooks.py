@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` wraps methods by class attribute and reads spans by
 function name; a rename in ``src/stgf`` would otherwise surface only in the
 benchmark's own subprocess runs. The module is loaded from its file and
-only read.
+only read. The last test runs the single-window call perfbench makes on a
+training window, for the same reason.
 """
 
 import importlib
@@ -11,7 +12,10 @@ import inspect
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import stgf
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -46,3 +50,31 @@ def test_every_hooked_function_is_public_in_its_module(name):
     obj = vars(module).get(func)
     assert not func.startswith("_")
     assert inspect.isfunction(obj) and obj.__module__ == f"stgf.{layer}", name
+
+
+def test_a_training_window_runs_through_the_single_window_call(tmp_path):
+    # what perfbench/workloads.py's set-up and ``sample_tape`` run: one
+    # window of a loaded dataset, with no index, through forward, loss
+    # and backward
+    stgf.generate_synthetic(tmp_path / "data", seed=4, n_nodes=4, n_slots=96)
+    dataset = stgf.load_dataset(tmp_path / "data")
+    fields = dataset.external_fields
+    config = stgf.ModelConfig(
+        n_nodes=dataset.n_nodes,
+        n_channels=dataset.n_channels,
+        external_cardinalities=tuple(len(f.categories) for f in fields if f.kind == "categorical"),
+        external_continuous=sum(1 for f in fields if f.kind == "continuous"),
+        gcn_dims=(4, 8), lstm_layers=2, lstm_hidden=8, embed_dim=2,
+    )
+    serve = stgf.TrainConfig()
+    prepared = stgf.prepare_samples(dataset, config.window, serve.train_frac, serve.val_frac)
+    params = stgf.init_params(config, np.random.default_rng(serve.seed))
+
+    sample = prepared.train[0]
+    local_norm = stgf.normalize_adjacency(stgf.build_local_adjacency(dataset.graph))
+    tape = stgf.Tape()
+    pred = stgf.model_forward(tape, params, sample.x, sample.external, local_norm, config)
+    assert pred.value.shape == (dataset.n_nodes, 1)
+    tape.backward(tape.mse_loss(pred, tape.constant(sample.y_norm)))
+    for k in range(len(config.external_cardinalities)):
+        assert np.any(tape.grad_for(params[f"ext_embed{k}"]))

@@ -370,42 +370,35 @@ def test_predict_channel_mismatch_exits_2(run_dir, two_channel_dir, capsys):
     assert "model expects 3 channels, dataset has 2" in capsys.readouterr().err
 
 
-# covariate fields in another order than the default schema the checkpoint
-# was trained on: same total width, different layout
-REORDERED_SCHEMAS = {
+def _reordered_copy(data_dir, path, order):
+    """A copy of the dataset directory holding the covariate fields ``order``
+    picks, in that order."""
+    shutil.copytree(data_dir, path)
+    meta = json.loads((path / "meta.json").read_text())
+    meta["external_schema"] = [meta["external_schema"][k] for k in order]
+    (path / "meta.json").write_text(json.dumps(meta))
+    rows = [row.split(",") for row in (path / "externals.csv").read_text().splitlines()]
+    (path / "externals.csv").write_text("".join(",".join(r[k] for k in order) + "\n" for r in rows))
+
+
+# covariate fields the default-schema checkpoint cannot read
+MISMATCHED_SCHEMAS = {
     "weather-first": (
         (1, 0, 2),
-        "model expects covariate field 0 to be categorical[3], "
-        "dataset field 0 ('weather') is categorical[4]",
+        "model expects categorical covariate 0 to have 3 categories, "
+        "dataset's ('weather') has 4",
     ),
-    "temperature-first": (
-        (2, 0, 1),
-        "model expects covariate field 0 to be categorical[3], "
-        "dataset field 0 ('temperature') is continuous",
+    "no-temperature": (
+        (0, 1),
+        "model expects 2 categorical and 1 continuous covariates, dataset has 2 and 0",
     ),
 }
 
 
-def _reordered_copy(data_dir, path, order):
-    full = load_dataset(data_dir)
-    blocks, offset = [], 0
-    for f in full.external_fields:
-        blocks.append(full.externals[:, offset : offset + f.width])
-        offset += f.width
-    save_dataset(
-        dataclasses.replace(
-            full,
-            external_fields=tuple(full.external_fields[k] for k in order),
-            externals=np.hstack([blocks[k] for k in order]),
-        ),
-        path,
-    )
-
-
 @pytest.mark.parametrize("command", ["eval", "predict"])
-@pytest.mark.parametrize("schema", sorted(REORDERED_SCHEMAS))
+@pytest.mark.parametrize("schema", sorted(MISMATCHED_SCHEMAS))
 def test_covariate_layout_mismatch_exits_2(run_dir, data_dir, tmp_path, capsys, command, schema):
-    order, message = REORDERED_SCHEMAS[schema]
+    order, message = MISMATCHED_SCHEMAS[schema]
     _reordered_copy(data_dir, tmp_path / "reordered", order)
     argv = [command, "--checkpoint", str(run_dir / "checkpoint"),
             "--data", str(tmp_path / "reordered")]
@@ -413,6 +406,52 @@ def test_covariate_layout_mismatch_exits_2(run_dir, data_dir, tmp_path, capsys, 
         argv += ["--at", "50"]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+# the categorical fields keep their order, so the model reads the same codes
+CONTINUOUS_FIRST = {"temperature-first": (2, 0, 1), "temperature-between": (0, 2, 1)}
+
+
+@pytest.mark.parametrize("schema", sorted(CONTINUOUS_FIRST))
+def test_a_continuous_field_first_evaluates_and_predicts_like_the_original(
+    run_dir, data_dir, tmp_path, capsys, schema
+):
+    _reordered_copy(data_dir, tmp_path / "reordered", CONTINUOUS_FIRST[schema])
+    ckpt = str(run_dir / "checkpoint")
+    outputs = []
+    for data in (data_dir, tmp_path / "reordered"):
+        out = tmp_path / f"eval-{data.name}"
+        assert main(["eval", "--checkpoint", ckpt, "--data", str(data), "--out", str(out)]) == 0
+        assert main(["predict", "--checkpoint", ckpt, "--data", str(data), "--at", "50"]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        files = [(out / name).read_bytes() for name in ("metrics.json", "predictions.csv")]
+        outputs.append((stdout, files))
+    assert outputs[0] == outputs[1]
+
+
+def test_a_continuous_field_first_trains_like_the_original(run_dir, data_dir, tmp_path):
+    _reordered_copy(data_dir, tmp_path / "reordered", (2, 0, 1))
+    out = tmp_path / "r"
+    assert main(["train", "--data", str(tmp_path / "reordered"), "--out", str(out),
+                 *FAST_SET]) == 0
+    for name in ("loss_curve.csv", "checkpoint/params.bin"):
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+def test_a_non_finite_covariate_exits_2_naming_the_line(run_dir, data_dir, tmp_path, capsys, value):
+    path = tmp_path / "bad"
+    shutil.copytree(data_dir, path)
+    lines = (path / "externals.csv").read_text().splitlines()
+    lines[11] = ",".join(lines[11].split(",")[:2] + [value])
+    (path / "externals.csv").write_text("\n".join(lines) + "\n")
+    want = f"line 12: external field 'temperature': {value!r} is not a finite number"
+    for argv in (["inspect", "--data", str(path)],
+                 ["predict", "--checkpoint", str(run_dir / "checkpoint"),
+                  "--data", str(path), "--at", "50"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "externals.csv" in err and want in err
 
 
 # ------------------------------------------------------------- one process
@@ -450,6 +489,9 @@ def test_inspect_dataset_and_checkpoint(run_dir, data_dir, capsys):
     assert "channel flow" in out
     assert "stgf-checkpoint-v1" in out
     assert "parameters" in out
+    assert "  external day_type: categorical [weekday, weekend, holiday]\n" in out
+    assert "  external temperature: continuous\n" in out
+    assert "externals (" not in out
 
 
 def test_inspect_needs_an_argument(capsys):

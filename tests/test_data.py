@@ -1,5 +1,7 @@
 """Dataset format, normalization, windowing and split tests."""
 
+import dataclasses
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,12 +14,12 @@ from stgf.data import (
     DEFAULT_CHANNEL_NAMES,
     DEFAULT_EXTERNAL_FIELDS,
     ExternalField,
+    external_columns,
     NormStats,
     SignalDataset,
     WindowSet,
     as_window_set,
     chronological_split,
-    external_width,
     load_dataset,
     make_windows,
     minmax_apply,
@@ -37,10 +39,10 @@ def toy_dataset(t=12, n=3, c=3, seed=0, interval=5):
     fields = DEFAULT_EXTERNAL_FIELDS
     day_names = ["weekday", "weekend", "holiday"]
     weather_names = ["clear", "rain", "snow", "other"]
-    externals = np.hstack([
+    externals = np.column_stack([
         fields[0].encode([day_names[slot % 3] for slot in range(t)]),
         fields[1].encode([weather_names[slot % 4] for slot in range(t)]),
-        rng.uniform(0.0, 1.0, size=(t, 1)),
+        rng.uniform(0.0, 1.0, size=t),
     ])
     edges = tuple((i, i + 1, 1.0 + 0.5 * i) for i in range(n - 1))
     return SignalDataset(
@@ -61,12 +63,13 @@ def dir_bytes(path):
 # ----------------------------------------------------------- external fields
 
 
-def test_external_field_encodes_one_hot():
+def test_external_field_encodes_category_codes():
     f = ExternalField("weather", "categorical", ("clear", "rain"))
-    assert np.array_equal(f.encode(["rain"]), [[0.0, 1.0]])
-    assert f.decode(np.array([[1.0, 0.0]])) == ["clear"]
-    assert np.array_equal(f.encode(["rain", "clear", "rain"]), [[0, 1], [1, 0], [0, 1]])
-    assert f.decode(np.array([[0.0, 1.0], [1.0, 0.0]])) == ["rain", "clear"]
+    assert np.array_equal(f.encode(["rain"]), [1.0])
+    assert f.decode(np.array([0.0])) == ["clear"]
+    assert np.array_equal(f.encode(["rain", "clear", "rain"]), [1, 0, 1])
+    assert f.encode(["rain", "clear"]).dtype == np.float64
+    assert f.decode(np.array([1.0, 0.0])) == ["rain", "clear"]
 
 
 def test_external_field_rejects_unknown_category():
@@ -79,27 +82,49 @@ def test_external_field_rejects_unknown_category():
 
 def test_external_field_continuous_column():
     f = ExternalField("temperature", "continuous")
-    block = f.encode(["0.5", "-1e300", " 2 ", "1_000"])
-    assert block.shape == (4, 1)
-    assert block[:, 0].tolist() == [0.5, -1e300, 2.0, 1000.0]
-    assert f.decode(block) == ["0.5", "-1e+300", "2.0", "1000.0"]
+    column = f.encode(["0.5", "-1e300", " 2 ", "1_000"])
+    assert column.shape == (4,)
+    assert column.tolist() == [0.5, -1e300, 2.0, 1000.0]
+    assert f.decode(column) == ["0.5", "-1e+300", "2.0", "1000.0"]
     with pytest.raises(ValueError, match="could not convert string to float: 'warm'"):
         f.encode(["1.0", "warm"])
 
 
-def test_external_field_decode_rejects_a_block_that_is_not_one_hot():
-    f = ExternalField("weather", "categorical", ("clear", "rain", "snow"))
-    for bad in ([0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.5, 0.5, 0.0], [1.0, 0.0, 2.0]):
-        block = np.array([[0.0, 1.0, 0.0], bad])
-        with pytest.raises(ValidationError, match=r"'weather': block \[.*\] is not one-hot"):
-            f.decode(block)
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999", " NaN "])
+def test_external_field_refuses_a_non_finite_value(raw):
+    f = ExternalField("temperature", "continuous")
+    with pytest.raises(ValidationError, match=f"'temperature': {raw!r} is not a finite number"):
+        f.encode(["0.5", raw, "nan"])
 
 
-def test_save_refuses_externals_that_are_not_one_hot(tmp_path):
+# (column, value, message): each edit makes toy_dataset()'s externals invalid
+BAD_COVARIATES = {
+    "code-past-the-categories": (1, 4.0, "'weather': 4.0 at slot 5 is not a category code in [0, 4)"),
+    "negative-code": (0, -1.0, "'day_type': -1.0 at slot 5 is not a category code in [0, 3)"),
+    "fractional-code": (1, 1.5, "'weather': 1.5 at slot 5 is not a category code in [0, 4)"),
+    "nan-code": (0, np.nan, "'day_type': nan at slot 5 is not a category code in [0, 3)"),
+    "nan-value": (2, np.nan, "'temperature': nan at slot 5 is not finite"),
+    "infinite-value": (2, -np.inf, "'temperature': -inf at slot 5 is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COVARIATES))
+def test_dataset_refuses_covariates_that_are_not_codes_or_finite(case):
+    column, value, message = BAD_COVARIATES[case]
     ds = toy_dataset()
-    ds.externals[5, 3:7] = [0.0, 1.0, 1.0, 0.0]
-    with pytest.raises(ValidationError, match="'weather': block .* is not one-hot"):
+    externals = ds.externals.copy()
+    externals[5, column] = value
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        dataclasses.replace(ds, externals=externals)
+
+
+def test_save_refuses_covariates_edited_into_invalid_codes(tmp_path):
+    ds = toy_dataset()
+    ds.externals[5, 1] = -1.0
+    message = "'weather': -1.0 at slot 5 is not a category code in [0, 4)"
+    with pytest.raises(ValidationError, match=re.escape(message)):
         save_dataset(ds, tmp_path / "d")
+    assert not (tmp_path / "d").exists()
 
 
 def test_external_field_validation():
@@ -111,8 +136,12 @@ def test_external_field_validation():
         ExternalField("x", "ordinal")
 
 
-def test_default_schema_width_is_eight():
-    assert external_width(DEFAULT_EXTERNAL_FIELDS) == 8
+def test_categorical_fields_take_the_first_columns():
+    day, weather, temperature = DEFAULT_EXTERNAL_FIELDS
+    assert external_columns(DEFAULT_EXTERNAL_FIELDS) == [0, 1, 2]
+    assert external_columns((temperature, day, weather)) == [2, 0, 1]
+    assert external_columns((weather, temperature, day)) == [0, 2, 1]
+    assert external_columns(()) == []
 
 
 # -------------------------------------------------------------- persistence
@@ -218,6 +247,18 @@ EXTERNALS_FAULTS = {
         "line 9: external field 'weather': unknown category 'hail', "
         "expected one of ['clear', 'rain', 'snow', 'other']",
     ),
+    "nan-value": (
+        lambda lines: _set_cell(lines, 7, 2, "nan"),
+        "line 7: external field 'temperature': 'nan' is not a finite number",
+    ),
+    "infinite-value": (
+        lambda lines: _set_cell(lines, 4, 2, "-inf"),
+        "line 4: external field 'temperature': '-inf' is not a finite number",
+    ),
+    "overflowing-value": (
+        lambda lines: _set_cell(lines, 10, 2, "1e999"),
+        "line 10: external field 'temperature': '1e999' is not a finite number",
+    ),
     "bad-cell-above-wrong-column-count": (
         lambda lines: (_set_cell(lines, 3, 2, "x"), lines.__setitem__(5, "weekday")),
         "line 3: could not convert string to float: 'x'",
@@ -271,18 +312,18 @@ _VALUES = st.one_of(
 @st.composite
 def covariate_datasets(draw):
     t = draw(st.integers(1, 6))
-    fields, blocks = [], []
+    fields, columns = [], []
     for k in range(draw(st.integers(1, 4))):
         name = draw(_LABELS)
         if draw(st.booleans()):
             cats = draw(st.lists(_LABELS, min_size=2, max_size=4, unique=True))
             fields.append(ExternalField(name, "categorical", tuple(cats)))
-            hot = draw(st.lists(st.integers(0, len(cats) - 1), min_size=t, max_size=t))
-            blocks.append(np.eye(len(cats))[hot])
+            columns.append(draw(st.lists(st.integers(0, len(cats) - 1), min_size=t, max_size=t)))
         else:
             fields.append(ExternalField(name, "continuous"))
-            values = draw(st.lists(_VALUES, min_size=t, max_size=t))
-            blocks.append(np.array(values).reshape(t, 1))
+            columns.append(draw(st.lists(_VALUES, min_size=t, max_size=t)))
+    externals = np.zeros((t, len(fields)))
+    externals[:, external_columns(fields)] = np.array(columns, dtype=np.float64).T
     return SignalDataset(
         signals=np.zeros((t, 1, 1)),
         graph=GraphSpec(n_nodes=1, edges=()),
@@ -290,7 +331,7 @@ def covariate_datasets(draw):
         channel_names=("flow",),
         node_ids=("n0",),
         external_fields=fields,
-        externals=np.hstack(blocks),
+        externals=externals,
     )
 
 

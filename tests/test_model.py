@@ -42,12 +42,10 @@ def tiny_config(**overrides):
 def random_inputs(config, seed=0):
     rng = np.random.default_rng(seed)
     window = rng.uniform(0.0, 1.0, size=(config.window, config.n_nodes, config.n_channels))
-    external = np.zeros(config.external_dim)
-    offset = 0
-    for card in config.external_cardinalities:
-        external[offset + int(rng.integers(card))] = 1.0
-        offset += card
-    external[offset:] = rng.uniform(0.0, 1.0, size=config.external_continuous)
+    external = np.concatenate([
+        [rng.integers(card) for card in config.external_cardinalities],
+        rng.uniform(0.0, 1.0, size=config.external_continuous),
+    ])
     a = rng.uniform(0.1, 1.0, size=(config.n_nodes, config.n_nodes))
     local_norm = a / a.sum(axis=1, keepdims=True)
     return window, external, local_norm
@@ -95,7 +93,8 @@ def test_config_keeps_integer_geometry_as_ints():
 
 def test_external_dim_counts_categories_and_continuous():
     cfg = tiny_config(external_cardinalities=(3, 4), external_continuous=1)
-    assert cfg.external_dim == 8
+    assert cfg.external_dim == 3
+    assert tiny_config(external_cardinalities=(5,), external_continuous=0).external_dim == 1
 
 
 def test_first_gcn_layer_width_depends_on_channel_handling():
@@ -354,10 +353,33 @@ def test_external_encode_picks_the_right_embedding_row():
             Parameter("ext_dense_b", np.zeros((1, 5))),
         ]
     )
-    raw = np.array([0.0, 0.0, 1.0, 0.25])
-    out = external_encode(Tape(), raw, params, cfg).value
     want = np.maximum(np.concatenate([table[2], [0.25]]) @ np.eye(5, 5), 0.0)[None, :]
-    assert np.allclose(out, want, rtol=0.0, atol=1e-15)
+    for raw in ([2.0, 0.25], [0.0, 0.0, 1.0, 0.25]):  # a code row, and the one-hot layout
+        out = external_encode(Tape(), np.array(raw), params, cfg).value
+        assert np.allclose(out, want, rtol=0.0, atol=1e-15)
+
+
+def test_external_encode_gather_equals_the_one_hot_product_bitwise():
+    cfg = tiny_config(external_cardinalities=(3, 4), external_continuous=1)
+    params = init_params(cfg, np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    rows = np.column_stack([rng.integers(3, size=9), rng.integers(4, size=9), rng.uniform(size=9)])
+    g = rng.normal(size=(9, cfg.external_hidden))
+
+    tape = Tape()
+    out = external_encode(tape, rows, params, cfg)
+    tape.backward(tape.sum(tape.hadamard(out, tape.constant(g))))
+
+    tables = [params[f"ext_embed{k}"].value for k in range(2)]
+    hot = [np.eye(card)[rows[:, k].astype(int)] for k, card in enumerate((3, 4))]
+    merged = np.concatenate([hot[0] @ tables[0], hot[1] @ tables[1], rows[:, 2:]], axis=1)
+    pre = merged @ params["ext_dense_w"].value + params["ext_dense_b"].value
+    assert np.array_equal(out.value, np.maximum(pre, 0.0))
+    upstream = (g * (pre > 0.0)) @ params["ext_dense_w"].value.T
+    w = EXTERNAL_EMBED_WIDTH
+    for k in range(2):
+        grad = hot[k].T @ upstream[:, k * w : (k + 1) * w]
+        assert np.array_equal(tape.grad_for(params[f"ext_embed{k}"]), grad)
 
 
 def test_external_encode_rejects_bad_one_hot():
@@ -366,6 +388,14 @@ def test_external_encode_rejects_bad_one_hot():
     bad = np.array([1.0, 1.0, 0.3])
     with pytest.raises(ValidationError, match="one-hot"):
         external_encode(Tape(), bad, params, cfg)
+
+
+def test_external_encode_rejects_a_code_outside_the_table():
+    cfg = tiny_config()
+    params = init_params(cfg, np.random.default_rng(0))
+    for code in (2.0, -1.0):
+        with pytest.raises(ShapeError, match="take: index outside"):
+            external_encode(Tape(), np.array([code, 0.3]), params, cfg)
 
 
 def test_external_encode_rejects_wrong_length():
