@@ -388,6 +388,13 @@ MISMATCHED_SCHEMAS = {
         "model expects categorical covariate 0 to have 3 categories, "
         "dataset's ('weather') has 4",
     ),
+    # the continuous field first is served, but the categorical fields are
+    # swapped behind it, and that is still caught
+    "temperature-first": (
+        (2, 1, 0),
+        "model expects categorical covariate 0 to have 3 categories, "
+        "dataset's ('weather') has 4",
+    ),
     "no-temperature": (
         (0, 1),
         "model expects 2 categorical and 1 continuous covariates, dataset has 2 and 0",
