@@ -21,6 +21,10 @@ still require exactly equal shapes; every broadcast is an op of its own
 (``broadcast_to``, or the bias row of ``affine``) whose backward sums the
 gradient back over the broadcast axes.
 
+Most ops are small, but ``lstm_layer`` runs a whole recurrent layer over a
+sequence as one node: it keeps what its hand-written backward needs
+(the gate activations and cell states) in its closure, not as nodes.
+
 A tape built with ``record=False`` runs the same ops forward only: it
 keeps no node list and no closures, so each intermediate is freed as soon
 as the calling code drops it, and ``backward`` is refused.
@@ -144,7 +148,6 @@ class Tape:
         self.record = record
         self.nodes: list[Node] = []
         self._bindings: dict[Parameter, Node] = {}
-        self._joined: dict[tuple[Parameter, ...], Node] = {}
         self._grads: dict[Parameter, Array] = {}
 
     # ------------------------------------------------------------------ leaves
@@ -185,14 +188,6 @@ class Tape:
             node = self._push("param", (), p.value, None)
             node.needs_grad = self.record
             self._bindings[p] = node
-        return node
-
-    def param_cols(self, params: Sequence[Parameter]) -> Node:
-        """The column concatenation of several parameters, built once per tape."""
-        key = tuple(params)
-        node = self._joined.get(key)
-        if node is None:
-            node = self._joined[key] = self.concat_cols(*(self.param(p) for p in key))
         return node
 
     # ------------------------------------------------------------------- ops
@@ -237,20 +232,14 @@ class Tape:
 
         return self._push("matmul", (a, b), value, vjp)
 
-    def affine(
-        self,
-        x: Node,
-        w: Node,
-        b: Node | None = None,
-        act: str | Sequence[str] | None = None,
-    ) -> Node:
+    def affine(self, x: Node, w: Node, b: Node | None = None, act: str | None = None) -> Node:
         """``act(x @ w + b)`` as one node, with the 1 x k bias row ``b`` added
         to every row.
 
         ``x`` may carry leading batch axes; the bias gradient sums over every
-        row. ``act`` names one activation for all columns, or one per equal
-        column block (the LSTM's four gates). The pre-activation is never
-        kept: each derivative is computed from the output.
+        row. ``act`` names the activation applied to every entry. The
+        pre-activation is never kept: the derivative is computed from the
+        output.
         """
         xv, wv = x.value, w.value
         _require_matrix("affine", "weight", wv)
@@ -259,27 +248,20 @@ class Tape:
         k = wv.shape[1]
         if b is not None and b.value.shape != (1, k):
             raise ShapeError(f"affine: bias must be {(1, k)}, got {b.value.shape}")
-        names = [act] if isinstance(act, str) else list(act or ())
-        if names and k % len(names):
-            raise ShapeError(f"affine: {k} columns do not split into {len(names)} equal blocks")
-        width = k // len(names) if names else 0
-        blocks = [(_ACTIVATIONS[n], slice(j * width, (j + 1) * width)) for j, n in enumerate(names)]
+        apply, derivative = _ACTIVATIONS[act] if act else (None, None)
 
         value = _rows(xv) @ wv
         if b is not None:
             value += b.value
-        for (apply, _), cols in blocks:
-            apply(value[:, cols])
+        if apply is not None:
+            apply(value)
         inputs = (x, w) if b is None else (x, w, b)
         need = [n.needs_grad for n in inputs]
 
         def vjp(g: Array):
             g2 = _rows(g)
-            if blocks:
-                pre = np.empty_like(value)
-                for (_, derivative), cols in blocks:
-                    np.multiply(g2[:, cols], derivative(value[:, cols]), out=pre[:, cols])
-                g2 = pre
+            if derivative is not None:
+                g2 = g2 * derivative(value)
             grads = [
                 (g2 @ wv.T).reshape(xv.shape) if need[0] else None,
                 _rows(xv).T @ g2 if need[1] else None,
@@ -290,6 +272,101 @@ class Tape:
 
         # "matmul" in the op name marks it as a matrix product for FLOP counts
         return self._push("affine_matmul", inputs, value.reshape(*xv.shape[:-1], k), vjp)
+
+    def lstm_layer(self, x: Node, weights: Sequence[Node], biases: Sequence[Node]) -> Node:
+        """One LSTM layer run over a whole sequence, as one node.
+
+        ``x`` is P x ... x D: P steps, each a block of independent rows (any
+        axes between the first and the last). ``weights`` and ``biases`` are
+        the forget, input, candidate and output gates' (H + D) x H matrices
+        and 1 x H rows, in that order; the first H rows of a gate matrix
+        multiply the previous hidden state and the rest the step's input.
+        Hidden and cell state start at zero, and the result is the P hidden
+        states, P x ... x H.
+
+        The gate matrices are joined side by side into ``W_x`` and ``W_h``
+        for the call (and again by the backward, so no joined copy is
+        kept), so a step is two products, ``x_t @ W_x`` and ``h @ W_h``. The
+        node keeps only the gate activations and the cell states; its vjp
+        is backpropagation through time, forms each weight gradient in one
+        product over all P steps, and writes each gate's weight and bias
+        gradient.
+        """
+        xv = x.value
+        if xv.ndim < 2 or len(weights) != 4 or len(biases) != 4:
+            raise ShapeError(
+                f"lstm_layer: needs a P x ... x D sequence and 4 gates, got {xv.shape} "
+                f"with {len(weights)} weights and {len(biases)} biases"
+            )
+        wvs, bvs = [w.value for w in weights], [b.value for b in biases]
+        steps, d_in, hidden = xv.shape[0], xv.shape[-1], bvs[0].shape[-1]
+        if {w.shape for w in wvs} != {(hidden + d_in, hidden)} or {b.shape for b in bvs} != {(1, hidden)}:
+            raise ShapeError(
+                f"lstm_layer: gate weights {[w.shape for w in wvs]} and biases "
+                f"{[b.shape for b in bvs]} do not fit input width {d_in}"
+            )
+        cols = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
+
+        def joined(lo: int, hi: int | None) -> Array:
+            # rows lo:hi of every gate matrix, side by side: H or D x 4H
+            return np.concatenate([wv[lo:hi] for wv in wvs], axis=1)
+
+        xs = xv.reshape(steps, -1, d_in)
+        w_x, w_h, b = joined(hidden, None), joined(0, hidden), np.concatenate(bvs, axis=1)
+        # the backward reads every step's gates; a tape that records nothing
+        # reuses one block, which bounds the memory of a forward-only pass
+        gates = np.empty((steps if self.record else 1, xs.shape[1], 4 * hidden))
+        h = np.empty(xs.shape[:2] + (hidden,))
+        c = np.empty_like(h)
+        for t in range(steps):
+            a = gates[t if self.record else 0]
+            np.matmul(xs[t], w_x, out=a)
+            a += b
+            if t:
+                a += h[t - 1] @ w_h
+            f, i, cand, o = (a[:, s] for s in cols)
+            _sigmoid_(a[:, : 2 * hidden])
+            np.tanh(cand, out=cand)
+            _sigmoid_(o)
+            np.multiply(i, cand, out=c[t])
+            if t:
+                c[t] += f * c[t - 1]
+            np.tanh(c[t], out=h[t])
+            h[t] *= o
+
+        def vjp(g: Array):
+            g = g.reshape(h.shape)
+            w_h = joined(0, hidden)
+            d_gates = np.empty_like(gates)
+            dh, dc = g[-1], 0.0
+            for t in range(steps - 1, -1, -1):
+                f, i, cand, o = (gates[t][:, s] for s in cols)
+                df, di, dcand, do = (d_gates[t][:, s] for s in cols)
+                tc = np.tanh(c[t])
+                np.multiply(dh * tc, o * (1.0 - o), out=do)
+                dc = dh * o * (1.0 - tc * tc) + dc
+                if t:
+                    np.multiply(dc * c[t - 1], f * (1.0 - f), out=df)
+                else:
+                    df[...] = 0.0  # the cell state starts at zero
+                np.multiply(dc * cand, i * (1.0 - i), out=di)
+                np.multiply(dc * i, 1.0 - cand * cand, out=dcand)
+                dc = dc * f
+                if t:
+                    dh = g[t - 1] + d_gates[t] @ w_h.T
+            flat = _rows(d_gates)
+            d_wx = _rows(xv).T @ flat
+            d_wh = _rows(h[:-1]).T @ _rows(d_gates[1:])
+            d_b = flat.sum(axis=0, keepdims=True)
+            d_x = (flat @ joined(hidden, None).T).reshape(xv.shape) if x.needs_grad else None
+            return [
+                d_x,
+                *(np.concatenate([d_wh[:, s], d_wx[:, s]]) for s in cols),
+                *(d_b[:, s] for s in cols),
+            ]
+
+        value = h.reshape(steps, *xv.shape[1:-1], hidden)
+        return self._push("lstm_layer", (x, *weights, *biases), value, vjp)
 
     def weighted_sum(self, parts: Sequence[Node], weights: Sequence[Node]) -> Node:
         """``sum_k weights[k] * parts[k]`` as one node.
@@ -401,16 +478,6 @@ class Tape:
             return [g[..., lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
         return self._push("concat_cols", parts, np.concatenate(values, axis=-1), vjp)
-
-    def split_cols(self, a: Node, widths: Sequence[int]) -> list[Node]:
-        """Consecutive column blocks of ``a``; each value is a view into ``a``."""
-        if any(w < 0 for w in widths) or sum(widths) != a.value.shape[-1]:
-            raise ShapeError(f"split_cols: widths {tuple(widths)} do not cover {a.value.shape}")
-        bounds = np.cumsum([0, *widths])
-        return [
-            self._view("split_cols", a, (..., slice(lo, hi)))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
 
     def unstack(self, a: Node) -> list[Node]:
         """The entries of ``a`` along its first axis; each value is a view."""

@@ -491,31 +491,6 @@ class WindowSet:
         self.positions = np.asarray(positions, dtype=np.int64)
         self.target_slots = np.asarray(target_slots, dtype=np.int64)
 
-    @classmethod
-    def from_samples(cls, samples: Sequence[WindowSample]) -> "WindowSet":
-        """The windows of a ``WindowSample`` list, each copied onto P + 1 rows
-        of its own: its inputs, then its target."""
-        if not len(samples):
-            raise ValidationError("cannot build a window set from no samples")
-        x = np.stack([s.x for s in samples])
-        n, p = x.shape[:2]
-        rows = np.zeros((n, p + 1) + x.shape[2:])
-        rows[:, :p] = x
-        rows[:, p, :, 0:1] = np.stack([s.y_norm for s in samples])
-        raw = np.zeros_like(rows)
-        raw[:, p, :, 0:1] = np.stack([s.y for s in samples])
-        external = np.stack([s.external for s in samples])
-        externals = np.zeros((n, p + 1, external.shape[-1]))
-        externals[:, p] = external
-        stretch = _Stretch(
-            raw.reshape(-1, *x.shape[2:]),
-            externals.reshape(n * (p + 1), -1),
-            None,
-            rows.reshape(-1, *x.shape[2:]),
-        )
-        positions = np.arange(n) * (p + 1) + p
-        return cls(stretch, p, positions, [s.target_slot for s in samples])
-
     def __len__(self) -> int:
         return len(self.positions)
 
@@ -562,11 +537,6 @@ class WindowSet:
     def y_norm(self) -> np.ndarray:
         """Normalized target flow, B x N x 1."""
         return self._stretch.normalized[self.positions, :, 0:1]
-
-
-def as_window_set(samples: WindowSet | Sequence[WindowSample]) -> WindowSet:
-    """``samples`` itself if it is a set, else the set of its windows."""
-    return samples if isinstance(samples, WindowSet) else WindowSet.from_samples(samples)
 
 
 def make_windows(dataset: SignalDataset, stats: NormStats, window: int) -> WindowSet:

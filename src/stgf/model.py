@@ -4,7 +4,8 @@ Per input time slot, each observation channel is pushed separately through
 a stack of graph convolutions (one shared stack per spatial view), the
 per-channel outputs are recombined with trainable elementwise weights, the
 two views are summed, and the fused node features drive a per-node LSTM
-whose weights are shared across nodes. A compact encoding of calendar and
+whose weights are shared across nodes; each LSTM layer is one tape op over
+the whole window sequence. A compact encoding of calendar and
 weather covariates is concatenated to the final hidden state before the
 linear prediction head.
 
@@ -20,7 +21,7 @@ parameters. Forward passes are deterministic given parameter values.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -31,8 +32,8 @@ from .graphs import adaptive_adjacency
 
 ABLATIONS = ("full", "local-only", "global-only", "no-channelwise")
 VIEWS = ("local", "global")
+# the order Tape.lstm_layer reads the gates in: forget, input, candidate, output
 LSTM_GATES = ("f", "i", "c", "o")
-LSTM_GATE_ACT = {"f": "sigmoid", "i": "sigmoid", "c": "tanh", "o": "sigmoid"}
 
 # width of each categorical covariate's embedding rows
 EXTERNAL_EMBED_WIDTH = 4
@@ -315,49 +316,16 @@ def multiview_fuse(tape: Tape, h_local: Node | None, h_global: Node | None, abla
     return tape.add(h_local, h_global)
 
 
-@dataclass
-class HiddenState:
-    """Per-layer recurrent state; entries of every h lie strictly in (-1, 1)."""
-
-    layers: list[tuple[Node, Node]] = field(default_factory=list)
-
-    @classmethod
-    def zeros(cls, tape: Tape, config: ModelConfig, batch: tuple[int, ...] = ()) -> "HiddenState":
-        """Zero state of shape ``batch + (N, hidden)`` for every layer."""
-        shape = (*batch, config.n_nodes, config.lstm_hidden)
-        return cls(
-            [
-                (tape.constant(np.zeros(shape)), tape.constant(np.zeros(shape)))
-                for _ in range(config.lstm_layers)
-            ]
-        )
-
-
-def lstm_cell(
-    tape: Tape,
-    x: Node,
-    h_prev: Node,
-    c_prev: Node,
-    params: ModelParams,
-    layer: int,
-) -> tuple[Node, Node]:
-    """One recurrent step applied row-wise per node with shared weights.
-
-    The gate input is the column concatenation z = [h_prev, x]. All four
-    gates come from one affine map z @ [W_f|W_i|W_c|W_o] + b with the
-    activation applied per column block (forget, input and output gates
-    are sigmoids, the candidate memory a tanh), then split into views.
-    The per-gate parameters are joined once per tape.
-    """
-    hidden = h_prev.value.shape[-1]
-    z = tape.concat_cols(h_prev, x)
-    w = tape.param_cols([params[f"lstm{layer}_w{gate}"] for gate in LSTM_GATES])
-    b = tape.param_cols([params[f"lstm{layer}_b{gate}"] for gate in LSTM_GATES])
-    gates = tape.affine(z, w, b, act=[LSTM_GATE_ACT[gate] for gate in LSTM_GATES])
-    f, i, candidate, o = tape.split_cols(gates, [hidden] * len(LSTM_GATES))
-    c = tape.add(tape.hadamard(f, c_prev), tape.hadamard(i, candidate))
-    h = tape.hadamard(o, tape.tanh(c))
-    return h, c
+def lstm_cell(tape: Tape, sequence: Node, params: ModelParams, layer: int) -> Node:
+    """One LSTM layer over a P x ... x D sequence, row-wise with weights
+    shared across nodes, as one tape op; gives the P hidden states. Each
+    step's gates read z = [h_prev, x]: sigmoid forget, input and output
+    gates and a tanh candidate memory, each of z @ W + b."""
+    return tape.lstm_layer(
+        sequence,
+        [tape.param(params[f"lstm{layer}_w{gate}"]) for gate in LSTM_GATES],
+        [tape.param(params[f"lstm{layer}_b{gate}"]) for gate in LSTM_GATES],
+    )
 
 
 def external_encode(
@@ -426,10 +394,10 @@ def model_forward(
     ``external`` holds one covariate row per window (B x E). Both
     adjacencies are entered once per tape. Each active view convolves the
     slot block in one stack, the views are fused, the fused slot features
-    are gathered into a P x B x N x F sequence by the index, and all LSTM
-    layers step once per slot position. The covariate encoding is computed
-    once per window, broadcast to every node, concatenated to the
-    top-layer hidden state, and mapped through the linear head.
+    are gathered into a P x B x N x F sequence by the index, and each LSTM
+    layer runs over that whole sequence as one op. The covariate encoding
+    is computed once per window, broadcast to every node, concatenated to
+    the top layer's last hidden state, and mapped through the linear head.
     """
     window = np.asarray(window, dtype=np.float64)
     external = np.atleast_2d(np.asarray(external, dtype=np.float64))
@@ -484,12 +452,9 @@ def model_forward(
     # slot position first, so each LSTM step reads one contiguous B x N x F block
     sequence = tape.take(features, index.T)
 
-    layers = HiddenState.zeros(tape, config, (n_batch,)).layers
-    for x_in in tape.unstack(sequence):
-        for layer, (h_prev, c_prev) in enumerate(layers):
-            layers[layer] = lstm_cell(tape, x_in, h_prev, c_prev, params, layer)
-            x_in = layers[layer][0]
-    top = layers[-1][0]
+    for layer in range(config.lstm_layers):
+        sequence = lstm_cell(tape, sequence, params, layer)
+    top = tape.take(sequence, np.array(config.window - 1))
 
     encoded = external_encode(tape, external, params, config)
     per_node = tape.broadcast_to(

@@ -21,8 +21,7 @@ scale.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -33,15 +32,13 @@ from .data import (
     NormStats,
     PreparedData,
     SignalDataset,
-    WindowSample,
     WindowSet,
-    as_window_set,
     minmax_invert,
     prepare_samples,
 )
 from .errors import NumericalError, ValidationError
 from .graphs import build_local_adjacency, normalize_adjacency
-from .model import ModelConfig, ModelParams, init_params, model_forward
+from .model import ModelConfig, ModelParams, _integer, init_params, model_forward
 
 
 @dataclass
@@ -61,10 +58,17 @@ class TrainConfig:
     checkpoint_dir: str | None = None
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        # field types are strings here (postponed annotations)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                setattr(self, f.name, _integer(f.name, value, 0 if f.name == "seed" else 1))
+            elif f.type == "float" and (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float, np.number))
+                or not math.isfinite(value)
+            ):
+                raise ValidationError(f"{f.name} must be a finite number, got {value!r}")
         # learning_rate 0 is allowed: it freezes the model, which is useful
         # as a determinism probe
         if self.learning_rate < 0.0:
@@ -264,11 +268,10 @@ def _forecast(
 def mean_sample_mse(
     params: ModelParams,
     model_config: ModelConfig,
-    samples: WindowSet | Sequence[WindowSample],
+    windows: WindowSet,
     dataset: SignalDataset,
 ) -> float:
-    """Mean over samples of the per-sample normalized MSE (the training loss)."""
-    windows = as_window_set(samples)
+    """Mean over windows of the per-window normalized MSE (the training loss)."""
     diff = _forecast(params, model_config, dataset, windows) - windows.y_norm
     total = 0.0
     # a running total over the windows in order, summed as one window at a
@@ -410,14 +413,13 @@ def evaluate(
     model_config: ModelConfig,
     stats: NormStats,
     dataset: SignalDataset,
-    samples: WindowSet | Sequence[WindowSample],
+    windows: WindowSet,
 ) -> tuple[Metrics, PredictionTable]:
     """Raw-scale metrics plus one table row per (sample, node).
 
     Predictions come out of the model normalized and are mapped back to
     flow units with the training stats before the error summary.
     """
-    windows = as_window_set(samples)
     y_pred = minmax_invert(_forecast(params, model_config, dataset, windows), stats, channel=0)
     y_true = windows.y
     timestamps = windows.target_slots * dataset.interval_minutes
@@ -430,11 +432,7 @@ def evaluate(
     return compute_metrics(y_true, y_pred), table
 
 
-def ha_baseline(
-    train_samples: WindowSet | Sequence[WindowSample],
-    eval_samples: WindowSet | Sequence[WindowSample],
-    interval_minutes: int,
-) -> Metrics:
+def ha_baseline(train_windows: WindowSet, eval_windows: WindowSet, interval_minutes: int) -> Metrics:
     """Historical average: per-node mean flow at the same clock time.
 
     The prediction for node v at time-of-day s is the mean of the training
@@ -442,11 +440,10 @@ def ha_baseline(
     back to the node's overall training mean. Only target slots and raw
     targets are read, so the windows are never normalized.
     """
-    if not len(train_samples):
+    if not len(train_windows):
         raise ValidationError("historical average needs a nonempty training split")
-    if not len(eval_samples):
+    if not len(eval_windows):
         raise ValidationError("cannot evaluate on an empty sample list")
-    train_windows, eval_windows = as_window_set(train_samples), as_window_set(eval_samples)
 
     def clocks(windows: WindowSet) -> np.ndarray:
         return (windows.target_slots * interval_minutes) % MINUTES_PER_DAY

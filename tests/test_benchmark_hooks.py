@@ -2,9 +2,9 @@
 
 ``perfbench/tracing.py`` wraps methods by class attribute and reads spans by
 function name; a rename in ``src/stgf`` would otherwise surface only in the
-benchmark's own subprocess runs. The module is loaded from its file and
-only read. The last test runs the single-window call perfbench makes on a
-training window, for the same reason.
+benchmark's own subprocess runs. The module is loaded from its file. One
+test runs the single-window call perfbench makes on a training window, and
+the last runs a forward pass under perfbench's tracer, for the same reason.
 """
 
 import importlib
@@ -78,3 +78,27 @@ def test_a_training_window_runs_through_the_single_window_call(tmp_path):
     tape.backward(tape.mse_loss(pred, tape.constant(sample.y_norm)))
     for k in range(len(config.external_cardinalities)):
         assert np.any(tape.grad_for(params[f"ext_embed{k}"]))
+
+
+def test_every_model_block_span_is_recorded_inside_the_forward_pass():
+    # a block called around its module attribute would record no span, and
+    # its per-block time would read 0
+    config = stgf.ModelConfig(
+        n_nodes=4, n_channels=3, gcn_dims=(4,), lstm_layers=2, lstm_hidden=5, embed_dim=2
+    )
+    params = stgf.init_params(config, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    window = rng.uniform(size=(config.window, config.n_nodes, config.n_channels))
+    external = np.array([1.0, 2.0, 0.5])
+    adjacency = np.full((config.n_nodes, config.n_nodes), 1.0 / config.n_nodes)
+
+    tracer = tracing.Tracer(stgf.Tape)
+    with tracing.instrument(tracer):
+        stgf.model_forward(stgf.Tape(), params, window, external, adjacency, config)
+    index = tracing.SpanIndex(tracer.spans)
+    assert index.count("model.model_forward") == 1
+    for block, span in tracing.MODEL_BLOCKS.items():
+        assert index.count(span, "model.model_forward") >= 1, block
+    assert index.count("model.lstm_cell", "model.model_forward") == config.lstm_layers
+    # the wrappers are gone again
+    assert not hasattr(stgf.model_forward, "__wrapped__")

@@ -190,6 +190,18 @@ def test_run_dir_env_var_roots_relative_outputs(tmp_path, data_dir, monkeypatch)
     assert (tmp_path / "root" / "nested" / "run" / "loss_curve.csv").is_file()
 
 
+@pytest.mark.parametrize(
+    "entry", ["train.clip_norm=NaN", "train.epsilon=Infinity", "train.learning_rate=NaN"]
+)
+def test_train_refuses_a_non_finite_setting_with_exit_2(tmp_path, data_dir, capsys, entry):
+    code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
+                 *FAST_SET, "--set", entry])
+    assert code == 2
+    field = entry.split(".")[1].split("=")[0]
+    assert f"{field} must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "loss_curve.csv").exists()
+
+
 def test_train_numerical_blowup_exits_3(tmp_path, data_dir, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
@@ -229,8 +241,8 @@ def test_eval_predictions_csv_holds_the_table_rows(run_dir, data_dir, tmp_path):
     ckpt = load_checkpoint(run_dir / "checkpoint")
     dataset = load_dataset(data_dir)
     _, chosen = _split_for_eval(dataset, ckpt, "test")
-    # the table of the same windows given one object each, written row by row
-    _, rows = evaluate(ckpt.params, ckpt.model_config, ckpt.stats, dataset, list(chosen))
+    # the table of the same windows, written row by row
+    _, rows = evaluate(ckpt.params, ckpt.model_config, ckpt.stats, dataset, chosen)
     want = ["timestamp,node_id,y_true,y_pred"] + [
         f"{r.timestamp_minutes},{r.node_id},{r.y_true!r},{r.y_pred!r}" for r in rows
     ]

@@ -18,7 +18,6 @@ from stgf.data import (
     NormStats,
     SignalDataset,
     WindowSet,
-    as_window_set,
     chronological_split,
     load_dataset,
     make_windows,
@@ -536,23 +535,6 @@ def test_window_set_equals_the_per_window_objects(window, extra, seed, data):
         assert np.array_equal(part.target_slots, [w[4] for w in reference[picked]])
     with pytest.raises(IndexError):
         windows[len(reference)]
-
-
-def test_window_set_of_a_sample_list_reads_the_same_windows():
-    ds = toy_dataset(t=30)
-    windows = make_windows(ds, minmax_fit(ds.signals), 3)
-    picked = [windows[k] for k in (20, 2, 3, 3)]
-    adapted = as_window_set(picked)
-    assert as_window_set(windows) is windows
-    for sample, want in zip(adapted, picked):
-        assert sample.target_slot == want.target_slot
-        for field in ("x", "external", "y", "y_norm"):
-            assert np.array_equal(getattr(sample, field), getattr(want, field))
-    slots, index, external = adapted.inputs()
-    for b, want in enumerate(picked):
-        assert np.array_equal(slots[index[b]], want.x)
-    with pytest.raises(ValidationError):
-        as_window_set([])
 
 
 def test_a_split_normalizes_only_the_rows_its_windows_read():

@@ -8,7 +8,6 @@ from stgf.errors import ShapeError, ValidationError
 from stgf.gradcheck import grad_check
 from stgf.model import (
     EXTERNAL_EMBED_WIDTH,
-    HiddenState,
     ModelConfig,
     ModelParams,
     cgcn_forward,
@@ -266,8 +265,8 @@ def test_channel_fuse_requires_matching_lengths():
 
 
 def _lstm_reference(x, h_prev, c_prev, w):
-    """Separate transcription of the cell used as the oracle."""
-    z = np.concatenate([h_prev, x], axis=1)
+    """Separate transcription of one step, used as the oracle."""
+    z = np.concatenate([h_prev, x], axis=-1)
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
     f = sig(z @ w["wf"] + w["bf"])
     i = sig(z @ w["wi"] + w["bi"])
@@ -277,67 +276,117 @@ def _lstm_reference(x, h_prev, c_prev, w):
     return o * np.tanh(c), c
 
 
+def _lstm_params(rng, layers, d_in, hidden, scale=1.0):
+    params = []
+    for layer in range(layers):
+        z = hidden + (d_in if layer == 0 else hidden)
+        for gate in "fico":
+            params.append(Parameter(f"lstm{layer}_w{gate}", rng.normal(scale=scale, size=(z, hidden))))
+            params.append(Parameter(f"lstm{layer}_b{gate}", rng.normal(scale=scale, size=(1, hidden))))
+    return ModelParams(params)
+
+
 def test_lstm_cell_matches_reference_transcription():
+    # P = 3 steps of a batch of 2 windows over 4 nodes
     rng = np.random.default_rng(21)
-    n, d_in, hidden = 4, 3, 5
-    w = {}
-    for gate in "fico":
-        w[f"w{gate}"] = rng.normal(size=(hidden + d_in, hidden))
-        w[f"b{gate}"] = rng.normal(size=(1, hidden))
-    params = ModelParams([Parameter(f"lstm0_{key}", value) for key, value in w.items()])
-    x = rng.normal(size=(n, d_in))
-    h_prev = rng.normal(size=(n, hidden))
-    c_prev = rng.normal(size=(n, hidden))
+    steps, d_in, hidden = 3, 3, 5
+    params = _lstm_params(rng, 1, d_in, hidden)
+    w = {name[len("lstm0_"):]: params[name].value for name in params.names()}
+    x = rng.normal(size=(steps, 2, 4, d_in))
 
     tape = Tape()
-    h, c = lstm_cell(
-        tape, tape.constant(x), tape.constant(h_prev), tape.constant(c_prev), params, 0
-    )
-    h_want, c_want = _lstm_reference(x, h_prev, c_prev, w)
-    assert np.allclose(h.value, h_want, rtol=0.0, atol=1e-12)
-    assert np.allclose(c.value, c_want, rtol=0.0, atol=1e-12)
+    h = lstm_cell(tape, tape.constant(x), params, 0)
+    assert h.value.shape == (steps, 2, 4, hidden)
+    h_want = c_want = np.zeros((2, 4, hidden))
+    for t in range(steps):
+        h_want, c_want = _lstm_reference(x[t], h_want, c_want, w)
+        assert np.allclose(h.value[t], h_want, rtol=0.0, atol=1e-12)
 
 
 def test_lstm_cell_zero_weights_halve_the_memory():
-    n, d_in, hidden = 2, 3, 4
+    # every gate reads 0.5 and the candidate tanh(b_c), so the cell state
+    # goes c_t = 0.5 c_{t-1} + 0.5 tanh(b_c) = (1 - 2^-(t+1)) tanh(b_c)
+    steps, d_in, hidden = 4, 3, 4
+    b_c = np.linspace(-2.0, 2.0, hidden).reshape(1, hidden)
     params = ModelParams(
         [Parameter(f"lstm0_w{gate}", np.zeros((hidden + d_in, hidden))) for gate in "fico"]
-        + [Parameter(f"lstm0_b{gate}", np.zeros((1, hidden))) for gate in "fico"]
+        + [Parameter(f"lstm0_b{gate}", b_c if gate == "c" else np.zeros((1, hidden))) for gate in "fico"]
     )
-    c_prev = np.arange(n * hidden, dtype=float).reshape(n, hidden)
     tape = Tape()
-    h, c = lstm_cell(
-        tape,
-        tape.constant(np.ones((n, d_in))),
-        tape.constant(np.zeros((n, hidden))),
-        tape.constant(c_prev),
-        params,
-        0,
-    )
-    assert np.allclose(c.value, 0.5 * c_prev, rtol=0.0, atol=1e-15)
-    assert np.allclose(h.value, 0.5 * np.tanh(0.5 * c_prev), rtol=0.0, atol=1e-15)
+    h = lstm_cell(tape, tape.constant(np.ones((steps, 2, d_in))), params, 0)
+    for t in range(steps):
+        c = (1.0 - 0.5 ** (t + 1)) * np.tanh(b_c)
+        assert np.allclose(h.value[t], 0.5 * np.tanh(c), rtol=0.0, atol=1e-15)
 
 
 def test_lstm_hidden_state_is_strictly_bounded():
     rng = np.random.default_rng(2)
     hidden, d_in = 6, 6
-    params = ModelParams(
-        [
-            Parameter(f"lstm0_{kind}{gate}", rng.normal(scale=5.0, size=shape))
-            for gate in "fico"
-            for kind, shape in (("w", (hidden + d_in, hidden)), ("b", (1, hidden)))
-        ]
-    )
+    params = _lstm_params(rng, 2, d_in, hidden, scale=5.0)
     tape = Tape()
-    h, _ = lstm_cell(
-        tape,
-        tape.constant(rng.normal(scale=10.0, size=(5, d_in))),
-        tape.constant(rng.uniform(-0.99, 0.99, size=(5, hidden))),
-        tape.constant(rng.normal(scale=0.5, size=(5, hidden))),
-        params,
-        0,
-    )
-    assert np.all(np.abs(h.value) < 1.0)
+    h = tape.constant(rng.normal(scale=10.0, size=(4, 5, d_in)))
+    for layer in range(2):
+        h = lstm_cell(tape, h, params, layer)
+        assert np.all(np.abs(h.value) < 1.0)
+
+
+def _composed_lstm(tape, sequence, params, layers):
+    """The LSTM as it was built from small tape ops before it became one op
+    per layer: zero initial states, then per step and per layer a gate-input
+    concatenation, the four gate affines and the cell update, gate by gate
+    (the composition read the four gates from one joined affine)."""
+    acts = {"f": "sigmoid", "i": "sigmoid", "c": "tanh", "o": "sigmoid"}
+    shape = sequence.value.shape[1:-1] + (params["lstm0_bf"].value.shape[1],)
+    state = [(tape.constant(np.zeros(shape)), tape.constant(np.zeros(shape))) for _ in range(layers)]
+    for x_in in tape.unstack(sequence):
+        for layer, (h_prev, c_prev) in enumerate(state):
+            z = tape.concat_cols(h_prev, x_in)
+            f, i, candidate, o = (
+                tape.affine(
+                    z,
+                    tape.param(params[f"lstm{layer}_w{gate}"]),
+                    tape.param(params[f"lstm{layer}_b{gate}"]),
+                    act=acts[gate],
+                )
+                for gate in "fico"
+            )
+            c = tape.add(tape.hadamard(f, c_prev), tape.hadamard(i, candidate))
+            h = tape.hadamard(o, tape.tanh(c))
+            state[layer] = (h, c)
+            x_in = h
+    return state[-1][0]
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
+@pytest.mark.parametrize("steps, layers", [(1, 1), (3, 2), (5, 3)])
+def test_lstm_cell_matches_the_composed_oracle_forward_and_backward(steps, layers):
+    rng = np.random.default_rng(40 + steps)
+    d_in, hidden = 4, 6
+    params = _lstm_params(rng, layers, d_in, hidden)
+    x = Parameter("x", rng.normal(size=(steps, 2, 3, d_in)))
+    probe = rng.normal(size=(2, 3, hidden))
+
+    def run(build):
+        tape = Tape()
+        top = build(tape, tape.param(x))
+        tape.backward(tape.sum(tape.hadamard(top, tape.constant(probe))))
+        return top.value, [tape.grad_for(p) for p in (x, *params)]
+
+    def op(tape, seq):
+        for layer in range(layers):
+            seq = lstm_cell(tape, seq, params, layer)
+        return tape.take(seq, np.array(steps - 1))
+
+    got, got_grads = run(op)
+    want, want_grads = run(lambda tape, seq: _composed_lstm(tape, seq, params, layers))
+    assert _rel_err(got, want) <= 1e-12
+    for name, g, w in zip(["x", *params.names()], got_grads, want_grads):
+        # one step from a zero cell state leaves the forget gate no gradient
+        assert np.any(w) or (steps == 1 and name.endswith("f")), name
+        assert _rel_err(g, w) <= 1e-12, name
 
 
 # -------------------------------------------------------------- externals
@@ -509,15 +558,6 @@ def test_forward_rejects_wrong_window_shape():
     _, external, local_norm = random_inputs(cfg)
     with pytest.raises(ShapeError, match="model input window"):
         model_forward(Tape(), params, np.zeros((5, 3, 2)), external, local_norm, cfg)
-
-
-def test_hidden_state_zeros_matches_layout():
-    cfg = tiny_config(lstm_layers=3)
-    state = HiddenState.zeros(Tape(), cfg)
-    assert len(state.layers) == 3
-    for h, c in state.layers:
-        assert h.value.shape == (cfg.n_nodes, cfg.lstm_hidden)
-        assert np.all(c.value == 0.0)
 
 
 def test_full_model_gradients_match_finite_differences():
@@ -705,3 +745,27 @@ def test_training_tape_retains_less_per_sample_than_a_per_sample_tape():
     out = model_forward(tape, params, windows, externals, local_norm, cfg)
     tape.mean(tape.mse_per_sample(out, tape.constant(targets)))
     assert _retained_bytes(tape, params) / 32 < 312_856
+
+
+@pytest.mark.parametrize("window, n_batch", [(3, 8), (2, 1), (5, 32)])
+def test_each_lstm_layer_is_one_node_on_a_batch_tape(window, n_batch):
+    counts = {}
+    for layers in (1, 2, 3):
+        cfg = ModelConfig(**{**CRITERION_4, "window": window, "lstm_layers": layers})
+        params = init_params(cfg, np.random.default_rng(35))
+        slots = np.random.default_rng(72).uniform(size=(n_batch + window - 1, cfg.n_nodes, cfg.n_channels))
+        _, externals, local_norm, _ = random_batch(cfg, n_batch, seed=82)
+        index = np.arange(n_batch)[:, None] + np.arange(window)
+        tape = Tape()
+        model_forward(tape, params, slots, externals, local_norm, cfg, index)
+        counts[layers] = len(tape.nodes)
+        assert [n.op for n in tape.nodes].count("lstm_layer") == layers
+
+        # the layer op plus its 8 parameter leaves, whatever P and B are
+        alone = Tape()
+        sequence = alone.constant(np.zeros((window, n_batch, cfg.n_nodes, cfg.feature_dim)))
+        lstm_cell(alone, sequence, params, 0)
+        assert len(alone.nodes) == 1 + 9
+    # the forward pass made 99 nodes when each step was composed of small ops
+    assert counts[1] <= 61
+    assert counts[2] - counts[1] == counts[3] - counts[2] == 9

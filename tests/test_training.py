@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from stgf.autodiff import Parameter
-from stgf.data import WindowSample, prepare_samples
+from stgf.data import SignalDataset, make_windows, minmax_fit, prepare_samples
 from stgf.errors import NumericalError, ValidationError
+from stgf.graphs import GraphSpec
 from stgf.model import ModelConfig, ModelParams, init_params
 from stgf.synth import build_synthetic
 from stgf.training import (
@@ -59,6 +60,31 @@ def test_train_config_validation():
     with pytest.raises(ValidationError):
         TrainConfig(beta1=1.0)
     TrainConfig(learning_rate=0.0)  # frozen optimizer is allowed
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("clip_norm", math.nan),
+        ("epsilon", math.inf),
+        ("learning_rate", math.nan),
+        ("train_frac", math.nan),
+        ("learning_rate", "0.1"),
+        ("epochs", 2.5),
+        ("epochs", 2.0),
+        ("batch_size", True),
+        ("seed", 1.0),
+        ("seed", -1),
+    ],
+)
+def test_train_config_refuses_non_finite_and_non_integer_values(field, value):
+    with pytest.raises(ValidationError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_keeps_integer_fields_as_ints():
+    tc = TrainConfig(epochs=np.int64(3), batch_size=np.int32(4), seed=np.uint8(5))
+    assert [type(v) for v in (tc.epochs, tc.batch_size, tc.seed)] == [int] * 3
 
 
 # ----------------------------------------------------------------- optimizer
@@ -255,21 +281,28 @@ def test_metrics_invariant_enforced_on_construction():
 # ------------------------------------------------------------------ baseline
 
 
-def fake_sample(target_slot, y):
-    y = np.asarray(y, dtype=float).reshape(-1, 1)
-    n = y.shape[0]
-    return WindowSample(
-        x=np.zeros((1, n, 1)),
-        external=np.zeros(1),
-        y=y,
-        y_norm=np.zeros((n, 1)),
-        target_slot=target_slot,
+def flow_windows(flows, targets):
+    """One-slot windows over a series whose slot t carries the node flows
+    ``flows[t]``, picked by their target slots."""
+    flows = np.asarray(flows, dtype=float)
+    n_slots, n_nodes = flows.shape
+    dataset = SignalDataset(
+        signals=flows[:, :, None],
+        graph=GraphSpec(n_nodes=n_nodes, edges=()),
+        interval_minutes=1,
+        channel_names=("flow",),
+        node_ids=tuple(f"n{v}" for v in range(n_nodes)),
+        external_fields=(),
+        externals=np.zeros((n_slots, 0)),
     )
+    windows = make_windows(dataset, minmax_fit(dataset.signals), 1)
+    # window k targets slot k + 1
+    return windows[np.asarray(targets, dtype=np.int64) - 1]
 
 
 def test_ha_is_exact_on_a_constant_series():
-    train_s = [fake_sample(t, [5.0, 9.0]) for t in range(3, 40)]
-    eval_s = [fake_sample(t, [5.0, 9.0]) for t in range(40, 50)]
+    flows = np.tile([5.0, 9.0], (50, 1))
+    train_s, eval_s = flow_windows(flows, range(3, 40)), flow_windows(flows, range(40, 50))
     m = ha_baseline(train_s, eval_s, interval_minutes=60)
     assert m.rmse == 0.0 and m.mae == 0.0
 
@@ -277,22 +310,21 @@ def test_ha_is_exact_on_a_constant_series():
 def test_ha_recovers_a_daily_period():
     # 10-minute slots, 144 per day; value depends only on clock time
     period = 144
-
-    def value(slot):
-        return [100.0 + 50.0 * np.sin(2 * np.pi * slot % period / period)]
-
-    train_s = [fake_sample(t, value(t % period)) for t in range(3, 3 + 2 * period)]
-    eval_s = [fake_sample(t, value(t % period)) for t in range(3 + 2 * period, 3 + 3 * period)]
+    slots = np.arange(3 + 3 * period)
+    flows = (100.0 + 50.0 * np.sin(2 * np.pi * (slots % period) / period))[:, None]
+    train_s = flow_windows(flows, range(3, 3 + 2 * period))
+    eval_s = flow_windows(flows, range(3 + 2 * period, 3 + 3 * period))
     m = ha_baseline(train_s, eval_s, interval_minutes=10)
     assert m.rmse < 1e-9
 
 
 def test_ha_falls_back_to_the_node_mean():
-    train_s = [fake_sample(0, [10.0]), fake_sample(1, [30.0])]
-    eval_s = [fake_sample(2, [20.0])]  # clock 120 never trained
+    # slot 3 is clock 180, never trained
+    train_s = flow_windows([[0.0], [10.0], [30.0], [0.0]], [1, 2])
+    eval_s = flow_windows([[0.0], [0.0], [0.0], [20.0]], [3])
     m = ha_baseline(train_s, eval_s, interval_minutes=60)
     assert m.mae == pytest.approx(0.0)
-    eval_off = [fake_sample(2, [26.0])]
+    eval_off = flow_windows([[0.0], [0.0], [0.0], [26.0]], [3])
     m = ha_baseline(train_s, eval_off, interval_minutes=60)
     assert m.mae == pytest.approx(6.0)
 
@@ -313,9 +345,8 @@ def _ha_by_loop(train_samples, eval_samples, interval_minutes):
 
 
 def test_ha_matches_the_per_sample_loop_bitwise():
-    rng = np.random.default_rng(4)
-    train_s = [fake_sample(t, rng.uniform(0.0, 500.0, size=4)) for t in range(7, 700)]
-    eval_s = [fake_sample(t, rng.uniform(0.0, 500.0, size=4)) for t in range(650, 1200, 3)]
+    flows = np.random.default_rng(4).uniform(0.0, 500.0, size=(1200, 4))
+    train_s, eval_s = flow_windows(flows, range(7, 700)), flow_windows(flows, range(650, 1200, 3))
     # 5 and 60 minutes sum several samples per clock time; at 7 minutes most
     # evaluation clock times were never trained and fall back to the node mean
     for interval in (5, 7, 60):
@@ -324,7 +355,7 @@ def test_ha_matches_the_per_sample_loop_bitwise():
 
 def test_ha_rejects_empty_training_split():
     with pytest.raises(ValidationError):
-        ha_baseline([], [fake_sample(1, [1.0])], 5)
+        ha_baseline(flow_windows([[1.0], [1.0]], []), flow_windows([[1.0], [1.0]], [1]), 5)
 
 
 # ------------------------------------------------------------- training loop
@@ -442,9 +473,6 @@ def test_evaluate_table_matches_per_window_forecasts():
     params = init_params(cfg, np.random.default_rng(3))
     prepared = prepare_samples(ds, cfg.window, 0.7, 0.1)
     metrics, table = evaluate(params, cfg, prepared.stats, ds, prepared.test)
-    # a plain list of the same windows gives the same bytes
-    list_metrics, list_table = evaluate(params, cfg, prepared.stats, ds, list(prepared.test))
-    assert metrics == list_metrics and list(table) == list(list_table)
 
     local_norm = normalize_adjacency(build_local_adjacency(ds.graph))
     rows = list(table)
@@ -465,8 +493,7 @@ def test_ha_reads_a_window_set_as_its_samples():
     ds, cfg = small_setup()
     prepared = prepare_samples(ds, cfg.window, 0.7, 0.1)
     got = ha_baseline(prepared.train, prepared.test, ds.interval_minutes)
-    assert got == ha_baseline(list(prepared.train), list(prepared.test), ds.interval_minutes)
-    assert got == _ha_by_loop(list(prepared.train), list(prepared.test), ds.interval_minutes)
+    assert got == _ha_by_loop(prepared.train, prepared.test, ds.interval_minutes)
 
 
 def test_mean_sample_mse_matches_manual_average():
