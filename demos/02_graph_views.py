@@ -8,9 +8,9 @@ from stgf.graphs import (
     GraphSpec,
     adaptive_adjacency,
     build_local_adjacency,
-    init_node_embedding,
     normalize_adjacency,
 )
+from stgf.model import ModelConfig, init_params
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -40,7 +40,7 @@ def main():
 
     # the learned view starts from a random embedding table
     rng = np.random.default_rng(42)
-    embedding = init_node_embedding(4, embed_dim=3, rng=rng)
+    embedding = init_params(ModelConfig(n_nodes=4, embed_dim=3), rng)["node_embedding"]
     tape = Tape()
     learned = adaptive_adjacency(tape, tape.param(embedding))
     print("\nlearned adjacency from a fresh 4x3 embedding:")

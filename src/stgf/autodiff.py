@@ -47,8 +47,7 @@ from .errors import ContractError, ShapeError
 Array = np.ndarray
 
 # vjp: maps the node's output adjoint to one adjoint per input, in order:
-# an array, a _Block (the gradient of one block of the input), or None for
-# an input that needs no gradient
+# an array of that input's shape, or None for an input that needs no gradient
 Vjp = Callable[[Array], Sequence[object]]
 
 
@@ -83,17 +82,6 @@ _ACTIVATIONS: dict[str, tuple[Callable[[Array], object], Callable[[Array], Array
     "sigmoid": (_sigmoid_, lambda y: y * (1.0 - y)),
     "tanh": (lambda v: np.tanh(v, out=v), lambda y: 1.0 - y * y),
 }
-
-
-class _Block:
-    """A vjp result that is the gradient of one block of its input,
-    ``input[index]``; the rest of the input's gradient is zero."""
-
-    __slots__ = ("index", "g")
-
-    def __init__(self, index, g: Array) -> None:
-        self.index = index
-        self.g = g
 
 
 class Node:
@@ -481,9 +469,19 @@ class Tape:
 
     def unstack(self, a: Node) -> list[Node]:
         """The entries of ``a`` along its first axis; each value is a view."""
-        if a.value.ndim < 1:
+        av = a.value
+        if av.ndim < 1:
             raise ShapeError("unstack: operand must have at least one axis")
-        return [self._view("unstack", a, k) for k in range(a.value.shape[0])]
+
+        def entry(k: int) -> Node:
+            def vjp(g: Array):
+                total = np.zeros(av.shape)
+                total[k] = g
+                return (total,)
+
+            return self._push("unstack", (a,), av[k], vjp)
+
+        return [entry(k) for k in range(av.shape[0])]
 
     def take(self, a: Node, index) -> Node:
         """``a[index]``: entries of ``a`` along its first axis, picked by an
@@ -507,12 +505,6 @@ class Tape:
             return (total,)
 
         return self._push("take", (a,), av[index], vjp)
-
-    def _view(self, op: str, a: Node, index) -> Node:
-        def vjp(g: Array):
-            return (_Block(index, g),)
-
-        return self._push(op, (a,), a.value[index], vjp)
 
     def reshape(self, a: Node, shape: Sequence[int]) -> Node:
         av = a.value
@@ -620,7 +612,8 @@ class Tape:
         bound = {node.id: p for p, node in self._bindings.items()}
         adjoint: dict[int, Array] = {loss.id: np.ones_like(loss.value)}
         # adjoints allocated here, which later contributions may update in
-        # place; any other adjoint may alias a value or another adjoint
+        # place; a first contribution is stored as given, and may alias a
+        # value or another adjoint
         owned: set[int] = set()
         for nid in range(loss.id, -1, -1):
             g = adjoint.pop(nid, None)
@@ -632,21 +625,14 @@ class Tape:
                 for iid, contrib in zip(node.input_ids, node._vjp(g)):
                     if contrib is None or not nodes[iid].needs_grad:
                         continue
-                    index, part = (..., contrib)
-                    if isinstance(contrib, _Block):
-                        index, part = contrib.index, contrib.g
                     total = adjoint.get(iid)
-                    if total is None and index is ...:
-                        adjoint[iid] = part
-                        continue
-                    if iid not in owned:
-                        if total is None:
-                            total = np.zeros(nodes[iid].value.shape)
-                        else:
-                            total = np.array(total, dtype=np.float64)
-                        adjoint[iid] = total
+                    if total is None:
+                        adjoint[iid] = contrib
+                    elif iid in owned:
+                        total += contrib
+                    else:
+                        adjoint[iid] = total + contrib
                         owned.add(iid)
-                    total[index] += part
             elif nid in bound:
                 p = bound[nid]
                 g = g.reshape(p.value.shape)

@@ -186,12 +186,6 @@ class SignalDataset:
     def n_channels(self) -> int:
         return self.signals.shape[2]
 
-    def timestamp_minutes(self, slot: int) -> int:
-        return slot * self.interval_minutes
-
-    def time_of_day_minutes(self, slot: int) -> int:
-        return self.timestamp_minutes(slot) % MINUTES_PER_DAY
-
 
 # -------------------------------------------------------------- persistence
 

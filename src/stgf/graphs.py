@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Node, Parameter, Tape, as_tensor
+from .autodiff import Node, Tape, as_tensor
 from .errors import ValidationError
 
 Edge = tuple[int, int, float]
@@ -77,20 +77,20 @@ def build_local_adjacency(spec: GraphSpec) -> np.ndarray:
     return a
 
 
-def normalize_adjacency(a: np.ndarray, add_self_loops: bool = True) -> np.ndarray:
-    """Symmetric degree normalization D^{-1/2} (A [+ I]) D^{-1/2}.
+def normalize_adjacency(a: np.ndarray) -> np.ndarray:
+    """Symmetric degree normalization D^{-1/2} (A + I) D^{-1/2}, with D the
+    degrees of A + I.
 
-    Zero-degree rows map to zero rows (their D^{-1/2} entry is taken as 0),
-    so isolated nodes stay isolated instead of producing NaN.
+    The added self-loop gives every node a degree of at least 1, so an
+    isolated node keeps only its self-connection instead of producing NaN.
     """
     a = as_tensor(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"adjacency must be square, got shape {a.shape}")
     if np.any(a < 0.0):
         raise ValidationError("adjacency entries must be nonnegative")
-    tilde = a + np.eye(a.shape[0]) if add_self_loops else a
-    degree = tilde.sum(axis=1)
-    inv_sqrt = np.where(degree > 0.0, 1.0 / np.sqrt(np.where(degree > 0.0, degree, 1.0)), 0.0)
+    tilde = a + np.eye(a.shape[0])
+    inv_sqrt = 1.0 / np.sqrt(tilde.sum(axis=1))
     return inv_sqrt[:, None] * tilde * inv_sqrt[None, :]
 
 
@@ -110,11 +110,3 @@ def adaptive_adjacency_values(embedding: np.ndarray) -> np.ndarray:
     """Convenience evaluation of the learned adjacency outside any training tape."""
     tape = Tape(record=False)
     return adaptive_adjacency(tape, tape.constant(embedding)).value
-
-
-def init_node_embedding(n_nodes: int, embed_dim: int, rng: np.random.Generator) -> Parameter:
-    """Uniform(-1/sqrt(d), 1/sqrt(d)) init keeps E E^T entries O(1)."""
-    if embed_dim < 1:
-        raise ValidationError(f"embedding dimension must be >= 1, got {embed_dim}")
-    bound = 1.0 / np.sqrt(embed_dim)
-    return Parameter("node_embedding", rng.uniform(-bound, bound, size=(n_nodes, embed_dim)))

@@ -263,12 +263,12 @@ def channel_fuse(tape: Tape, channel_features: Sequence[Node], weights: Sequence
 def cgcn_forward(
     tape: Tape,
     x: np.ndarray,
-    adjacency: Node | np.ndarray,
+    adjacency: Node,
     params: ModelParams,
     view: str,
     config: ModelConfig,
 ) -> Node:
-    """Channel-wise graph convolution for one view.
+    """Channel-wise graph convolution for one view over an N x N adjacency node.
 
     ``x`` holds raw N x C slot matrices, one slot or any stack of them
     (``... x N x C``); the result has the same leading axes. Each channel
@@ -284,36 +284,28 @@ def cgcn_forward(
             f"cgcn input: expected slot matrices of shape {(config.n_nodes, config.n_channels)}, "
             f"got {x.shape}"
         )
-    adj = adjacency if isinstance(adjacency, Node) else tape.constant(adjacency)
-    if adj.value.shape != (config.n_nodes, config.n_nodes):
+    if adjacency.value.shape != (config.n_nodes, config.n_nodes):
         raise ShapeError(
-            f"cgcn adjacency: expected {(config.n_nodes,) * 2}, got {adj.value.shape}"
+            f"cgcn adjacency: expected {(config.n_nodes,) * 2}, got {adjacency.value.shape}"
         )
 
     # channel-wise: C x ... x N x 1, one single-column graph signal per channel
     h = tape.constant(np.moveaxis(x, -1, 0)[..., None] if config.channelwise else x)
     for l in range(len(config.gcn_dims)):
         w = params[f"gcn_{view}_w{l}"]
-        h = tape.affine(tape.matmul(adj, h), tape.param(w), act="relu")
+        h = tape.affine(tape.matmul(adjacency, h), tape.param(w), act="relu")
     if not config.channelwise:
         return h
     weights = [tape.param(params[f"fuse_{view}_w{i}"]) for i in range(config.n_channels)]
     return channel_fuse(tape, tape.unstack(h), weights)
 
 
-def multiview_fuse(tape: Tape, h_local: Node | None, h_global: Node | None, ablation: str = "full") -> Node:
-    """Elementwise sum of the two views; single-view variants pass through."""
-    if ablation == "local-only":
-        if h_local is None:
-            raise ShapeError("multiview_fuse: local-only variant requires the local features")
-        return h_local
-    if ablation == "global-only":
-        if h_global is None:
-            raise ShapeError("multiview_fuse: global-only variant requires the global features")
-        return h_global
-    if h_local is None or h_global is None:
-        raise ShapeError("multiview_fuse: both views required outside single-view variants")
-    return tape.add(h_local, h_global)
+def multiview_fuse(tape: Tape, views: Sequence[Node]) -> Node:
+    """Elementwise sum of the active views' features; a single view passes through."""
+    fused = views[0]
+    for h in views[1:]:
+        fused = tape.add(fused, h)
+    return fused
 
 
 def lstm_cell(tape: Tape, sequence: Node, params: ModelParams, layer: int) -> Node:
@@ -330,41 +322,38 @@ def lstm_cell(tape: Tape, sequence: Node, params: ModelParams, layer: int) -> No
 
 def external_encode(
     tape: Tape,
-    raw: np.ndarray,
+    rows: np.ndarray,
     params: ModelParams,
     config: ModelConfig,
 ) -> Node:
-    """Encode covariate rows to external_hidden features, one row each.
+    """Encode a batch x external_dim matrix of covariate rows to one
+    external_hidden row each.
 
-    ``raw`` is one row or a batch x external_dim matrix laid out as
-    ``SignalDataset.externals``: one category code per categorical field,
-    then the continuous values; a single row gives a 1 x external_hidden
-    row. Each code gathers its row of the field's embedding table, so only
-    that row gets gradient; continuous values pass straight through. A
-    single dense layer plus relu mixes everything. A row in the one-hot
-    layout (a block per categorical field, then the continuous values) is
-    read as the codes of its ones.
+    A row is laid out as ``SignalDataset.externals``: one integer category
+    code per categorical field, then the continuous values. Each code
+    gathers its row of the field's embedding table, so only that row gets
+    gradient; continuous values pass straight through. A single dense
+    layer plus relu mixes everything.
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    rows = raw.reshape(1, -1) if raw.ndim < 2 else raw
-    cards = config.external_cardinalities
-    one_hot_dim = sum(cards) + config.external_continuous
-    if rows.ndim == 2 and rows.shape[1] == one_hot_dim != config.external_dim:
-        *blocks, values = np.split(rows, np.cumsum(cards), axis=1)
-        codes = [block.argmax(axis=1) for block in blocks]
-        if not all(np.array_equal(b, np.eye(b.shape[1])[c]) for b, c in zip(blocks, codes)):
-            raise ValidationError("covariate rows in the one-hot layout need one 1 per block")
-        rows = np.column_stack([*codes, values])
+    rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != config.external_dim:
         raise ShapeError(
-            f"external vector: expected length {config.external_dim}, got shape {raw.shape}"
+            f"external vector: expected rows of length {config.external_dim}, got shape {rows.shape}"
+        )
+    n_codes = len(config.external_cardinalities)
+    codes = rows[:, :n_codes]
+    integral = np.isfinite(codes) & (codes == np.round(codes))
+    if not integral.all():
+        r, k = np.argwhere(~integral)[0]
+        raise ValidationError(
+            f"external vector: field {k} holds {codes[r, k].item()!r}, not an integer category code"
         )
     pieces = [
-        tape.take(tape.param(params[f"ext_embed{k}"]), rows[:, k].astype(np.int64))
-        for k in range(len(cards))
+        tape.take(tape.param(params[f"ext_embed{k}"]), codes[:, k].astype(np.int64))
+        for k in range(n_codes)
     ]
     if config.external_continuous:
-        pieces.append(tape.constant(rows[:, len(cards) :]))
+        pieces.append(tape.constant(rows[:, n_codes:]))
     merged = tape.concat_cols(*pieces)
     return tape.affine(
         merged, tape.param(params["ext_dense_w"]), tape.param(params["ext_dense_b"]), act="relu"
@@ -382,47 +371,40 @@ def model_forward(
 ) -> Node:
     """Full forward pass for a batch of B windows, giving B x N x 1.
 
-    With ``index`` (a B x P integer array), ``window`` is an S x N x C block
-    of distinct normalized slots and window b reads the slots
+    ``window`` is an S x N x C block of distinct normalized slots, and
+    ``index`` (a B x P integer array) lists window b's slots as rows of it,
     ``window[index[b]]``; consecutive windows share P - 1 slots, so each
-    slot is convolved once however many windows read it. Without it,
-    ``window`` holds the windows themselves (B x P x N x C) and is taken
-    as B * P slots under an ``arange`` index, through the same code. A
-    single P x N x C window with its length-E vector is the batch of one
-    and comes back as an N x 1 forecast.
+    slot is convolved once however many windows read it. Without ``index``,
+    ``window`` is one P x N x C window, read as the batch of one under the
+    index ``[0 .. P-1]`` through the same code, and its N x 1 forecast is
+    returned.
 
-    ``external`` holds one covariate row per window (B x E). Both
-    adjacencies are entered once per tape. Each active view convolves the
-    slot block in one stack, the views are fused, the fused slot features
-    are gathered into a P x B x N x F sequence by the index, and each LSTM
-    layer runs over that whole sequence as one op. The covariate encoding
-    is computed once per window, broadcast to every node, concatenated to
-    the top layer's last hidden state, and mapped through the linear head.
+    ``external`` holds one covariate row per window (B x E; one row may be
+    given as a vector). Each active view enters its adjacency once per
+    tape and convolves the slot block in one stack, the views are fused,
+    the fused slot features are gathered into a P x B x N x F sequence by
+    the index, and each LSTM layer runs over that whole sequence as one op.
+    The covariate encoding is computed once per window, broadcast to every
+    node, concatenated to the top layer's last hidden state, and mapped
+    through the linear head.
     """
     window = np.asarray(window, dtype=np.float64)
     external = np.atleast_2d(np.asarray(external, dtype=np.float64))
     slot_shape = (config.n_nodes, config.n_channels)
-    single = index is None and window.ndim == 3
-    if index is None:
-        expected = (config.window, *slot_shape)
-        batch = window[None] if single else window
-        if batch.ndim != 4 or batch.shape[1:] != expected:
+    single = index is None
+    if single:
+        if window.shape[:1] != (config.window,):
             raise ShapeError(
-                f"model input window: expected shape {expected} or batch x {expected}, "
-                f"got {window.shape}"
+                f"model input window: expected {config.window} slots, got shape {window.shape}"
             )
-        window = batch.reshape(-1, *slot_shape)
-        index = np.arange(len(window)).reshape(len(batch), config.window)
-    else:
-        index = np.asarray(index)
-        if index.ndim != 2 or index.shape[1] != config.window:
-            raise ShapeError(
-                f"model input index: expected batch x {config.window}, got shape {index.shape}"
-            )
-        if window.ndim != 3 or window.shape[1:] != slot_shape:
-            raise ShapeError(
-                f"model input window: expected slots x {slot_shape}, got {window.shape}"
-            )
+        index = np.arange(config.window)[None]
+    index = np.asarray(index)
+    if index.ndim != 2 or index.shape[1] != config.window:
+        raise ShapeError(
+            f"model input index: expected batch x {config.window}, got shape {index.shape}"
+        )
+    if window.ndim != 3 or window.shape[1:] != slot_shape:
+        raise ShapeError(f"model input window: expected slots x {slot_shape}, got {window.shape}")
     n_batch = len(index)
     if external.ndim != 2 or external.shape[0] != n_batch:
         raise ShapeError(
@@ -430,27 +412,20 @@ def model_forward(
             f"got shape {external.shape}"
         )
 
-    use_local = "local" in config.active_views
-    use_global = "global" in config.active_views
-    adj_local: Node | None = None
-    adj_global: Node | None = None
-    if use_local:
-        if local_norm is None:
+    features = []
+    for view in config.active_views:
+        if view == "global":
+            # Rows of the learned adjacency sum to 1, so its degree matrix is
+            # the identity and the symmetric degree scaling collapses to a
+            # no-op; the matrix is applied directly.
+            adjacency = adaptive_adjacency(tape, tape.param(params["node_embedding"]))
+        elif local_norm is None:
             raise ShapeError("model input adjacency: local view requires the normalized matrix")
-        adj_local = tape.constant(local_norm)
-    if use_global:
-        # Rows of the learned adjacency sum to 1, so its degree matrix is the
-        # identity and the symmetric degree scaling collapses to a no-op; the
-        # matrix is applied directly.
-        adj_global = adaptive_adjacency(tape, tape.param(params["node_embedding"]))
-
-    h_local = cgcn_forward(tape, window, adj_local, params, "local", config) if use_local else None
-    h_global = (
-        cgcn_forward(tape, window, adj_global, params, "global", config) if use_global else None
-    )
-    features = multiview_fuse(tape, h_local, h_global, config.ablation)
+        else:
+            adjacency = tape.constant(local_norm)
+        features.append(cgcn_forward(tape, window, adjacency, params, view, config))
     # slot position first, so each LSTM step reads one contiguous B x N x F block
-    sequence = tape.take(features, index.T)
+    sequence = tape.take(multiview_fuse(tape, features), index.T)
 
     for layer in range(config.lstm_layers):
         sequence = lstm_cell(tape, sequence, params, layer)

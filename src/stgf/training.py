@@ -273,12 +273,10 @@ def mean_sample_mse(
 ) -> float:
     """Mean over windows of the per-window normalized MSE (the training loss)."""
     diff = _forecast(params, model_config, dataset, windows) - windows.y_norm
-    total = 0.0
-    # a running total over the windows in order, summed as one window at a
-    # time, so the figure does not depend on how windows are chunked
-    for d in diff:
-        total += (np.sum(d * d) / d.shape[0]).item()
-    return total / len(windows)
+    per_window = (diff * diff).reshape(len(diff), -1).sum(axis=1) / diff.shape[1]
+    # cumsum adds in window order, like a running total, so the figure does
+    # not depend on how windows are chunked
+    return np.cumsum(per_window)[-1].item() / len(windows)
 
 
 def train(

@@ -54,11 +54,9 @@ def report(number: int, label: str):
 
 
 def valid_external(rng: np.random.Generator) -> np.ndarray:
-    e = np.zeros(8)
-    e[int(rng.integers(3))] = 1.0
-    e[3 + int(rng.integers(4))] = 1.0
-    e[7] = float(rng.uniform())
-    return e
+    day_type = float(rng.integers(3))
+    weather = float(rng.integers(4))
+    return np.array([day_type, weather, float(rng.uniform())])
 
 
 def random_graph_norm(n_nodes: int, rng: np.random.Generator, topology: str = "random"):

@@ -368,13 +368,6 @@ def test_dataset_validates_geometry():
         )
 
 
-def test_timestamps_advance_by_the_interval():
-    ds = toy_dataset(interval=5)
-    assert [ds.timestamp_minutes(s) for s in range(3)] == [0, 5, 10]
-    assert ds.time_of_day_minutes(288) == 0
-    assert ds.time_of_day_minutes(289) == 5
-
-
 # ------------------------------------------------------------ normalization
 
 

@@ -1,0 +1,27 @@
+"""NumPy stays the only runtime dependency: every absolute import in the
+package names NumPy or a module of the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stgf"
+ALLOWED = {"numpy"} | set(sys.stdlib_module_names)
+
+
+def absolute_imports(path: Path) -> list[str]:
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_numpy_and_the_standard_library(path):
+    outside = [name for name in absolute_imports(path) if name.split(".")[0] not in ALLOWED]
+    assert outside == [], f"{path.name} imports {outside}"

@@ -9,7 +9,6 @@ from stgf.graphs import (
     adaptive_adjacency,
     adaptive_adjacency_values,
     build_local_adjacency,
-    init_node_embedding,
     normalize_adjacency,
 )
 
@@ -79,13 +78,6 @@ def test_normalize_two_node_hand_case():
     np.testing.assert_allclose(out, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
 
-def test_normalize_zero_degree_row_without_self_loops():
-    a = np.array([[0.0, 0.0], [1.0, 0.0]])
-    out = normalize_adjacency(a, add_self_loops=False)
-    assert np.all(np.isfinite(out))
-    np.testing.assert_array_equal(out[0], [0.0, 0.0])
-
-
 def test_normalize_rejects_negative_entries():
     with pytest.raises(ValidationError):
         normalize_adjacency(np.array([[0.0, -1.0], [1.0, 0.0]]))
@@ -98,7 +90,7 @@ def test_normalize_symmetry_and_spectral_radius():
         a = rng.uniform(0.0, 2.0, size=(n, n))
         a = (a + a.T) / 2.0
         np.fill_diagonal(a, 0.0)
-        out = normalize_adjacency(a, add_self_loops=True)
+        out = normalize_adjacency(a)
         np.testing.assert_allclose(out, out.T, atol=1e-12)
         assert np.all(out >= 0.0)
         # power iteration for the dominant eigenvalue
@@ -159,10 +151,3 @@ def test_adaptive_is_differentiable():
         return tape.mse_loss(adaptive_adjacency(tape, tape.param(emb)), tape.constant(target))
 
     assert grad_check(build, [emb], step=1e-6) < 1e-6
-
-
-def test_init_node_embedding_stays_within_inverse_sqrt_dim():
-    emb = init_node_embedding(3, 4, np.random.default_rng(1))
-    assert emb.name == "node_embedding"
-    assert emb.value.shape == (3, 4)
-    assert np.all(np.abs(emb.value) <= 1.0 / np.sqrt(4))

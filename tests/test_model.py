@@ -216,7 +216,7 @@ def test_cgcn_matches_dense_algebra_oracle():
     params = init_params(cfg, np.random.default_rng(11))
 
     tape = Tape()
-    got = cgcn_forward(tape, x, adj, params, "local", cfg).value
+    got = cgcn_forward(tape, x, tape.constant(adj), params, "local", cfg).value
 
     want = np.zeros((3, 3))
     for i in range(2):
@@ -234,7 +234,8 @@ def test_cgcn_no_channelwise_runs_all_channels_at_once():
     x = rng.uniform(-1.0, 1.0, size=(3, 2))
     params = init_params(cfg, np.random.default_rng(13))
 
-    got = cgcn_forward(Tape(), x, adj, params, "global", cfg).value
+    tape = Tape()
+    got = cgcn_forward(tape, x, tape.constant(adj), params, "global", cfg).value
     h = x
     for l in range(2):
         h = np.maximum(adj @ h @ params[f"gcn_global_w{l}"].value, 0.0)
@@ -244,8 +245,9 @@ def test_cgcn_no_channelwise_runs_all_channels_at_once():
 def test_cgcn_rejects_wrong_channel_count():
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(0))
+    tape = Tape()
     with pytest.raises(ShapeError, match="cgcn input"):
-        cgcn_forward(Tape(), np.zeros((3, 5)), np.eye(3), params, "local", cfg)
+        cgcn_forward(tape, np.zeros((3, 5)), tape.constant(np.eye(3)), params, "local", cfg)
 
 
 def test_channel_fuse_scalar_hand_case():
@@ -403,9 +405,8 @@ def test_external_encode_picks_the_right_embedding_row():
         ]
     )
     want = np.maximum(np.concatenate([table[2], [0.25]]) @ np.eye(5, 5), 0.0)[None, :]
-    for raw in ([2.0, 0.25], [0.0, 0.0, 1.0, 0.25]):  # a code row, and the one-hot layout
-        out = external_encode(Tape(), np.array(raw), params, cfg).value
-        assert np.allclose(out, want, rtol=0.0, atol=1e-15)
+    out = external_encode(Tape(), np.array([[2.0, 0.25]]), params, cfg).value
+    assert np.allclose(out, want, rtol=0.0, atol=1e-15)
 
 
 def test_external_encode_gather_equals_the_one_hot_product_bitwise():
@@ -431,12 +432,23 @@ def test_external_encode_gather_equals_the_one_hot_product_bitwise():
         assert np.array_equal(tape.grad_for(params[f"ext_embed{k}"]), grad)
 
 
-def test_external_encode_rejects_bad_one_hot():
+def test_external_encode_refuses_the_one_hot_layout():
+    # a block of 2 for the categorical field, then the continuous value
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(0))
-    bad = np.array([1.0, 1.0, 0.3])
-    with pytest.raises(ValidationError, match="one-hot"):
-        external_encode(Tape(), bad, params, cfg)
+    with pytest.raises(ShapeError, match="external vector"):
+        external_encode(Tape(), np.array([[0.0, 1.0, 0.3]]), params, cfg)
+
+
+@pytest.mark.parametrize("code", [1.7, 0.5, np.nan, np.inf])
+def test_external_encode_refuses_a_code_that_is_not_an_integer(code):
+    # a fractional code must not embed like its integer part, nor a NaN
+    # one reach the gather without naming its field
+    cfg = tiny_config(external_cardinalities=(3, 4))
+    params = init_params(cfg, np.random.default_rng(0))
+    rows = np.array([[1.0, 2.0, 0.5], [2.0, code, 0.5]])
+    with pytest.raises(ValidationError, match=rf"field 1 holds {code!r}, not an integer"):
+        external_encode(Tape(), rows, params, cfg)
 
 
 def test_external_encode_rejects_a_code_outside_the_table():
@@ -444,14 +456,15 @@ def test_external_encode_rejects_a_code_outside_the_table():
     params = init_params(cfg, np.random.default_rng(0))
     for code in (2.0, -1.0):
         with pytest.raises(ShapeError, match="take: index outside"):
-            external_encode(Tape(), np.array([code, 0.3]), params, cfg)
+            external_encode(Tape(), np.array([[code, 0.3]]), params, cfg)
 
 
 def test_external_encode_rejects_wrong_length():
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(0))
-    with pytest.raises(ShapeError, match="external vector"):
-        external_encode(Tape(), np.zeros(cfg.external_dim + 2), params, cfg)
+    for raw in (np.zeros((1, cfg.external_dim + 2)), np.zeros(cfg.external_dim)):
+        with pytest.raises(ShapeError, match="external vector"):
+            external_encode(Tape(), raw, params, cfg)
 
 
 # ------------------------------------------------------------- full model
@@ -461,11 +474,8 @@ def test_multiview_fuse_adds_views():
     tape = Tape()
     a = tape.constant([[1.0, 2.0]])
     b = tape.constant([[10.0, 20.0]])
-    assert np.array_equal(multiview_fuse(tape, a, b).value, [[11.0, 22.0]])
-    assert multiview_fuse(tape, a, None, "local-only") is a
-    assert multiview_fuse(tape, None, b, "global-only") is b
-    with pytest.raises(ShapeError):
-        multiview_fuse(tape, a, None, "full")
+    assert np.array_equal(multiview_fuse(tape, [a, b]).value, [[11.0, 22.0]])
+    assert multiview_fuse(tape, [b]) is b
 
 
 def test_zero_parameters_collapse_to_the_head_bias():
@@ -556,8 +566,10 @@ def test_forward_rejects_wrong_window_shape():
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(0))
     _, external, local_norm = random_inputs(cfg)
-    with pytest.raises(ShapeError, match="model input window"):
-        model_forward(Tape(), params, np.zeros((5, 3, 2)), external, local_norm, cfg)
+    # a window of another length, and a stack of windows without an index
+    for window in (np.zeros((5, 3, 2)), np.zeros((cfg.window, cfg.window, 3, 2))):
+        with pytest.raises(ShapeError, match="model input window"):
+            model_forward(Tape(), params, window, external, local_norm, cfg)
 
 
 def test_full_model_gradients_match_finite_differences():
@@ -618,6 +630,12 @@ def random_batch(config, n_batch, seed):
     return windows, externals, samples[0][2], targets
 
 
+def as_slots(windows):
+    """B windows of P slots as a block of B * P slots and its B x P index."""
+    n_batch, steps = windows.shape[:2]
+    return windows.reshape(-1, *windows.shape[2:]), np.arange(n_batch * steps).reshape(n_batch, steps)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{}, {"lstm_layers": 2, "ablation": "no-channelwise"}],
@@ -628,8 +646,9 @@ def test_batch_agrees_with_batches_of_one(overrides):
     params = init_params(cfg, np.random.default_rng(31))
     windows, externals, local_norm, targets = random_batch(cfg, 5, seed=50)
 
+    slots, index = as_slots(windows)
     tape = Tape()
-    out = model_forward(tape, params, windows, externals, local_norm, cfg)
+    out = model_forward(tape, params, slots, externals, local_norm, cfg, index)
     assert out.value.shape == (5, cfg.n_nodes, 1)
     tape.backward(tape.mean(tape.mse_per_sample(out, tape.constant(targets))))
 
@@ -719,20 +738,28 @@ def test_forward_rejects_covariates_of_another_batch_size():
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(0))
     windows, externals, local_norm, _ = random_batch(cfg, 3, seed=1)
+    slots, index = as_slots(windows)
     with pytest.raises(ShapeError, match="covariates"):
-        model_forward(Tape(), params, windows, externals[:2], local_norm, cfg)
+        model_forward(Tape(), params, slots, externals[:2], local_norm, cfg, index)
 
 
 def _retained_bytes(tape, params):
-    """Bytes of the distinct buffers behind the tape's values, parameters excluded."""
-    owners = {}
+    """Bytes of the distinct buffers a tape keeps alive, the parameter vector
+    excluded: its nodes' values and the arrays its vjp closures hold."""
+    arrays = [node.value for node in tape.nodes]
     for node in tape.nodes:
-        array = node.value
-        while array.base is not None:
+        for cell in getattr(node._vjp, "__closure__", None) or ():
+            held = cell.cell_contents
+            items = held if isinstance(held, (list, tuple)) else [held]
+            arrays.extend(a for a in items if isinstance(a, np.ndarray))
+
+    def buffer(array):
+        while isinstance(array.base, np.ndarray):
             array = array.base
-        owners[id(array)] = array
-    for p in params:
-        owners.pop(id(p.value), None)
+        return array
+
+    owners = {id(b): b for b in map(buffer, arrays)}
+    owners.pop(id(buffer(params.values)), None)
     return sum(a.nbytes for a in owners.values())
 
 
@@ -741,8 +768,9 @@ def test_training_tape_retains_less_per_sample_than_a_per_sample_tape():
     cfg = ModelConfig(**CRITERION_4)
     params = init_params(cfg, np.random.default_rng(32))
     windows, externals, local_norm, targets = random_batch(cfg, 32, seed=60)
+    slots, index = as_slots(windows)
     tape = Tape()
-    out = model_forward(tape, params, windows, externals, local_norm, cfg)
+    out = model_forward(tape, params, slots, externals, local_norm, cfg, index)
     tape.mean(tape.mse_per_sample(out, tape.constant(targets)))
     assert _retained_bytes(tape, params) / 32 < 312_856
 

@@ -12,6 +12,7 @@ from stgf.graphs import GraphSpec
 from stgf.model import ModelConfig, ModelParams, init_params
 from stgf.synth import build_synthetic
 from stgf.training import (
+    FORECAST_BATCH,
     AdamState,
     Metrics,
     TrainConfig,
@@ -19,6 +20,7 @@ from stgf.training import (
     clip_gradients,
     compute_metrics,
     evaluate,
+    _forecast,
     ha_baseline,
     mean_sample_mse,
     train,
@@ -513,3 +515,15 @@ def test_mean_sample_mse_matches_manual_average():
         out = model_forward(tape, params, s.x, s.external, local_norm, cfg)
         want += float(np.mean((out.value - s.y_norm) ** 2))
     assert got == pytest.approx(want / len(subset), rel=1e-12)
+
+
+def test_mean_sample_mse_equals_the_running_total_bitwise():
+    ds, cfg = small_setup(seed=5)
+    params = init_params(cfg, np.random.default_rng(6))
+    windows = prepare_samples(ds, cfg.window, 0.7, 0.1).train
+    assert len(windows) > FORECAST_BATCH and len(windows) % FORECAST_BATCH
+    # the oracle: a running total over the windows, one window at a time
+    total = 0.0
+    for d in _forecast(params, cfg, ds, windows) - windows.y_norm:
+        total += (np.sum(d * d) / d.shape[0]).item()
+    assert mean_sample_mse(params, cfg, windows, ds) == total / len(windows)
