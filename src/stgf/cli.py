@@ -23,25 +23,11 @@ import sys
 from pathlib import Path
 
 from .checkpoint import LoadedCheckpoint, load_checkpoint
-from .data import (
-    SignalDataset,
-    chronological_split,
-    load_dataset,
-    make_windows,
-    minmax_invert,
-)
+from .data import SignalDataset, chronological_split, load_dataset, make_windows
 from .errors import NumericalError, UsageError, ValidationError
 from .model import ABLATIONS, ModelConfig
 from .synth import TOPOLOGIES, channel_correlations, generate_synthetic
-from .training import (
-    Metrics,
-    TrainConfig,
-    _check_geometry,
-    _forecast,
-    evaluate,
-    ha_baseline,
-    train,
-)
+from .training import Metrics, TrainConfig, evaluate, ha_baseline, train
 
 # model keys the dataset determines; everything else is configurable
 _DERIVED_MODEL_FIELDS = {"n_nodes", "n_channels", "external_cardinalities", "external_continuous"}
@@ -146,9 +132,6 @@ def _resolve_run_dir(out: str) -> Path:
 
 
 def _split_for_eval(dataset: SignalDataset, ckpt: LoadedCheckpoint, which: str):
-    # geometry first: normalizing a dataset of another channel count fails
-    # inside numpy instead of naming the difference
-    _check_geometry(ckpt.model_config, dataset)
     # the splits are slices of target slots; only the rows the chosen
     # split's windows read are normalized, and the HA baseline reads none
     samples = make_windows(dataset, ckpt.stats, ckpt.model_config.window)
@@ -270,19 +253,14 @@ def cmd_predict(args) -> int:
             f"timestamp {args.at} out of range: predictable slots cover [{lo}, {hi}] minutes"
         )
 
-    _check_geometry(ckpt.model_config, dataset)
     k = slot - window
     one = make_windows(dataset, ckpt.stats, window)[k : k + 1]
-    (out,) = _forecast(ckpt.params, ckpt.model_config, dataset, one)
-    y_pred = minmax_invert(out, ckpt.stats, channel=0)
+    _, rows = evaluate(ckpt.params, ckpt.model_config, ckpt.stats, dataset, one)
 
     print(f"prediction for slot {slot} (minute {args.at})")
     print(f"{'node':<10s}{'y_pred':>12s}{'y_true':>12s}")
-    for v in range(dataset.n_nodes):
-        print(
-            f"{dataset.node_ids[v]:<10s}{y_pred[v, 0]:>12.3f}"
-            f"{dataset.signals[slot, v, 0]:>12.3f}"
-        )
+    for row in rows:
+        print(f"{row.node_id:<10s}{row.y_pred:>12.3f}{row.y_true:>12.3f}")
     return 0
 
 

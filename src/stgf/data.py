@@ -17,12 +17,12 @@ schema order. The codec works one field's column at a time: ``encode``
 turns its T strings into T codes or values, ``decode`` turns them back.
 
 Windows are not objects in memory. A ``WindowSet`` is an integer array of
-target slots over one stretch of the series: window k reads slots
-[t - P, t) of the normalized signals and targets slot t. Splits, batches
-and forecast chunks are sub-arrays of those targets, and the model reads a
-batch as the block of distinct slots its windows cover plus a B x P index
-into that block. ``WindowSample`` is the one-window view that indexing a
-set returns.
+target slots over the dataset's raw series: window k reads slots [t - P, t)
+and targets slot t. Splits, batches and forecast chunks are sub-arrays of
+those targets, and the model reads a batch as the block of distinct slots
+its windows cover plus a B x P index into that block. Signals are
+normalized where read: each call normalizes only the rows it returns.
+``WindowSample`` is the one window that indexing a set returns.
 """
 
 from __future__ import annotations
@@ -424,8 +424,8 @@ def minmax_invert(x: np.ndarray, stats: NormStats, channel: int | None = None) -
 class WindowSample:
     """One training example: slots [t - P, t) predicting flow at slot t.
 
-    The arrays are read-only views into the dataset and into the one
-    normalized copy of its signals that every window of a set shares.
+    ``y`` and ``external`` are read-only views into the dataset; ``x`` and
+    ``y_norm`` are normalized when the window is read.
     """
 
     x: np.ndarray
@@ -441,96 +441,69 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-class _Stretch:
-    """Consecutive rows of one series: raw signals, covariates and their
-    normalized copy, which is made on first use and then shared."""
-
-    def __init__(self, signals, externals, stats: NormStats | None, normalized=None):
-        self.signals = _read_only(signals)
-        self.externals = _read_only(externals)
-        self.stats = stats
-        self._normalized = None if normalized is None else _read_only(normalized)
-
-    @property
-    def normalized(self) -> np.ndarray:
-        if self._normalized is None:
-            self._normalized = _read_only(minmax_apply(self.signals, self.stats))
-        return self._normalized
-
-    def rows(self, lo: int, hi: int) -> "_Stretch":
-        made = None if self._normalized is None else self._normalized[lo:hi]
-        return _Stretch(self.signals[lo:hi], self.externals[lo:hi], self.stats, made)
-
-
 class WindowSet:
     """Sliding windows held as arrays, not objects.
 
-    Window k reads the normalized rows [p - P, p) of a stretch of the series
-    and targets row p = ``positions[k]``, which is slot ``target_slots[k]``
-    of the dataset. The normalized copy is made when a window first needs
-    it, so a set that only reads targets (the historical average) never
-    normalizes, and a slice normalizes only the rows its windows read. Raw
-    targets and covariates are views of the dataset's arrays, and the
-    normalized copy is taken from them at that first use, so the dataset
-    must not be edited while its windows are in use.
+    Window k reads slots [t - P, t) of the dataset's signals and targets
+    slot t = ``target_slots[k]``. The set holds read-only views of the raw
+    signals and covariates plus the training stats, and normalizes the rows
+    a call reads when it reads them, so a set that only reads raw targets
+    (the historical average) never normalizes. Every read sees the dataset
+    as it is at that read.
 
-    ``len``, iteration and an int index give read-only ``WindowSample``
-    views; a slice or an integer array gives another set. The model reads
-    a set through ``inputs``, and metrics through ``y`` and ``y_norm``.
+    ``len``, iteration and an int index give ``WindowSample``s; a slice or
+    an integer array gives another set. The model reads a set through
+    ``inputs``, and metrics through ``y`` and ``y_norm``.
     """
 
-    def __init__(self, stretch: _Stretch, window: int, positions, target_slots) -> None:
-        self._stretch = stretch
+    def __init__(self, signals, externals, stats: NormStats, window: int, target_slots) -> None:
+        self.signals = _read_only(signals)
+        self.externals = _read_only(externals)
+        self.stats = stats
         self.window = window
-        self.positions = np.asarray(positions, dtype=np.int64)
         self.target_slots = np.asarray(target_slots, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return len(self.target_slots)
 
     def __iter__(self):
         return (self[k] for k in range(len(self)))
 
     def __getitem__(self, k):
         if isinstance(k, (int, np.integer)):
-            t = int(self.positions[k])
-            s, normalized = self._stretch, self._stretch.normalized
+            t = int(self.target_slots[k])
+            rows = minmax_apply(self.signals[t - self.window : t + 1], self.stats)
             return WindowSample(
-                x=normalized[t - self.window : t],
-                external=s.externals[t],
-                y=s.signals[t, :, 0:1],
-                y_norm=normalized[t, :, 0:1],
-                target_slot=int(self.target_slots[k]),
+                x=rows[:-1],
+                external=self.externals[t],
+                y=self.signals[t, :, 0:1],
+                y_norm=rows[-1, :, 0:1],
+                target_slot=t,
             )
-        positions, target_slots = self.positions[k], self.target_slots[k]
-        if not isinstance(k, slice) or not len(positions):
-            return WindowSet(self._stretch, self.window, positions, target_slots)
-        # a slice keeps only the rows its windows read
-        lo, hi = int(positions.min()) - self.window, int(positions.max()) + 1
-        return WindowSet(self._stretch.rows(lo, hi), self.window, positions - lo, target_slots)
+        return WindowSet(self.signals, self.externals, self.stats, self.window, self.target_slots[k])
 
     def inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """What ``model_forward`` reads for these windows: the S distinct
         normalized slots they cover (S x N x C, in slot order), each window's
         P slots as rows of that block (B x P), and the covariates at each
         target (B x E)."""
-        wanted = self.positions[:, None] + np.arange(-self.window, 0)
+        wanted = self.target_slots[:, None] + np.arange(-self.window, 0)
         distinct, index = np.unique(wanted, return_inverse=True)
         return (
-            self._stretch.normalized[distinct],
+            minmax_apply(self.signals[distinct], self.stats),
             index.reshape(wanted.shape),
-            self._stretch.externals[self.positions],
+            self.externals[self.target_slots],
         )
 
     @property
     def y(self) -> np.ndarray:
         """Raw target flow, B x N x 1."""
-        return self._stretch.signals[self.positions, :, 0:1]
+        return self.signals[self.target_slots, :, 0:1]
 
     @property
     def y_norm(self) -> np.ndarray:
         """Normalized target flow, B x N x 1."""
-        return self._stretch.normalized[self.positions, :, 0:1]
+        return minmax_apply(self.signals[self.target_slots], self.stats)[:, :, 0:1]
 
 
 def make_windows(dataset: SignalDataset, stats: NormStats, window: int) -> WindowSet:
@@ -541,9 +514,8 @@ def make_windows(dataset: SignalDataset, stats: NormStats, window: int) -> Windo
     t_total = dataset.n_slots
     if t_total <= window:
         raise ValidationError(f"need more than {window} slots to form windows, have {t_total}")
-    stretch = _Stretch(dataset.signals, dataset.externals, stats)
     targets = np.arange(window, t_total)
-    return WindowSet(stretch, window, targets, targets)
+    return WindowSet(dataset.signals, dataset.externals, stats, window, targets)
 
 
 def split_sizes(n: int, train_frac: float, val_frac: float) -> tuple[int, int, int]:

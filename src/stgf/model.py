@@ -330,23 +330,26 @@ def external_encode(
     external_hidden row each.
 
     A row is laid out as ``SignalDataset.externals``: one integer category
-    code per categorical field, then the continuous values. Each code
-    gathers its row of the field's embedding table, so only that row gets
-    gradient; continuous values pass straight through. A single dense
-    layer plus relu mixes everything.
+    code per categorical field, then the continuous values; a code that is
+    not a row of its field's table is refused, naming the field and value.
+    Each code gathers its row of the field's embedding table, so only that
+    row gets gradient; continuous values pass straight through. A single
+    dense layer plus relu mixes everything.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != config.external_dim:
         raise ShapeError(
             f"external vector: expected rows of length {config.external_dim}, got shape {rows.shape}"
         )
-    n_codes = len(config.external_cardinalities)
+    cards = config.external_cardinalities
+    n_codes = len(cards)
     codes = rows[:, :n_codes]
-    integral = np.isfinite(codes) & (codes == np.round(codes))
-    if not integral.all():
-        r, k = np.argwhere(~integral)[0]
+    valid = np.isfinite(codes) & (codes == np.round(codes)) & (codes >= 0) & (codes < cards)
+    if not valid.all():
+        r, k = np.argwhere(~valid)[0]
         raise ValidationError(
-            f"external vector: field {k} holds {codes[r, k].item()!r}, not an integer category code"
+            f"external vector: field {k} holds {codes[r, k].item()!r}, "
+            f"not an integer category code in [0, {cards[k]})"
         )
     pieces = [
         tape.take(tape.param(params[f"ext_embed{k}"]), codes[:, k].astype(np.int64))

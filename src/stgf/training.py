@@ -1,13 +1,13 @@
 """Optimization loop, optimizer, metrics, and the historical-average baseline.
 
 Training iterates seeded-shuffled mini-batches of windows. A split is a
-``WindowSet``: target slots over one normalized series, so a batch is an
+``WindowSet``: target slots over the dataset's series, so a batch is an
 integer array of windows, and ``WindowSet.inputs`` turns it into the
-distinct slots those windows read plus each window's index into them. Each
-mini-batch runs forward as one batch on one tape, which yields the vector
-of per-sample losses; backward starts from its mean, so the step direction
-is the gradient of the mean per-sample loss and batch size 1 recovers
-plain per-slot updates. The optimizer works on whole vectors laid out like
+distinct normalized slots those windows read plus each window's index into
+them. Each mini-batch runs forward as one batch on one tape, which yields
+the vector of per-sample losses; backward starts from its mean, so the
+step direction is the gradient of the mean per-sample loss and batch size
+1 recovers plain per-slot updates. The optimizer works on whole vectors laid out like
 ``ModelParams.values``: each step adds the tape's parameter gradients into
 one flat gradient vector, clips it and takes one Adam step with moment
 vectors ``m`` and ``v``; the best-epoch snapshot is one copy of the

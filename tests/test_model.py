@@ -455,7 +455,7 @@ def test_external_encode_rejects_a_code_outside_the_table():
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(0))
     for code in (2.0, -1.0):
-        with pytest.raises(ShapeError, match="take: index outside"):
+        with pytest.raises(ValidationError, match=rf"field 0 holds {code!r}, .* in \[0, 2\)"):
             external_encode(Tape(), np.array([[code, 0.3]]), params, cfg)
 
 
