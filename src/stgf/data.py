@@ -5,9 +5,16 @@ An STGF directory holds one multi-channel sensor-network series:
     meta.json      T, N, C, interval_minutes, channel_names, node_ids,
                    external_schema
     signals.bin    little-endian float32, row-major [T][N][C]
-    edges.csv      header ``src,dst,distance``; one undirected edge per row
+    edges.csv      header ``src,dst,distance``; one undirected edge per row:
+                   two node indices and a finite distance > 0
     externals.csv  header per external_schema; one row per time slot,
                    category names for categorical fields, decimals otherwise
+
+Text files are UTF-8. Both CSV tables are read the same way: the rows
+stream into one flat list of cells plus a list of row widths, and each
+field is converted from its stride of that list. Blank lines are skipped;
+a non-blank row of another width than the header's ends the table, and a
+load names the first bad line in file order, row then field.
 
 Slot t starts at minute t * interval_minutes, with slot 0 at midnight of
 day 0. Categorical covariates are stored as names on disk and as category
@@ -30,8 +37,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -210,17 +218,18 @@ def save_dataset(dataset: SignalDataset, path: str | Path) -> None:
         "node_ids": list(dataset.node_ids),
         "external_schema": [f.to_dict() for f in dataset.external_fields],
     }
-    (root / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    meta_text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    (root / "meta.json").write_text(meta_text, encoding="utf-8")
 
     (root / "signals.bin").write_bytes(dataset.signals.astype("<f4").tobytes())
 
-    with open(root / "edges.csv", "w", newline="") as fh:
+    with open(root / "edges.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["src", "dst", "distance"])
         for src, dst, dist in dataset.graph.edges:
             writer.writerow([src, dst, repr(dist)])
 
-    with open(root / "externals.csv", "w", newline="") as fh:
+    with open(root / "externals.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         fields = dataset.external_fields
         writer.writerow([f.name for f in fields])
@@ -237,6 +246,76 @@ def _require_file(root: Path, name: str) -> Path:
     return p
 
 
+def _parse(kind):
+    """A column converter that applies ``kind`` to every cell."""
+    return lambda column: [kind(v) for v in column]
+
+
+class _Table:
+    """One CSV table of the directory format, read as a flat list of cells.
+
+    No row list outlives its line: a table of T rows held as T lists makes
+    the garbage collector run full collections in a process that loads
+    again and again, and strings are not tracked by it.
+
+    Line numbers count blank lines, with the header on line 1. The table
+    keeps the rows before its first fault, a non-blank row of another width
+    or a row past ``max_rows``; ``columns`` raises that fault once the kept
+    rows have converted.
+    """
+
+    def __init__(self, path: Path, width: int, max_rows: int | None = None) -> None:
+        widths: list[int] = []
+
+        def note_width(row: list[str]) -> list[str]:
+            widths.append(len(row))
+            return row
+
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                self.header = next(reader, None)
+                cells = list(chain.from_iterable(map(note_width, reader)))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise LoadError(f"{path}: cannot read as UTF-8 CSV ({exc})") from None
+        counts = np.array(widths, dtype=np.int64)
+        rows = np.flatnonzero(counts)  # index of each non-blank row after the header
+        self.fault = None
+        if max_rows is not None and len(rows) > max_rows:
+            rows, self.fault = rows[:max_rows], f"more rows than the {max_rows} slots in meta.json"
+        wrong = np.flatnonzero(counts[rows] != width)
+        if wrong.size:
+            first = rows[wrong[0]]
+            rows = rows[: wrong[0]]
+            self.fault = f"line {first + 2}: expected {width} columns, got {counts[first]}"
+        # every kept row has ``width`` cells and precedes the rest
+        del cells[len(rows) * width :]
+        self.path, self.width, self.cells, self.linenos = path, width, cells, rows + 2
+
+    def columns(
+        self, converters: Sequence[Callable], describe: Callable[[list, ValueError], str]
+    ) -> list:
+        """Each field converted from its stride slice of the cells.
+
+        A failing cell raises naming the first bad line in file order, row
+        then field, with ``describe(row, exc)`` after the line number.
+        """
+        try:
+            columns = [convert(self.cells[k :: self.width]) for k, convert in enumerate(converters)]
+        except ValueError:
+            for r, lineno in enumerate(self.linenos.tolist()):
+                row = self.cells[r * self.width : (r + 1) * self.width]
+                for convert, raw in zip(converters, row):
+                    try:
+                        convert([raw])
+                    except ValueError as exc:
+                        raise LoadError(f"{self.path}: line {lineno}: {describe(row, exc)}") from None
+            raise
+        if self.fault is not None:
+            raise LoadError(f"{self.path}: {self.fault}")
+        return columns
+
+
 def load_dataset(path: str | Path) -> SignalDataset:
     """Read and fully validate an STGF directory.
 
@@ -250,9 +329,11 @@ def load_dataset(path: str | Path) -> SignalDataset:
 
     meta_path = _require_file(root, "meta.json")
     try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
         raise LoadError(f"{meta_path}: invalid JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise LoadError(f"{meta_path}: expected a JSON object, got {type(meta).__name__}")
     missing = [k for k in META_KEYS if k not in meta]
     if missing:
         raise LoadError(f"{meta_path}: missing keys {missing}")
@@ -262,7 +343,7 @@ def load_dataset(path: str | Path) -> SignalDataset:
         channel_names = tuple(str(x) for x in meta["channel_names"])
         node_ids = tuple(str(x) for x in meta["node_ids"])
         fields = tuple(ExternalField.from_dict(d) for d in meta["external_schema"])
-    except (TypeError, KeyError, ValueError, ValidationError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise LoadError(f"{meta_path}: bad metadata ({exc})") from None
     if min(t, n, c) < 1 or interval < 1:
         raise LoadError(f"{meta_path}: T, N, C and interval_minutes must be >= 1")
@@ -278,62 +359,27 @@ def load_dataset(path: str | Path) -> SignalDataset:
     signals = np.frombuffer(payload, dtype="<f4").reshape(t, n, c).astype(np.float64)
 
     edges_path = _require_file(root, "edges.csv")
-    edges = []
-    with open(edges_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["src", "dst", "distance"]:
-            raise LoadError(f"{edges_path}: bad header {header}, expected ['src', 'dst', 'distance']")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                src, dst, dist = int(row[0]), int(row[1]), float(row[2])
-            except (ValueError, IndexError):
-                raise LoadError(f"{edges_path}: line {lineno}: cannot parse row {row}") from None
-            edges.append((src, dst, dist))
+    table = _Table(edges_path, width=3)
+    if table.header != ["src", "dst", "distance"]:
+        raise LoadError(f"{edges_path}: bad header {table.header}, expected ['src', 'dst', 'distance']")
+    columns = table.columns(
+        (_parse(int), _parse(int), _parse(float)), lambda row, exc: f"cannot parse row {row}"
+    )
     try:
-        graph = GraphSpec(n_nodes=n, edges=tuple(edges), directed=False)
+        graph = GraphSpec(n_nodes=n, edges=tuple(zip(*columns)), directed=False)
     except ValidationError as exc:
         raise LoadError(f"{edges_path}: {exc}") from None
 
     ext_path = _require_file(root, "externals.csv")
-    rows, linenos, problem = [], [], None
-    with open(ext_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != [f.name for f in fields]:
-            raise LoadError(f"{ext_path}: header {header} does not match the schema")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(rows) >= t:
-                problem = f"more rows than the {t} slots in meta.json"
-                break
-            if len(row) != len(fields):
-                problem = f"line {lineno}: expected {len(fields)} columns, got {len(row)}"
-                break
-            rows.append(row)
-            linenos.append(lineno)
-    # the rows above a malformed one are encoded before its fault is raised,
-    # so the error names the first bad line in file order, whatever its kind
-    externals = np.zeros((len(rows), len(fields)))
-    try:
-        for f, j, column in zip(fields, external_columns(fields), zip(*rows)):
-            externals[:, j] = f.encode(column)
-    except ValueError:
-        # find the first bad cell in row, then field, order
-        for row, lineno in zip(rows, linenos):
-            for f, raw in zip(fields, row):
-                try:
-                    f.encode([raw])
-                except ValueError as exc:
-                    raise LoadError(f"{ext_path}: line {lineno}: {exc}") from None
-        raise
-    if problem is not None:
-        raise LoadError(f"{ext_path}: {problem}")
-    if len(rows) != t:
-        raise LoadError(f"{ext_path}: {len(rows)} rows for {t} slots in meta.json")
+    table = _Table(ext_path, width=len(fields), max_rows=t)
+    if table.header != [f.name for f in fields]:
+        raise LoadError(f"{ext_path}: header {table.header} does not match the schema")
+    columns = table.columns([f.encode for f in fields], lambda row, exc: str(exc))
+    if len(table.linenos) != t:
+        raise LoadError(f"{ext_path}: {len(table.linenos)} rows for {t} slots in meta.json")
+    externals = np.zeros((t, len(fields)))
+    for j, column in zip(external_columns(fields), columns):
+        externals[:, j] = column
 
     try:
         return SignalDataset(

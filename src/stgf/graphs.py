@@ -8,6 +8,7 @@ embedding trains.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -46,6 +47,8 @@ class GraphSpec:
                 raise ValidationError(f"edge {k} is a self-edge at node {src}")
             if not dist > 0.0:
                 raise ValidationError(f"edge {k} ({src}, {dst}) has nonpositive distance {dist}")
+            if not math.isfinite(dist):
+                raise ValidationError(f"edge {k} ({src}, {dst}) has non-finite distance {dist}")
             normalized.append((src, dst, dist))
         object.__setattr__(self, "edges", tuple(normalized))
 

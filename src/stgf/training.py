@@ -112,11 +112,11 @@ def compute_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
     if y_true.size == 0:
         raise ValidationError("metrics need at least one prediction")
     err = (y_pred - y_true).reshape(-1)
-    return Metrics(
-        rmse=float(np.sqrt(np.mean(err**2))),
-        mae=float(np.mean(np.abs(err))),
-        count=int(err.size),
-    )
+    mae = float(np.mean(np.abs(err)))
+    # the true rmse is never below mae; equal-magnitude errors can round it
+    # one ulp under
+    rmse = max(float(np.sqrt(np.mean(err**2))), mae)
+    return Metrics(rmse=rmse, mae=mae, count=int(err.size))
 
 
 # -------------------------------------------------------------- optimization

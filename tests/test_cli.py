@@ -1,5 +1,6 @@
 """End-to-end command-line tests driving main() in process."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -471,6 +472,38 @@ def test_a_non_finite_covariate_exits_2_naming_the_line(run_dir, data_dir, tmp_p
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "externals.csv" in err and want in err
+
+
+# (file, bytes written over the middle of it, text the error must hold)
+UNREADABLE_FILES = {
+    "meta-not-utf8": ("meta.json", b"\xff", "invalid JSON ('utf-8' codec can't decode byte 0xff"),
+    "edges-not-utf8": ("edges.csv", b"\xff", "cannot read as UTF-8 CSV ('utf-8' codec can't decode"),
+    "externals-not-utf8": (
+        "externals.csv", b"\xc3(", "cannot read as UTF-8 CSV ('utf-8' codec can't decode"
+    ),
+    "edges-field-over-limit": (
+        "edges.csv", b"9" * (csv.field_size_limit() + 1), "cannot read as UTF-8 CSV (field larger"
+    ),
+    "externals-field-over-limit": (
+        "externals.csv", b"a" * (csv.field_size_limit() + 1), "cannot read as UTF-8 CSV (field larger"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_FILES))
+def test_an_unreadable_dataset_file_exits_2_naming_it(run_dir, data_dir, tmp_path, capsys, case):
+    name, token, want = UNREADABLE_FILES[case]
+    path = tmp_path / "bad"
+    shutil.copytree(data_dir, path)
+    data = (path / name).read_bytes()
+    middle = len(data) // 2
+    (path / name).write_bytes(data[:middle] + token + data[middle + 1 :])
+    for argv in (["inspect", "--data", str(path)],
+                 ["predict", "--checkpoint", str(run_dir / "checkpoint"),
+                  "--data", str(path), "--at", "50"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path / name}: {want}" in err
 
 
 # ------------------------------------------------------------- one process

@@ -1,6 +1,8 @@
 """Dataset format, normalization, windowing and split tests."""
 
+import csv
 import dataclasses
+import gc
 import re
 import tempfile
 from pathlib import Path
@@ -298,6 +300,173 @@ def test_load_names_the_first_bad_externals_line(tmp_path, case):
     with pytest.raises(LoadError) as info:
         load_dataset(tmp_path / "d")
     assert str(info.value) == f"{path}: {message}"
+
+
+# Each case rewrites meta.json of toy_dataset() and gives the start of the
+# message load_dataset must raise after the file name.
+META_FAULTS = {
+    "not-an-object": (lambda text: "5\n", "expected a JSON object, got int"),
+    "infinite-slot-count": (
+        lambda text: text.replace('"T": 12', '"T": 1e999'),
+        "bad metadata (cannot convert float infinity to integer)",
+    ),
+    "integer-past-the-digit-limit": (
+        lambda text: text.replace('"T": 12', '"T": ' + "1" * 5000),
+        "invalid JSON (Exceeds the limit (4300 digits) for integer string conversion",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(META_FAULTS))
+def test_load_refuses_malformed_metadata(tmp_path, case):
+    edit, message = META_FAULTS[case]
+    save_dataset(toy_dataset(), tmp_path / "d")
+    path = tmp_path / "d" / "meta.json"
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(LoadError) as info:
+        load_dataset(tmp_path / "d")
+    assert str(info.value).startswith(f"{path}: {message}")
+
+
+# Each case edits edges.csv of toy_dataset() (edges 0-1 at 1.0 and 1-2 at
+# 1.5 on lines 2 and 3) and gives the message load_dataset must raise after
+# the file name, by the same first-bad-line rule as externals.csv.
+EDGES_FAULTS = {
+    "extra-cell": (
+        lambda lines: lines.__setitem__(1, "0,1,1.5,junk"),
+        "line 2: expected 3 columns, got 4",
+    ),
+    "missing-cell": (
+        lambda lines: lines.__setitem__(2, "1,2"),
+        "line 3: expected 3 columns, got 2",
+    ),
+    "unparsable-index": (
+        lambda lines: lines.__setitem__(2, "1,x,1.5"),
+        "line 3: cannot parse row ['1', 'x', '1.5']",
+    ),
+    "fractional-index": (
+        lambda lines: lines.__setitem__(1, "0.0,1,1.0"),
+        "line 2: cannot parse row ['0.0', '1', '1.0']",
+    ),
+    "unparsable-distance": (
+        lambda lines: lines.__setitem__(1, "0,1,far"),
+        "line 2: cannot parse row ['0', '1', 'far']",
+    ),
+    "blank-lines-before-bad-row": (
+        lambda lines: (lines.insert(2, ""), lines.insert(2, ""), lines.__setitem__(4, "1,2,1.5,9")),
+        "line 5: expected 3 columns, got 4",
+    ),
+    "bad-cell-above-wrong-width": (
+        lambda lines: (lines.__setitem__(1, "0,1,x"), lines.append("0,2")),
+        "line 2: cannot parse row ['0', '1', 'x']",
+    ),
+    "wrong-width-above-bad-cell": (
+        lambda lines: (lines.__setitem__(1, "0,1"), lines.__setitem__(2, "1,2,x")),
+        "line 2: expected 3 columns, got 2",
+    ),
+    "infinite-distance": (
+        lambda lines: lines.__setitem__(2, "1,2,inf"),
+        "edge 1 (1, 2) has non-finite distance inf",
+    ),
+    "nan-distance": (
+        lambda lines: lines.__setitem__(1, "0,1,nan"),
+        "edge 0 (0, 1) has nonpositive distance nan",
+    ),
+    "node-out-of-range": (
+        lambda lines: lines.__setitem__(2, "1,3,1.5"),
+        "edge 1 (1, 3) out of range for 3 nodes",
+    ),
+    "bad-header": (
+        lambda lines: lines.__setitem__(0, "src,dst,length"),
+        "bad header ['src', 'dst', 'length'], expected ['src', 'dst', 'distance']",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGES_FAULTS))
+def test_load_names_the_first_bad_edges_line(tmp_path, case):
+    mutate, message = EDGES_FAULTS[case]
+    save_dataset(toy_dataset(), tmp_path / "d")
+    path = tmp_path / "d" / "edges.csv"
+    lines = path.read_text().splitlines()
+    assert lines == ["src,dst,distance", "0,1,1.0", "1,2,1.5"]
+    mutate(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LoadError) as info:
+        load_dataset(tmp_path / "d")
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_loading_a_long_table_starts_no_garbage_collection(tmp_path):
+    # held as one list per row, a table of 3x the first generation's
+    # threshold starts collections during the load; collecting first keeps
+    # allocations made before the load from counting
+    slots = 3 * gc.get_threshold()[0]
+    save_dataset(toy_dataset(t=slots), tmp_path / "d")
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        loaded = load_dataset(tmp_path / "d")
+    finally:
+        gc.callbacks.remove(count)
+    assert loaded.n_slots == slots
+    assert started == [], f"{len(started)} collections, generations {started}"
+
+
+def _edits():
+    """One edit of a file's bytes: a cut, or a token written over or put
+    between its bytes."""
+    tokens = st.sampled_from([
+        b"\x00", b'"', b"\r", b"\xff", b"\xc3", b"\xed\xa0\x80",  # NUL, quote, CR, not UTF-8
+        b"9" * (csv.field_size_limit() + 1),  # over-long field
+    ])
+    position = st.floats(0.0, 1.0)
+    return st.one_of(
+        st.tuples(st.just("cut"), position, st.just(b"")),
+        st.tuples(st.sampled_from(["over", "insert"]), position, tokens),
+    )
+
+
+def _apply(data: bytes, edit) -> bytes:
+    kind, where, token = edit
+    at = min(int(where * len(data)), len(data) - 1)
+    if kind == "cut":
+        return data[:at]
+    return data[:at] + token + data[at + (kind == "over") :]
+
+
+@pytest.fixture(scope="module")
+def toy_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("toy") / "d"
+    save_dataset(toy_dataset(), root)
+    return dir_bytes(root)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.sampled_from(["meta.json", "edges.csv", "externals.csv"]), _edits()),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_a_damaged_dataset_loads_or_raises_load_error(toy_files, edits):
+    files = dict(toy_files)
+    for name, edit in edits:
+        files[name] = _apply(files[name], edit)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            (Path(tmp) / name).write_bytes(data)
+        try:
+            load_dataset(tmp)
+        except LoadError:
+            pass
 
 
 # names that need csv quoting or are not ASCII

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stgf.autodiff import Parameter
 from stgf.data import SignalDataset, make_windows, minmax_fit, prepare_samples
@@ -268,6 +270,23 @@ def test_metrics_rmse_dominates_mae_on_random_errors():
         p = y + rng.normal(size=(7, 3))
         m = compute_metrics(y, p)
         assert m.rmse >= m.mae >= 0.0
+
+
+def test_metrics_accept_equal_magnitude_errors_that_round_rmse_below_mae():
+    # sqrt(mean(e**2)) rounds one ulp below mean(|e|) for this vector
+    m = compute_metrics(np.zeros(3), np.full(3, 3.4277099224034737))
+    assert m.rmse == m.mae == pytest.approx(3.4277099224034737, rel=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    magnitude=st.floats(1e-6, 1e6),
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=9),
+)
+def test_metrics_accept_every_equal_magnitude_error_vector(magnitude, signs):
+    m = compute_metrics(np.zeros(len(signs)), magnitude * np.array(signs))
+    assert m.rmse >= m.mae >= 0.0
+    assert m.rmse == pytest.approx(m.mae, rel=1e-12)
 
 
 def test_metrics_reject_shape_mismatch():
