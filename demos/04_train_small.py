@@ -39,9 +39,9 @@ def main():
     print(f"test mae:  model {metrics.mae:8.3f}   baseline {ha.mae:8.3f}")
 
     print("\na few predictions (raw scale):")
-    for row in rows[:5]:
-        print(f"  t={row.timestamp_minutes:>6d}min  node {row.node_id}: "
-              f"true {row.y_true:7.2f}  predicted {row.y_pred:7.2f}")
+    for t, node, y_true, y_pred in zip(rows.timestamp_minutes[:5].tolist(), rows.node_id,
+                                       rows.y_true[:5].tolist(), rows.y_pred[:5].tolist()):
+        print(f"  t={t:>6d}min  node {node}: true {y_true:7.2f}  predicted {y_pred:7.2f}")
 
 
 if __name__ == "__main__":

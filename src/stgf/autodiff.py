@@ -16,10 +16,12 @@ Values are plain numpy arrays in double precision. A leading batch axis
 columns are the last axis, and ``matmul`` multiplies a shared matrix into
 a stack of matrices from either side. ``take`` gathers entries along the
 first axis by an index array and scatters their adjoints back with
-``np.add.at``, so an entry may be picked more than once. Elementwise ops
-still require exactly equal shapes; every broadcast is an op of its own
-(``broadcast_to``, or the bias row of ``affine``) whose backward sums the
-gradient back over the broadcast axes.
+``np.add.at``, so an entry may be picked more than once. ``weighted_sum``
+adds the entries of a stack's first axis, each scaled elementwise by its
+own weight. ``add`` requires exactly equal shapes; every broadcast belongs
+to an op that says so (``broadcast_to``, the bias row of ``affine``, the
+weights of ``weighted_sum``) and whose backward sums the gradient back over
+the broadcast axes.
 
 Most ops are small, but ``lstm_layer`` runs a whole recurrent layer over a
 sequence as one node: it keeps what its hand-written backward needs
@@ -356,34 +358,38 @@ class Tape:
         value = h.reshape(steps, *xv.shape[1:-1], hidden)
         return self._push("lstm_layer", (x, *weights, *biases), value, vjp)
 
-    def weighted_sum(self, parts: Sequence[Node], weights: Sequence[Node]) -> Node:
-        """``sum_k weights[k] * parts[k]`` as one node.
+    def weighted_sum(self, stack: Node, weights: Sequence[Node]) -> Node:
+        """``sum_k weights[k] * stack[k]`` over the entries of the stack's
+        first axis, added in order, as one node.
 
-        A weight may have fewer axes than its part; it is broadcast over the
-        part's leading axes and its gradient sums over them.
+        A weight may have fewer axes than an entry; it is broadcast over the
+        entry's leading axes and its gradient sums over them.
         """
-        if len(parts) != len(weights) or not parts:
-            raise ShapeError(f"weighted_sum: {len(parts)} parts for {len(weights)} weights")
-        pvs = [p.value for p in parts]
+        sv = stack.value
         wvs = [w.value for w in weights]
-        shape = pvs[0].shape
-        for pv, wv in zip(pvs, wvs):
-            if pv.shape != shape or wv.ndim > pv.ndim or wv.shape != shape[pv.ndim - wv.ndim :]:
-                raise ShapeError(f"weighted_sum: weight {wv.shape} does not fit part {pv.shape}")
-        value = wvs[0] * pvs[0]
-        for wv, pv in zip(wvs[1:], pvs[1:]):
-            value += wv * pv
-        need = [n.needs_grad for n in (*parts, *weights)]
+        if sv.ndim < 1 or len(sv) != len(wvs) or not wvs:
+            raise ShapeError(f"weighted_sum: a stack of shape {sv.shape} for {len(wvs)} weights")
+        entry = sv.shape[1:]
+        for wv in wvs:
+            if wv.ndim > len(entry) or wv.shape != entry[len(entry) - wv.ndim :]:
+                raise ShapeError(f"weighted_sum: weight {wv.shape} does not fit entry {entry}")
+        value = wvs[0] * sv[0]
+        for wv, part in zip(wvs[1:], sv[1:]):
+            value += wv * part
+        need_stack = stack.needs_grad
+        need = [w.needs_grad for w in weights]
 
         def vjp(g: Array):
-            g_parts = [g * wv if need[k] else None for k, wv in enumerate(wvs)]
-            g_weights = [
-                (g * pv).sum(axis=tuple(range(pv.ndim - wv.ndim))) if need[len(pvs) + k] else None
-                for k, (pv, wv) in enumerate(zip(pvs, wvs))
-            ]
-            return g_parts + g_weights
+            g_stack = np.empty(sv.shape) if need_stack else None
+            g_weights = []
+            for k, wv in enumerate(wvs):
+                if need_stack:
+                    np.multiply(g, wv, out=g_stack[k])
+                lead = tuple(range(len(entry) - wv.ndim))
+                g_weights.append((g * sv[k]).sum(axis=lead) if need[k] else None)
+            return [g_stack, *g_weights]
 
-        return self._push("weighted_sum", (*parts, *weights), value, vjp)
+        return self._push("weighted_sum", (stack, *weights), value, vjp)
 
     def add(self, a: Node, b: Node) -> Node:
         self._check_same_shape("add", a, b)
@@ -393,41 +399,15 @@ class Tape:
 
         return self._push("add", (a, b), a.value + b.value, vjp)
 
-    def sub(self, a: Node, b: Node) -> Node:
-        self._check_same_shape("sub", a, b)
-
-        def vjp(g: Array):
-            return g, -g
-
-        return self._push("sub", (a, b), a.value - b.value, vjp)
-
-    def hadamard(self, a: Node, b: Node) -> Node:
-        self._check_same_shape("hadamard", a, b)
-        av, bv = a.value, b.value
-
-        def vjp(g: Array):
-            return g * bv, g * av
-
-        return self._push("hadamard", (a, b), av * bv, vjp)
-
     def relu(self, a: Node) -> Node:
-        return self._activation("relu", a)
-
-    def sigmoid(self, a: Node) -> Node:
-        return self._activation("sigmoid", a)
-
-    def tanh(self, a: Node) -> Node:
-        return self._activation("tanh", a)
-
-    def _activation(self, name: str, a: Node) -> Node:
-        apply, derivative = _ACTIVATIONS[name]
+        apply, derivative = _ACTIVATIONS["relu"]
         value = np.array(a.value, dtype=np.float64)
         apply(value)
 
         def vjp(g: Array):
             return (g * derivative(value),)
 
-        return self._push(name, (a,), value, vjp)
+        return self._push("relu", (a,), value, vjp)
 
     def softmax_rows(self, a: Node) -> Node:
         """Row-wise softmax with max subtraction; backward applies the full
@@ -466,22 +446,6 @@ class Tape:
             return [g[..., lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
         return self._push("concat_cols", parts, np.concatenate(values, axis=-1), vjp)
-
-    def unstack(self, a: Node) -> list[Node]:
-        """The entries of ``a`` along its first axis; each value is a view."""
-        av = a.value
-        if av.ndim < 1:
-            raise ShapeError("unstack: operand must have at least one axis")
-
-        def entry(k: int) -> Node:
-            def vjp(g: Array):
-                total = np.zeros(av.shape)
-                total[k] = g
-                return (total,)
-
-            return self._push("unstack", (a,), av[k], vjp)
-
-        return [entry(k) for k in range(av.shape[0])]
 
     def take(self, a: Node, index) -> Node:
         """``a[index]``: entries of ``a`` along its first axis, picked by an

@@ -19,11 +19,14 @@ save interrupted while writing leaves the previous checkpoint as it was.
 A load refuses a manifest of the wrong structure with a ``LoadError``
 naming the manifest, before any value from it is used; that includes a
 parameter table whose names, shapes or order differ from the layout the
-manifest's model config builds (``model.param_layout``).
+manifest's model config builds (``model.param_layout``), and non-finite
+normalization stats. A blob holding a NaN or an infinity is refused
+naming the first parameter that holds one.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -97,7 +100,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise LoadError(f"{blob_path}: missing parameter blob")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
         raise LoadError(f"{manifest_path}: invalid JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise LoadError(f"{manifest_path}: expected a JSON object, got {type(manifest).__name__}")
@@ -126,7 +129,8 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
 
     # the table must be the one a save of this model config writes
     layout = param_layout(model_config)
-    for k, (have, want) in enumerate(zip_longest(section("params", list), _table(layout))):
+    table = _table(layout)
+    for k, (have, want) in enumerate(zip_longest(section("params", list), table)):
         if have != want:
             expected = "no more parameters"
             if want is not None:
@@ -145,7 +149,15 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise LoadError(
             f"{blob_path}: expected {size * 4} bytes for {size} float32 values, got {len(payload)}"
         )
-    flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    blob = np.frombuffer(payload, dtype="<f4")
+    if not np.isfinite(blob).all():
+        k = int(np.argmin(np.isfinite(blob)))
+        entry = table[bisect.bisect_right([e["offset"] for e in table], k) - 1]
+        raise LoadError(
+            f"{blob_path}: parameter {entry['name']!r} holds the non-finite value {blob[k]} "
+            f"at blob cursor {k}"
+        )
+    flat = blob.astype(np.float64)
     return LoadedCheckpoint(
         params=ModelParams.view(flat, layout),
         model_config=model_config,

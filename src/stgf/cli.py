@@ -259,8 +259,8 @@ def cmd_predict(args) -> int:
 
     print(f"prediction for slot {slot} (minute {args.at})")
     print(f"{'node':<10s}{'y_pred':>12s}{'y_true':>12s}")
-    for row in rows:
-        print(f"{row.node_id:<10s}{row.y_pred:>12.3f}{row.y_true:>12.3f}")
+    for node, y_pred, y_true in zip(rows.node_id, rows.y_pred.tolist(), rows.y_true.tolist()):
+        print(f"{node:<10s}{y_pred:>12.3f}{y_true:>12.3f}")
     return 0
 
 

@@ -337,16 +337,17 @@ def load_dataset(path: str | Path) -> SignalDataset:
     missing = [k for k in META_KEYS if k not in meta]
     if missing:
         raise LoadError(f"{meta_path}: missing keys {missing}")
+    for key in ("T", "N", "C", "interval_minutes"):
+        value = meta[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise LoadError(f"{meta_path}: {key} must be an integer >= 1, got {value!r}")
+    t, n, c, interval = meta["T"], meta["N"], meta["C"], meta["interval_minutes"]
     try:
-        t, n, c = int(meta["T"]), int(meta["N"]), int(meta["C"])
-        interval = int(meta["interval_minutes"])
         channel_names = tuple(str(x) for x in meta["channel_names"])
         node_ids = tuple(str(x) for x in meta["node_ids"])
         fields = tuple(ExternalField.from_dict(d) for d in meta["external_schema"])
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise LoadError(f"{meta_path}: bad metadata ({exc})") from None
-    if min(t, n, c) < 1 or interval < 1:
-        raise LoadError(f"{meta_path}: T, N, C and interval_minutes must be >= 1")
 
     bin_path = _require_file(root, "signals.bin")
     payload = bin_path.read_bytes()
@@ -410,6 +411,8 @@ class NormStats:
         self.maximum = np.asarray(self.maximum, dtype=np.float64).reshape(-1)
         if self.minimum.shape != self.maximum.shape:
             raise ValidationError("normalization extrema must have matching shapes")
+        if not (np.isfinite(self.minimum).all() and np.isfinite(self.maximum).all()):
+            raise ValidationError("normalization extrema must be finite")
         if np.any(self.maximum < self.minimum):
             raise ValidationError("per-channel max must be >= min")
 

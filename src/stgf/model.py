@@ -2,12 +2,12 @@
 
 Per input time slot, each observation channel is pushed separately through
 a stack of graph convolutions (one shared stack per spatial view), the
-per-channel outputs are recombined with trainable elementwise weights, the
-two views are summed, and the fused node features drive a per-node LSTM
-whose weights are shared across nodes; each LSTM layer is one tape op over
-the whole window sequence. A compact encoding of calendar and
-weather covariates is concatenated to the final hidden state before the
-linear prediction head.
+per-channel outputs are recombined with trainable elementwise weights in
+one weighted sum over the channel axis, the two views are summed, and the
+fused node features drive a per-node LSTM whose weights are shared across
+nodes; each LSTM layer is one tape op over the whole window sequence. A
+compact encoding of calendar and weather covariates is concatenated to the
+final hidden state before the linear prediction head.
 
 A forward pass takes a batch of windows as a block of distinct slots plus
 an index of each window's slots into it. Slots and channels are batch
@@ -251,15 +251,6 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
 # --------------------------------------------------------------------- blocks
 
 
-def channel_fuse(tape: Tape, channel_features: Sequence[Node], weights: Sequence[Node]) -> Node:
-    """Trainable elementwise recombination: sum_i W_i * H_i.
-
-    An N x F weight is broadcast over any slot and batch axes of its
-    channel's block.
-    """
-    return tape.weighted_sum(channel_features, weights)
-
-
 def cgcn_forward(
     tape: Tape,
     x: np.ndarray,
@@ -274,9 +265,10 @@ def cgcn_forward(
     (``... x N x C``); the result has the same leading axes. Each channel
     column runs through the view's shared relu(A H W) stack, with the
     channels stacked as one more batch axis, and the per-channel outputs
-    are fused with the view's trainable elementwise weights. Under the
-    no-channelwise variant the whole slot matrix passes through the stack
-    once, unfused.
+    are fused with the view's trainable elementwise weights as one
+    ``weighted_sum`` over the channel axis, sum_i W_i * H_i, each N x F
+    weight broadcast over the slot axes. Under the no-channelwise variant
+    the whole slot matrix passes through the stack once, unfused.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-2:] != (config.n_nodes, config.n_channels):
@@ -297,7 +289,7 @@ def cgcn_forward(
     if not config.channelwise:
         return h
     weights = [tape.param(params[f"fuse_{view}_w{i}"]) for i in range(config.n_channels)]
-    return channel_fuse(tape, tape.unstack(h), weights)
+    return tape.weighted_sum(h, weights)
 
 
 def multiview_fuse(tape: Tape, views: Sequence[Node]) -> Node:

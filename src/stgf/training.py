@@ -360,21 +360,9 @@ def train(
 # --------------------------------------------------------------- evaluation
 
 
-@dataclass
-class PredictionRow:
-    timestamp_minutes: int
-    node_id: str
-    y_true: float
-    y_pred: float
-
-
 @dataclass(eq=False)
 class PredictionTable:
-    """One row per (sample, node), sample-major, held as columns.
-
-    An int index and iteration give ``PredictionRow`` objects; a slice
-    gives a table of those rows.
-    """
+    """One row per (sample, node), sample-major, held as columns."""
 
     timestamp_minutes: np.ndarray
     node_id: list[str]
@@ -383,27 +371,6 @@ class PredictionTable:
 
     def __len__(self) -> int:
         return len(self.y_true)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return PredictionTable(
-                self.timestamp_minutes[k], self.node_id[k], self.y_true[k], self.y_pred[k]
-            )
-        return PredictionRow(
-            int(self.timestamp_minutes[k]),
-            self.node_id[k],
-            float(self.y_true[k]),
-            float(self.y_pred[k]),
-        )
-
-    def __iter__(self):
-        return map(
-            PredictionRow,
-            self.timestamp_minutes.tolist(),
-            self.node_id,
-            self.y_true.tolist(),
-            self.y_pred.tolist(),
-        )
 
 
 def evaluate(

@@ -35,7 +35,6 @@ from stgf.model import (
     ABLATIONS,
     ModelConfig,
     ModelParams,
-    channel_fuse,
     init_params,
     model_forward,
 )
@@ -115,13 +114,12 @@ def test_criterion_2_algebraic_oracles():
             assert np.max(np.abs(rows - 1.0)) <= 1e-12
 
         tape = Tape()
-        fused = channel_fuse(
-            tape,
-            [tape.constant([[5.0]]), tape.constant([[7.0]])],
+        fused = tape.weighted_sum(
+            tape.constant([[[5.0]], [[7.0]]]),
             [tape.constant([[2.0]]), tape.constant([[3.0]])],
         )
         assert fused.value[0, 0] == 31.0
-        single = channel_fuse(tape, [tape.constant([[5.0]])], [tape.constant([[2.0]])])
+        single = tape.weighted_sum(tape.constant([[[5.0]]]), [tape.constant([[2.0]])])
         assert single.value[0, 0] == 10.0
 
 
@@ -204,7 +202,7 @@ def test_criterion_5_ablation_harness():
             )
             table[ablation] = metrics
             if ablation == "local-only":
-                local_result = (config, result, [r.y_pred for r in rows])
+                local_result = (config, result, rows.y_pred.tolist())
 
         print(f"  {'variant':<16s}{'rmse':>10s}{'mae':>10s}")
         for ablation, metrics in table.items():
@@ -221,7 +219,7 @@ def test_criterion_5_ablation_harness():
         _, rows_after = evaluate(
             result.params, config, result.stats, dataset, result.prepared.test
         )
-        assert preds_before == [r.y_pred for r in rows_after], \
+        assert preds_before == rows_after.y_pred.tolist(), \
             "local-only predictions changed with the embedding"
 
         # single channel with unit fusion weights collapses the two variants

@@ -51,12 +51,12 @@ def test_matmul_backward_rules():
 
 def test_elementwise_values():
     t = Tape()
-    np.testing.assert_array_equal(
-        t.hadamard(t.constant([[1.0, 2.0]]), t.constant([[3.0, 4.0]])).value, [[3.0, 8.0]]
-    )
+    one = t.weighted_sum(t.constant([[[1.0, 2.0]]]), [t.constant([[3.0, 4.0]])])
+    np.testing.assert_array_equal(one.value, [[3.0, 8.0]])
     x = t.constant([[2.5, -1.0]])
     np.testing.assert_array_equal(t.add(x, t.constant([[0.0, 0.0]])).value, x.value)
-    np.testing.assert_array_equal(t.sub(x, x).value, [[0.0, 0.0]])
+    two = t.weighted_sum(t.constant([x.value, x.value]), [t.constant(1.0), t.constant(-1.0)])
+    np.testing.assert_array_equal(two.value, [[0.0, 0.0]])
 
 
 def test_elementwise_shape_error():
@@ -65,11 +65,17 @@ def test_elementwise_shape_error():
         t.add(t.constant([[1.0]]), t.constant([[1.0, 2.0]]))
 
 
+def _act(t, act, x):
+    """``act`` applied entrywise to the rows of x, through an identity affine."""
+    x = np.asarray(x, dtype=float).reshape(-1, 1)
+    return t.affine(t.constant(x), t.constant(np.eye(1)), act=act).value.reshape(-1)
+
+
 def test_activations():
     t = Tape()
     np.testing.assert_array_equal(t.relu(t.constant([-1.0, 0.0, 2.0])).value, [0.0, 0.0, 2.0])
-    np.testing.assert_array_equal(t.sigmoid(t.constant([0.0])).value, [0.5])
-    np.testing.assert_array_equal(t.tanh(t.constant([0.0])).value, [0.0])
+    np.testing.assert_array_equal(_act(t, "sigmoid", [0.0]), [0.5])
+    np.testing.assert_array_equal(_act(t, "tanh", [0.0]), [0.0])
 
 
 def test_relu_derivative_is_zero_at_zero():
@@ -82,9 +88,9 @@ def test_relu_derivative_is_zero_at_zero():
 
 def test_sigmoid_no_overflow_at_extremes():
     t = Tape()
-    out = t.sigmoid(t.constant([-1000.0, 1000.0]))
-    np.testing.assert_allclose(out.value, [0.0, 1.0])
-    assert np.all(np.isfinite(out.value))
+    out = _act(t, "sigmoid", [-1000.0, 1000.0])
+    np.testing.assert_allclose(out, [0.0, 1.0])
+    assert np.all(np.isfinite(out))
 
 
 def test_softmax_uniform_rows():
@@ -183,7 +189,7 @@ def test_backward_twice_doubles_gradients():
     t = Tape()
     w = Parameter("w", [[1.0, -2.0], [0.5, 4.0]])
     nw = t.param(w)
-    h = t.tanh(t.matmul(nw, nw))
+    h = t.affine(t.matmul(nw, nw), t.constant(np.eye(2)), act="tanh")
     loss = t.mse_loss(h, t.constant(np.zeros((2, 2))))
     t.backward(loss)
     once = t.grad_for(w)
@@ -241,19 +247,25 @@ def test_grad_check_rejects_nondeterministic_build():
 
 # ---------------------------------------------------------------- property test
 
-_UNARY = ("relu", "sigmoid", "tanh", "softmax_rows", "transpose")
-_BINARY = ("add", "sub", "hadamard", "matmul", "concat_cols")
+# the ops the model records, each on 2-D operands
+_UNARY = ("relu", "softmax_rows", "transpose")
+_BINARY = (
+    "add", "weighted_sum", "matmul", "affine_relu", "affine_sigmoid", "affine_tanh", "concat_cols"
+)
 
 
 def _result_shape(op, sa, sb=None):
     if op == "transpose":
         return (sa[1], sa[0])
-    if op in ("relu", "sigmoid", "tanh", "softmax_rows"):
+    if op in ("relu", "softmax_rows"):
         return sa
-    if op == "matmul":
+    if op == "matmul" or op.startswith("affine"):
         return (sa[0], sb[1]) if sa[1] == sb[0] else None
     if op == "concat_cols":
         return (sa[0], sa[1] + sb[1]) if sa[0] == sb[0] else None
+    if op == "weighted_sum":
+        # a one-entry stack of a, weighted by b broadcast over nothing or by its last row
+        return sa if sa == sb or sb == (1, sa[1]) else None
     return sa if sa == sb else None
 
 
@@ -288,13 +300,22 @@ def _random_program(rng, n_params=3, n_ops=7):
     return params, program, target
 
 
+def _apply(tape, op, a, b):
+    if op.startswith("affine"):
+        return tape.affine(a, b, act=op.removeprefix("affine_"))
+    if op == "weighted_sum":
+        weight = b if b.value.shape == a.value.shape else tape.reshape(b, b.value.shape[1:])
+        return tape.weighted_sum(tape.reshape(a, (1, *a.value.shape)), [weight])
+    return getattr(tape, op)(a, b)
+
+
 def _build_from_program(tape, params, program, target):
     nodes = [tape.param(p) for p in params]
     for op, i, j in program:
         if j is None:
             nodes.append(getattr(tape, op)(nodes[i]))
         else:
-            nodes.append(getattr(tape, op)(nodes[i], nodes[j]))
+            nodes.append(_apply(tape, op, nodes[i], nodes[j]))
     return tape.mse_loss(nodes[-1], tape.constant(target))
 
 
@@ -314,7 +335,8 @@ def test_gradients_match_finite_differences_on_random_graphs():
 def _probe(tape, node, seed):
     """A scalar with a nontrivial upstream gradient for every entry of node."""
     weights = np.random.default_rng(seed).normal(size=node.value.shape)
-    return tape.sum(tape.hadamard(node, tape.constant(weights)))
+    stack = tape.reshape(node, (1, *node.value.shape))
+    return tape.sum(tape.weighted_sum(stack, [tape.constant(weights)]))
 
 
 def _params(seed, **shapes):
@@ -378,27 +400,28 @@ def test_affine_matches_matmul_plus_bias_and_activation():
 
 
 def test_grad_check_weighted_sum_broadcasts_weights_over_leading_axes():
-    p = _params(6, h0=(2, 3, 4), h1=(2, 3, 4), h2=(2, 3, 4), w0=(3, 4), w1=(4,), w2=(2, 3, 4))
+    p = _params(6, h=(3, 2, 3, 4), w0=(3, 4), w1=(4,), w2=(2, 3, 4))
 
     def build(t):
-        parts = [t.param(p[f"h{k}"]) for k in range(3)]
+        h = t.param(p["h"])
         weights = [t.param(p[f"w{k}"]) for k in range(3)]
-        return _probe(t, t.weighted_sum(parts, weights), 13)
+        # the stack is also read whole, so both adjoints meet in one
+        return t.add(_probe(t, t.weighted_sum(h, weights), 13), _probe(t, h, 14))
 
     _check(build, p)
 
 
-def test_grad_check_unstack_views():
-    p = _params(7, x=(3, 2, 5))
-
-    def build(t):
-        x = t.param(p["x"])
-        first, _, last = t.unstack(x)
-        # x is also read whole, so block and whole gradients meet in one adjoint
-        total = t.add(_probe(t, x, 15), _probe(t, last, 17))
-        return t.add(total, _probe(t, first, 18))
-
-    _check(build, p)
+def test_weighted_sum_adds_the_stack_entries_in_order_and_checks_lengths():
+    rng = np.random.default_rng(15)
+    h, w = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 4))
+    t = Tape()
+    out = t.weighted_sum(t.constant(h), [t.constant(row) for row in w]).value
+    assert np.array_equal(out, (w[0] * h[0] + w[1] * h[1]) + w[2] * h[2])
+    for weights in ([], [t.constant(w[0])] * 2, [t.constant(w[0])] * 4):
+        with pytest.raises(ShapeError, match="weighted_sum"):
+            t.weighted_sum(t.constant(h), weights)
+    with pytest.raises(ShapeError, match="weighted_sum"):
+        t.weighted_sum(t.constant(h), [t.constant(np.ones(3))] * 3)
 
 
 def test_grad_check_take_with_repeated_and_unread_entries():
@@ -431,20 +454,10 @@ def test_take_rejects_bad_indices():
             t.take(x, bad)
 
 
-def test_unstack_returns_views():
-    t = Tape()
-    x = t.constant(np.arange(24.0).reshape(2, 3, 4))
-    parts = t.unstack(x)
-    assert len(parts) == 2 and all(np.shares_memory(q.value, x.value) for q in parts)
-    np.testing.assert_array_equal(parts[1].value, x.value[1])
-    with pytest.raises(ShapeError):
-        t.unstack(t.constant(np.asarray(1.0)))
-
-
 def test_unused_block_gets_zero_gradient():
     t = Tape()
     w = Parameter("w", np.ones((2, 4)))
-    first, _ = t.unstack(t.param(w))
+    first = t.take(t.param(w), np.array(0))
     t.backward(t.sum(first))
     np.testing.assert_array_equal(t.grad_for(w), [[1.0, 1.0, 1.0, 1.0], [0, 0, 0, 0]])
 
@@ -531,7 +544,7 @@ def test_forward_only_tape_records_nothing_and_refuses_backward():
     x = rng.normal(size=(4, 3))
 
     def build(t):
-        return t.sum(t.tanh(t.matmul(t.constant(x), t.param(w))))
+        return t.sum(t.affine(t.constant(x), t.param(w), act="tanh"))
 
     recorded, free = Tape(), Tape(record=False)
     loss = build(free)
@@ -546,7 +559,7 @@ def test_backward_keeps_no_adjoint_for_constants():
     t = Tape()
     w = Parameter("w", [[2.0]])
     c = t.relu(t.constant([[3.0]]))
-    loss = t.sum(t.hadamard(c, t.param(w)))
+    loss = t.sum(t.weighted_sum(t.reshape(t.param(w), (1, 1, 1)), [c]))
     assert c._vjp is None and not c.needs_grad
     t.backward(loss)
     np.testing.assert_array_equal(t.grad_for(w), [[3.0]])
@@ -561,8 +574,7 @@ def test_sigmoid_tanh_form_matches_the_piecewise_reference():
     reference[~pos] = ex / (1.0 + ex)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        t = Tape()
-        out = t.sigmoid(t.constant(x)).value
+        out = _act(Tape(), "sigmoid", x)
     assert np.all(np.isfinite(out))
     assert np.max(np.abs(out - reference)) <= 1e-15
     assert out[0] == 0.0 and out[16000] == 1.0

@@ -150,6 +150,38 @@ def test_malformed_manifest_raises_load_error(tmp_path, edit):
         load_checkpoint(tmp_path / "ck")
 
 
+def _poison_blob(directory, name, value):
+    """Write ``value`` over the first float32 of parameter ``name``."""
+    manifest = json.loads((directory / "manifest.json").read_text())
+    offset = next(e["offset"] for e in manifest["params"] if e["name"] == name)
+    blob = np.fromfile(directory / "params.bin", dtype="<f4")
+    blob[offset] = value
+    blob.tofile(directory / "params.bin")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["node_embedding", "lstm0_wc", "head_w"])
+def test_a_non_finite_parameter_is_refused_naming_it(tmp_path, name, value):
+    params, cfg, tc, stats = fixtures()
+    save_checkpoint(params, cfg, tc, stats, tmp_path / "ck")
+    _poison_blob(tmp_path / "ck", "head_b", np.nan)  # the last one is not named
+    _poison_blob(tmp_path / "ck", name, value)
+    with pytest.raises(LoadError, match=rf"params\.bin: parameter '{name}' holds the non-finite"):
+        load_checkpoint(tmp_path / "ck")
+
+
+@pytest.mark.parametrize("key", ["minimum", "maximum"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_norm_stats_are_refused(tmp_path, key, value):
+    params, cfg, tc, stats = fixtures()
+    save_checkpoint(params, cfg, tc, stats, tmp_path / "ck")
+    edited = dict(stats.to_dict())
+    edited[key] = [value, edited[key][1]]
+    _edit_manifest(tmp_path / "ck", _set("norm_stats", edited))
+    with pytest.raises(LoadError, match=r"manifest\.json: bad 'norm_stats'.*must be finite"):
+        load_checkpoint(tmp_path / "ck")
+
+
 def test_norm_stats_of_another_channel_count_rejected(tmp_path):
     params, cfg, tc, stats = fixtures()
     save_checkpoint(params, cfg, tc, stats, tmp_path / "ck")

@@ -243,9 +243,11 @@ def test_eval_predictions_csv_holds_the_table_rows(run_dir, data_dir, tmp_path):
     dataset = load_dataset(data_dir)
     _, chosen = _split_for_eval(dataset, ckpt, "test")
     # the table of the same windows, written row by row
-    _, rows = evaluate(ckpt.params, ckpt.model_config, ckpt.stats, dataset, chosen)
+    _, table = evaluate(ckpt.params, ckpt.model_config, ckpt.stats, dataset, chosen)
     want = ["timestamp,node_id,y_true,y_pred"] + [
-        f"{r.timestamp_minutes},{r.node_id},{r.y_true!r},{r.y_pred!r}" for r in rows
+        f"{int(table.timestamp_minutes[k])},{table.node_id[k]},"
+        f"{float(table.y_true[k])!r},{float(table.y_pred[k])!r}"
+        for k in range(len(table))
     ]
     assert (out / "predictions.csv").read_text() == "\n".join(want) + "\n"
 
@@ -329,6 +331,61 @@ def test_predict_with_a_malformed_manifest_exits_2(run_dir, data_dir, tmp_path, 
     code = main(["predict", "--checkpoint", str(ckpt), "--data", str(data_dir), "--at", "50"])
     assert code == 2
     assert "manifest.json" in capsys.readouterr().err
+
+
+def _checkpoint_command(command, ckpt, data_dir):
+    if command == "inspect":
+        return ["inspect", "--checkpoint", str(ckpt)]
+    at = ["--at", "50"] if command == "predict" else []
+    return [command, "--checkpoint", str(ckpt), "--data", str(data_dir), *at]
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "inspect"])
+def test_an_integer_past_the_digit_limit_in_the_manifest_exits_2(
+    run_dir, data_dir, tmp_path, capsys, command
+):
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(run_dir / "checkpoint", ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    text = json.dumps(manifest).replace(
+        f'"total_size": {manifest["total_size"]}', '"total_size": ' + "1" * 5001
+    )
+    (ckpt / "manifest.json").write_text(text)
+    assert main(_checkpoint_command(command, ckpt, data_dir)) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt / 'manifest.json'}: invalid JSON (Exceeds the limit" in err
+
+
+NON_FINITE_CHECKPOINTS = {
+    # a NaN parameter used to be served, and the metrics check then failed
+    # naming no file
+    "nan-parameter": ("params.bin", "parameter 'lstm0_wi' holds the non-finite value nan"),
+    "nan-minimum": ("manifest.json", "bad 'norm_stats'"),
+    "infinite-maximum": ("manifest.json", "bad 'norm_stats'"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CHECKPOINTS))
+def test_a_non_finite_checkpoint_value_exits_2_naming_its_file(
+    run_dir, data_dir, tmp_path, capsys, command, case
+):
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(run_dir / "checkpoint", ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    if case == "nan-parameter":
+        offset = next(e["offset"] for e in manifest["params"] if e["name"] == "lstm0_wi")
+        blob = np.fromfile(ckpt / "params.bin", dtype="<f4")
+        blob[offset + 3] = np.nan
+        blob.tofile(ckpt / "params.bin")
+    else:
+        key, value = ("minimum", np.nan) if case == "nan-minimum" else ("maximum", np.inf)
+        manifest["norm_stats"][key][1] = value
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    assert main(_checkpoint_command(command, ckpt, data_dir)) == 2
+    name, message = NON_FINITE_CHECKPOINTS[case]
+    err = capsys.readouterr().err
+    assert f"error: {ckpt / name}: {message}" in err
 
 
 @pytest.mark.parametrize("case", MISFITTING_TABLES.values(), ids=MISFITTING_TABLES)

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import gc
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -308,7 +309,7 @@ META_FAULTS = {
     "not-an-object": (lambda text: "5\n", "expected a JSON object, got int"),
     "infinite-slot-count": (
         lambda text: text.replace('"T": 12', '"T": 1e999'),
-        "bad metadata (cannot convert float infinity to integer)",
+        "T must be an integer >= 1, got inf",
     ),
     "integer-past-the-digit-limit": (
         lambda text: text.replace('"T": 12', '"T": ' + "1" * 5000),
@@ -326,6 +327,21 @@ def test_load_refuses_malformed_metadata(tmp_path, case):
     with pytest.raises(LoadError) as info:
         load_dataset(tmp_path / "d")
     assert str(info.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("key", ["T", "N", "C", "interval_minutes"])
+@pytest.mark.parametrize("value", [True, 200.9, 3.0, "3", None, 0, -2])
+def test_load_refuses_a_count_that_is_not_a_positive_json_integer(tmp_path, key, value):
+    # a float or bool was truncated or coerced: T 200.9 with interval true
+    # loaded as 200 slots of 1 minute
+    save_dataset(toy_dataset(), tmp_path / "d")
+    path = tmp_path / "d" / "meta.json"
+    meta = json.loads(path.read_text())
+    meta[key] = value
+    path.write_text(json.dumps(meta))
+    with pytest.raises(LoadError) as info:
+        load_dataset(tmp_path / "d")
+    assert str(info.value) == f"{path}: {key} must be an integer >= 1, got {value!r}"
 
 
 # Each case edits edges.csv of toy_dataset() (edges 0-1 at 1.0 and 1-2 at
@@ -589,7 +605,14 @@ def test_window_count_t4_p3():
 
 
 def test_window_count_large_series():
-    assert 16992 - 3 == 16989
+    # the slot count of a PEMS-scale series: 59 days of 5-minute slots
+    ds = toy_dataset(t=16992, n=2, c=1)
+    samples = make_windows(ds, minmax_fit(ds.signals), 3)
+    assert len(samples) == 16989
+    first, last = samples[0], samples[len(samples) - 1]
+    assert (first.target_slot, last.target_slot) == (3, 16991)
+    assert np.array_equal(first.y, ds.signals[3, :, :1])
+    assert np.array_equal(last.y, ds.signals[16991, :, :1])
 
 
 def test_window_targets_are_offset_by_index():
@@ -787,3 +810,11 @@ def test_norm_stats_round_trip_dict():
 def test_norm_stats_reject_inverted_extrema():
     with pytest.raises(ValidationError):
         NormStats(np.array([5.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_norm_stats_reject_non_finite_extrema(value):
+    with pytest.raises(ValidationError, match="finite"):
+        NormStats(np.array([0.0, value]), np.array([1.0, 2.0]))
+    with pytest.raises(ValidationError, match="finite"):
+        NormStats(np.array([0.0, 1.0]), np.array([value, 2.0]))

@@ -11,7 +11,6 @@ from stgf.model import (
     ModelConfig,
     ModelParams,
     cgcn_forward,
-    channel_fuse,
     external_encode,
     init_params,
     lstm_cell,
@@ -253,14 +252,14 @@ def test_cgcn_rejects_wrong_channel_count():
 def test_channel_fuse_scalar_hand_case():
     tape = Tape()
     weights = [tape.constant([[2.0]]), tape.constant([[3.0]])]
-    feats = [tape.constant([[5.0]]), tape.constant([[7.0]])]
-    assert channel_fuse(tape, feats, weights).value.item() == 31.0
+    feats = tape.constant([[[5.0]], [[7.0]]])
+    assert tape.weighted_sum(feats, weights).value.item() == 31.0
 
 
 def test_channel_fuse_requires_matching_lengths():
     tape = Tape()
     with pytest.raises(ShapeError):
-        channel_fuse(tape, [tape.constant([[1.0]])], [])
+        tape.weighted_sum(tape.constant([[[1.0]]]), [])
 
 
 # ------------------------------------------------------------------- lstm
@@ -332,15 +331,24 @@ def test_lstm_hidden_state_is_strictly_bounded():
         assert np.all(np.abs(h.value) < 1.0)
 
 
+def _times(tape, a, b):
+    """The entrywise product a * b, as a one-entry weighted_sum."""
+    return tape.weighted_sum(tape.reshape(b, (1, *b.value.shape)), [a])
+
+
 def _composed_lstm(tape, sequence, params, layers):
     """The LSTM as it was built from small tape ops before it became one op
     per layer: zero initial states, then per step and per layer a gate-input
     concatenation, the four gate affines and the cell update, gate by gate
-    (the composition read the four gates from one joined affine)."""
+    (the composition read the four gates from one joined affine). The cell
+    state's tanh is an affine through the identity."""
     acts = {"f": "sigmoid", "i": "sigmoid", "c": "tanh", "o": "sigmoid"}
-    shape = sequence.value.shape[1:-1] + (params["lstm0_bf"].value.shape[1],)
+    hidden = params["lstm0_bf"].value.shape[1]
+    shape = sequence.value.shape[1:-1] + (hidden,)
+    identity = tape.constant(np.eye(hidden))
     state = [(tape.constant(np.zeros(shape)), tape.constant(np.zeros(shape))) for _ in range(layers)]
-    for x_in in tape.unstack(sequence):
+    for step in range(sequence.value.shape[0]):
+        x_in = tape.take(sequence, np.array(step))
         for layer, (h_prev, c_prev) in enumerate(state):
             z = tape.concat_cols(h_prev, x_in)
             f, i, candidate, o = (
@@ -352,8 +360,8 @@ def _composed_lstm(tape, sequence, params, layers):
                 )
                 for gate in "fico"
             )
-            c = tape.add(tape.hadamard(f, c_prev), tape.hadamard(i, candidate))
-            h = tape.hadamard(o, tape.tanh(c))
+            c = tape.add(_times(tape, f, c_prev), _times(tape, i, candidate))
+            h = _times(tape, o, tape.affine(c, identity, act="tanh"))
             state[layer] = (h, c)
             x_in = h
     return state[-1][0]
@@ -374,7 +382,7 @@ def test_lstm_cell_matches_the_composed_oracle_forward_and_backward(steps, layer
     def run(build):
         tape = Tape()
         top = build(tape, tape.param(x))
-        tape.backward(tape.sum(tape.hadamard(top, tape.constant(probe))))
+        tape.backward(tape.sum(_times(tape, top, tape.constant(probe))))
         return top.value, [tape.grad_for(p) for p in (x, *params)]
 
     def op(tape, seq):
@@ -418,7 +426,7 @@ def test_external_encode_gather_equals_the_one_hot_product_bitwise():
 
     tape = Tape()
     out = external_encode(tape, rows, params, cfg)
-    tape.backward(tape.sum(tape.hadamard(out, tape.constant(g))))
+    tape.backward(tape.sum(_times(tape, out, tape.constant(g))))
 
     tables = [params[f"ext_embed{k}"].value for k in range(2)]
     hot = [np.eye(card)[rows[:, k].astype(int)] for k, card in enumerate((3, 4))]

@@ -464,12 +464,12 @@ def test_evaluate_rows_cover_every_sample_and_node():
     ds, cfg = small_setup()
     params = init_params(cfg, np.random.default_rng(0))
     prepared = prepare_samples(ds, cfg.window, 0.7, 0.1)
-    metrics, rows = evaluate(params, cfg, prepared.stats, ds, prepared.test)
-    assert len(rows) == len(prepared.test) * ds.n_nodes
-    assert metrics.count == len(rows)
-    assert rows[0].timestamp_minutes == prepared.test[0].target_slot * ds.interval_minutes
-    assert {r.node_id for r in rows} == set(ds.node_ids)
-    err = np.array([r.y_pred - r.y_true for r in rows])
+    metrics, table = evaluate(params, cfg, prepared.stats, ds, prepared.test)
+    assert len(table) == len(prepared.test) * ds.n_nodes
+    assert metrics.count == len(table)
+    assert table.timestamp_minutes[0] == prepared.test[0].target_slot * ds.interval_minutes
+    assert set(table.node_id) == set(ds.node_ids)
+    err = table.y_pred - table.y_true
     assert metrics.mae == pytest.approx(np.mean(np.abs(err)))
     assert metrics.rmse == pytest.approx(np.sqrt(np.mean(err**2)))
 
@@ -488,7 +488,6 @@ def test_evaluate_table_matches_per_window_forecasts():
     from stgf.data import minmax_invert
     from stgf.graphs import build_local_adjacency, normalize_adjacency
     from stgf.model import model_forward
-    from stgf.training import PredictionRow
 
     ds, cfg = small_setup()
     params = init_params(cfg, np.random.default_rng(3))
@@ -496,18 +495,17 @@ def test_evaluate_table_matches_per_window_forecasts():
     metrics, table = evaluate(params, cfg, prepared.stats, ds, prepared.test)
 
     local_norm = normalize_adjacency(build_local_adjacency(ds.graph))
-    rows = list(table)
-    assert len(rows) == len(table) == len(prepared.test) * ds.n_nodes
-    assert table[-1] == rows[-1] and list(table[2:5]) == rows[2:5]
+    columns = (table.timestamp_minutes, table.node_id, table.y_true, table.y_pred)
+    assert [len(c) for c in columns] == [len(table)] * 4 == [len(prepared.test) * ds.n_nodes] * 4
     for k, sample in enumerate(prepared.test):
         out = model_forward(Tape(), params, sample.x, sample.external, local_norm, cfg).value
         y_pred = minmax_invert(out, prepared.stats, channel=0)
         for v, node in enumerate(ds.node_ids):
-            row = rows[k * ds.n_nodes + v]
-            assert row == PredictionRow(
-                sample.target_slot * ds.interval_minutes, node, float(sample.y[v, 0]), row.y_pred
-            )
-            assert row.y_pred == pytest.approx(float(y_pred[v, 0]), rel=1e-12)
+            r = k * ds.n_nodes + v
+            assert table.timestamp_minutes[r] == sample.target_slot * ds.interval_minutes
+            assert table.node_id[r] == node
+            assert table.y_true[r] == sample.y[v, 0]
+            assert table.y_pred[r] == pytest.approx(float(y_pred[v, 0]), rel=1e-12)
 
 
 def test_ha_reads_a_window_set_as_its_samples():
