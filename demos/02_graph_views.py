@@ -25,7 +25,6 @@ def main():
             (2, 3, 0.7),
             (0, 3, 2.5),
         ),
-        directed=False,
     )
 
     raw = build_local_adjacency(spec)

@@ -3,8 +3,11 @@
 Layout:
 
     manifest.json  format tag, model config, training config (with seed),
-                   normalization stats, and a parameter table of
-                   name/shape/offset entries (offsets in float32 elements)
+                   normalization stats, a parameter table of
+                   name/shape/offset entries (offsets in float32 elements),
+                   and optionally under ``dataset`` the covariate schema,
+                   channel names and node ids of the dataset trained on, as
+                   its meta.json writes them (``data.dataset_signature``)
     params.bin     little-endian float32: the ``ModelParams`` vector, which
                    holds the parameters back to back in manifest order
 
@@ -19,9 +22,10 @@ save interrupted while writing leaves the previous checkpoint as it was.
 A load refuses a manifest of the wrong structure with a ``LoadError``
 naming the manifest, before any value from it is used; that includes a
 parameter table whose names, shapes or order differ from the layout the
-manifest's model config builds (``model.param_layout``), and non-finite
-normalization stats. A blob holding a NaN or an infinity is refused
-naming the first parameter that holds one.
+manifest's model config builds (``model.param_layout``), non-finite
+normalization stats, and a ``dataset`` entry in another form than a save
+writes. A blob holding a NaN or an infinity is refused naming the first
+parameter that holds one.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NormStats
+from .data import ExternalField, NormStats
 from .errors import LoadError
 from .model import ModelConfig, ModelParams, param_layout
 
@@ -50,6 +54,8 @@ class LoadedCheckpoint:
     stats: NormStats
     train_config: dict
     manifest: dict
+    # the dataset_signature a save recorded, None in manifests without one
+    dataset_signature: dict | None = None
 
 
 def save_checkpoint(
@@ -58,6 +64,8 @@ def save_checkpoint(
     train_config: dict,
     stats: NormStats,
     path: str | Path,
+    *,
+    dataset_signature: dict | None = None,
 ) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
@@ -70,6 +78,8 @@ def save_checkpoint(
         "params": _table(params.layout()),
         "total_size": params.values.size,
     }
+    if dataset_signature is not None:
+        manifest["dataset"] = dataset_signature
     staged = {
         "params.bin": params.values.astype("<f4"),
         "manifest.json": (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(),
@@ -126,6 +136,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             f"the model has {model_config.n_channels}"
         )
     train_config = section("train_config", _train_config)
+    signature = section("dataset", _dataset_signature) if "dataset" in manifest else None
 
     # the table must be the one a save of this model config writes
     layout = param_layout(model_config)
@@ -164,6 +175,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         stats=stats,
         train_config=train_config,
         manifest=manifest,
+        dataset_signature=signature,
     )
 
 
@@ -180,9 +192,21 @@ def _train_config(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"expected a JSON object, got {type(value).__name__}")
     config = dict(value)
-    # eval splits the dataset by these
-    for key in ("train_frac", "val_frac"):
-        frac = config.get(key, 0.5)
+    # eval splits the dataset by these, or by TrainConfig's defaults if absent
+    for key in [k for k in ("train_frac", "val_frac") if k in config]:
+        frac = config[key]
         if isinstance(frac, bool) or not isinstance(frac, (int, float)) or not math.isfinite(frac):
             raise ValueError(f"{key} must be a finite number, got {frac!r}")
     return config
+
+
+def _dataset_signature(value) -> dict:
+    fields = [ExternalField.from_dict(d) for d in value["external_schema"]]
+    canonical = {
+        "external_schema": [f.to_dict() for f in fields],
+        "channel_names": [str(x) for x in value["channel_names"]],
+        "node_ids": [str(x) for x in value["node_ids"]],
+    }
+    if value != canonical:
+        raise ValueError("expected the schema entries and string lists a dataset's meta.json holds")
+    return value

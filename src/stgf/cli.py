@@ -23,11 +23,11 @@ import sys
 from pathlib import Path
 
 from .checkpoint import LoadedCheckpoint, load_checkpoint
-from .data import SignalDataset, chronological_split, load_dataset, make_windows
+from .data import SignalDataset, check_signature, chronological_split, load_dataset, make_windows
 from .errors import NumericalError, UsageError, ValidationError
 from .model import ABLATIONS, ModelConfig
 from .synth import TOPOLOGIES, channel_correlations, generate_synthetic
-from .training import Metrics, TrainConfig, evaluate, ha_baseline, train
+from .training import Metrics, TrainConfig, check_geometry, evaluate, ha_baseline, train
 
 # model keys the dataset determines; everything else is configurable
 _DERIVED_MODEL_FIELDS = {"n_nodes", "n_channels", "external_cardinalities", "external_continuous"}
@@ -137,8 +137,8 @@ def _split_for_eval(dataset: SignalDataset, ckpt: LoadedCheckpoint, which: str):
     samples = make_windows(dataset, ckpt.stats, ckpt.model_config.window)
     train_s, val_s, test_s = chronological_split(
         samples,
-        float(ckpt.train_config.get("train_frac", 0.7)),
-        float(ckpt.train_config.get("val_frac", 0.1)),
+        float(ckpt.train_config.get("train_frac", TrainConfig.train_frac)),
+        float(ckpt.train_config.get("val_frac", TrainConfig.val_frac)),
     )
     chosen = {"train": train_s, "val": val_s, "test": test_s}[which]
     return train_s, chosen
@@ -204,6 +204,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
+    check_geometry(ckpt.model_config, dataset)
+    check_signature(ckpt.dataset_signature, dataset)
     train_s, chosen = _split_for_eval(dataset, ckpt, args.split)
 
     metrics, rows = evaluate(ckpt.params, ckpt.model_config, ckpt.stats, dataset, chosen)
@@ -239,6 +241,8 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
+    check_geometry(ckpt.model_config, dataset)
+    check_signature(ckpt.dataset_signature, dataset)
     window = ckpt.model_config.window
     interval = dataset.interval_minutes
 
@@ -275,7 +279,7 @@ def cmd_inspect(args) -> int:
         print(f"  edges {len(dataset.graph.edges)} (undirected)")
         for c, name in enumerate(dataset.channel_names):
             col = dataset.signals[:, :, c]
-            print(f"  channel {name}: min {col.min():.3f}, mean {col.mean():.3f}, "
+            print(f"  channel {name}: min {col.min():.3f}, mean {col.mean(dtype=float):.3f}, "
                   f"max {col.max():.3f}")
         for f in dataset.external_fields:
             categories = f" [{', '.join(f.categories)}]" if f.categories else ""

@@ -28,8 +28,8 @@ target slots over the dataset's raw series: window k reads slots [t - P, t)
 and targets slot t. Splits, batches and forecast chunks are sub-arrays of
 those targets, and the model reads a batch as the block of distinct slots
 its windows cover plus a B x P index into that block. Signals are
-normalized where read: each call normalizes only the rows it returns.
-``WindowSample`` is the one window that indexing a set returns.
+normalized where read: each call widens and normalizes only the rows it
+returns. ``WindowSample`` is the one window that indexing a set returns.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, zip_longest
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -126,9 +126,9 @@ def external_columns(fields: Sequence[ExternalField]) -> list[int]:
 class SignalDataset:
     """One fixed-interval multi-channel series over a sensor graph.
 
-    ``signals`` is float64 in memory regardless of the float32 container;
-    channel 0 is the forecast target. Timestamps are implicit: slot t is
-    minute t * interval_minutes, strictly increasing by construction.
+    ``signals`` is float32 as stored, so float64 values round when a dataset
+    is built; reads widen the rows they return to float64. Channel 0 is the
+    forecast target; slot t is minute t * interval_minutes.
     """
 
     signals: np.ndarray
@@ -140,7 +140,8 @@ class SignalDataset:
     externals: np.ndarray
 
     def __post_init__(self):
-        self.signals = np.ascontiguousarray(np.asarray(self.signals, dtype=np.float64))
+        with np.errstate(over="ignore"):  # past float32's range is inf, refused below
+            self.signals = np.ascontiguousarray(self.signals, dtype=np.float32)
         self.externals = np.ascontiguousarray(np.asarray(self.externals, dtype=np.float64))
         self.channel_names = tuple(self.channel_names)
         self.node_ids = tuple(str(n) for n in self.node_ids)
@@ -152,7 +153,7 @@ class SignalDataset:
             raise ValidationError(f"signals dimensions must all be >= 1, got {self.signals.shape}")
         if not np.all(np.isfinite(self.signals)):
             bad = int(np.flatnonzero(~np.isfinite(self.signals))[0])
-            raise ValidationError(f"signals contain a non-finite value at flat index {bad}")
+            raise ValidationError(f"signals hold a value not finite in float32 at flat index {bad}")
         if self.interval_minutes < 1:
             raise ValidationError(f"interval_minutes must be >= 1, got {self.interval_minutes}")
         if len(self.channel_names) != c:
@@ -198,6 +199,35 @@ class SignalDataset:
 # -------------------------------------------------------------- persistence
 
 
+def dataset_signature(dataset: SignalDataset) -> dict:
+    """What a model trained on the dataset reads beyond its shapes: the
+    covariate schema, channel names and node ids, as meta.json writes them."""
+    return {
+        "external_schema": [f.to_dict() for f in dataset.external_fields],
+        "channel_names": list(dataset.channel_names),
+        "node_ids": list(dataset.node_ids),
+    }
+
+
+def check_signature(signature: dict | None, dataset: SignalDataset) -> None:
+    """Refuse a dataset whose ``dataset_signature`` differs from the one a
+    model was trained on, naming the first difference; None, a signature
+    never recorded, passes. Covariate fields compare in the order of the
+    externals matrix's columns, the order the model reads them in."""
+    if signature is None:
+        return
+    for key, have in dataset_signature(dataset).items():
+        want = signature[key]
+        if key == "external_schema":  # categorical fields first, as in external_columns
+            want, have = (sorted(s, key=lambda d: d["kind"] == "continuous") for s in (want, have))
+        for k, (w, h) in enumerate(zip_longest(want, have)):
+            if w != h:
+                w, h = (json.dumps(x, sort_keys=True) for x in (w, h))
+                raise ValidationError(
+                    f"dataset's {key} entry {k} is {h}, the model was trained on {w}"
+                )
+
+
 def save_dataset(dataset: SignalDataset, path: str | Path) -> None:
     """Write the directory layout described in the module docstring.
 
@@ -214,14 +244,12 @@ def save_dataset(dataset: SignalDataset, path: str | Path) -> None:
         "N": dataset.n_nodes,
         "C": dataset.n_channels,
         "interval_minutes": dataset.interval_minutes,
-        "channel_names": list(dataset.channel_names),
-        "node_ids": list(dataset.node_ids),
-        "external_schema": [f.to_dict() for f in dataset.external_fields],
+        **dataset_signature(dataset),
     }
     meta_text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
     (root / "meta.json").write_text(meta_text, encoding="utf-8")
 
-    (root / "signals.bin").write_bytes(dataset.signals.astype("<f4").tobytes())
+    dataset.signals.astype("<f4", copy=False).tofile(root / "signals.bin")
 
     with open(root / "edges.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -350,14 +378,14 @@ def load_dataset(path: str | Path) -> SignalDataset:
         raise LoadError(f"{meta_path}: bad metadata ({exc})") from None
 
     bin_path = _require_file(root, "signals.bin")
-    payload = bin_path.read_bytes()
+    size = bin_path.stat().st_size
     expected = t * n * c * 4
-    if len(payload) != expected:
+    if size != expected:
         raise LoadError(
             f"{bin_path}: expected {expected} bytes for [T={t}][N={n}][C={c}] float32, "
-            f"got {len(payload)} (payloads differ from byte offset {min(expected, len(payload))})"
+            f"got {size} (payloads differ from byte offset {min(expected, size)})"
         )
-    signals = np.frombuffer(payload, dtype="<f4").reshape(t, n, c).astype(np.float64)
+    signals = np.fromfile(bin_path, dtype="<f4").reshape(t, n, c)
 
     edges_path = _require_file(root, "edges.csv")
     table = _Table(edges_path, width=3)
@@ -367,7 +395,7 @@ def load_dataset(path: str | Path) -> SignalDataset:
         (_parse(int), _parse(int), _parse(float)), lambda row, exc: f"cannot parse row {row}"
     )
     try:
-        graph = GraphSpec(n_nodes=n, edges=tuple(zip(*columns)), directed=False)
+        graph = GraphSpec(n_nodes=n, edges=tuple(zip(*columns)))
     except ValidationError as exc:
         raise LoadError(f"{edges_path}: {exc}") from None
 
@@ -433,7 +461,6 @@ class NormStats:
 
 def minmax_fit(signals: np.ndarray, end_slot: int | None = None) -> NormStats:
     """Per-channel min and max over slots [0, end_slot)."""
-    signals = np.asarray(signals, dtype=np.float64)
     rows = signals if end_slot is None else signals[:end_slot]
     if rows.size == 0:
         raise ValidationError(f"cannot fit normalization on empty slot range [0, {end_slot})")
@@ -473,8 +500,8 @@ def minmax_invert(x: np.ndarray, stats: NormStats, channel: int | None = None) -
 class WindowSample:
     """One training example: slots [t - P, t) predicting flow at slot t.
 
-    ``y`` and ``external`` are read-only views into the dataset; ``x`` and
-    ``y_norm`` are normalized when the window is read.
+    ``external`` is a read-only view into the dataset and ``y`` a read-only
+    float64 copy; ``x`` and ``y_norm`` are normalized when the window is read.
     """
 
     x: np.ndarray
@@ -525,7 +552,7 @@ class WindowSet:
             return WindowSample(
                 x=rows[:-1],
                 external=self.externals[t],
-                y=self.signals[t, :, 0:1],
+                y=_read_only(self.signals[t, :, 0:1].astype(np.float64)),
                 y_norm=rows[-1, :, 0:1],
                 target_slot=t,
             )
@@ -547,7 +574,7 @@ class WindowSet:
     @property
     def y(self) -> np.ndarray:
         """Raw target flow, B x N x 1."""
-        return self.signals[self.target_slots, :, 0:1]
+        return self.signals[self.target_slots, :, 0:1].astype(np.float64)
 
     @property
     def y_norm(self) -> np.ndarray:

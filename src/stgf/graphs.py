@@ -22,7 +22,7 @@ Edge = tuple[int, int, float]
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Node count plus weighted edge list with physical distances.
+    """Node count plus undirected weighted edge list with physical distances.
 
     Distances are strictly positive (arbitrary but uniform length units).
     Self-edges are rejected; self-connections enter only through the
@@ -31,7 +31,6 @@ class GraphSpec:
 
     n_nodes: int
     edges: tuple[Edge, ...]
-    directed: bool = False
 
     def __post_init__(self):
         if self.n_nodes < 1:
@@ -54,11 +53,11 @@ class GraphSpec:
 
 
 def build_local_adjacency(spec: GraphSpec) -> np.ndarray:
-    """Inverse-distance adjacency: A[i, j] = 1/distance for listed edges.
+    """Inverse-distance adjacency: A[i, j] = A[j, i] = 1/distance for listed
+    edges.
 
-    Undirected specs are mirrored. If an entry is written twice (duplicate
-    or conflicting mirrored edges), the later edge wins and a warning is
-    emitted.
+    If an entry is written twice (duplicate or conflicting mirrored edges),
+    the later edge wins and a warning is emitted.
     """
     n = spec.n_nodes
     a = np.zeros((n, n))
@@ -75,8 +74,7 @@ def build_local_adjacency(spec: GraphSpec) -> np.ndarray:
     for src, dst, dist in spec.edges:
         w = 1.0 / dist
         put(src, dst, w)
-        if not spec.directed:
-            put(dst, src, w)
+        put(dst, src, w)
     return a
 
 

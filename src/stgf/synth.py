@@ -5,8 +5,9 @@ outward from node 0 along graph edges, scaled down on weekends, holidays
 and bad-weather days. Speed falls linearly with flow plus noise, occupancy
 rises linearly with flow plus noise, so the generated channels reproduce
 the negative flow/speed and positive flow/occupancy correlations seen in
-real detector data. Everything is drawn from one seeded generator, so a
-seed pins the output bytes exactly.
+real detector data. Everything is drawn in float64 from one seeded
+generator and held as float32 like any dataset's series, so a seed pins
+the output bytes exactly.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def build_synthetic(
 
     rng = np.random.default_rng(seed)
     edges = _topology_edges(topology, n_nodes, rng)
-    graph = GraphSpec(n_nodes=n_nodes, edges=tuple(edges), directed=False)
+    graph = GraphSpec(n_nodes=n_nodes, edges=tuple(edges))
     phase = PHASE_PER_HOP * _hops_from_root(n_nodes, edges)
 
     slots_per_day = 1440 // interval_minutes
@@ -159,9 +160,7 @@ def build_synthetic(
         0.0,
         None,
     )
-    # quantize to the container's storage precision up front so the built
-    # dataset is identical to what load_dataset returns after a save
-    signals = np.stack([flow, speed, occupancy], axis=2).astype(np.float32).astype(np.float64)
+    signals = np.stack([flow, speed, occupancy], axis=2)
 
     temperature = np.clip(
         0.5

@@ -33,6 +33,7 @@ from .data import (
     PreparedData,
     SignalDataset,
     WindowSet,
+    dataset_signature,
     minmax_invert,
     prepare_samples,
 )
@@ -207,7 +208,7 @@ class TrainResult:
 FORECAST_BATCH = 32
 
 
-def _check_geometry(model_config: ModelConfig, dataset: SignalDataset) -> None:
+def check_geometry(model_config: ModelConfig, dataset: SignalDataset) -> None:
     """Refuse a dataset whose node or channel count, categorical cardinalities
     (in schema order) or continuous field count differ from the model's."""
     if model_config.n_nodes != dataset.n_nodes:
@@ -237,7 +238,7 @@ def _check_geometry(model_config: ModelConfig, dataset: SignalDataset) -> None:
 
 def _local_view(model_config: ModelConfig, dataset: SignalDataset) -> np.ndarray:
     """Check that the dataset fits the model; return its normalized distance view."""
-    _check_geometry(model_config, dataset)
+    check_geometry(model_config, dataset)
     return normalize_adjacency(build_local_adjacency(dataset.graph))
 
 
@@ -345,6 +346,7 @@ def train(
                     train_config.to_dict(),
                     prepared.stats,
                     train_config.checkpoint_dir,
+                    dataset_signature=dataset_signature(dataset),
                 )
 
     return TrainResult(

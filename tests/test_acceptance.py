@@ -60,7 +60,7 @@ def valid_external(rng: np.random.Generator) -> np.ndarray:
 
 def random_graph_norm(n_nodes: int, rng: np.random.Generator, topology: str = "random"):
     edges = _topology_edges(topology, n_nodes, rng)
-    spec = GraphSpec(n_nodes=n_nodes, edges=tuple(edges), directed=False)
+    spec = GraphSpec(n_nodes=n_nodes, edges=tuple(edges))
     return normalize_adjacency(build_local_adjacency(spec))
 
 

@@ -32,6 +32,17 @@ def fixtures(seed=0):
     return params, cfg, TrainConfig(epochs=2, seed=seed).to_dict(), stats
 
 
+# a dataset_signature of the fixtures' geometry, as meta.json writes one
+SIGNATURE = {
+    "external_schema": [
+        {"name": "day_type", "kind": "categorical", "categories": ["weekday", "weekend"]},
+        {"name": "temperature", "kind": "continuous"},
+    ],
+    "channel_names": ["flow", "speed"],
+    "node_ids": ["a", "b", "c", "d"],
+}
+
+
 def test_round_trip_restores_everything(tmp_path):
     params, cfg, tc, stats = fixtures()
     save_checkpoint(params, cfg, tc, stats, tmp_path / "ck")
@@ -44,6 +55,41 @@ def test_round_trip_restores_everything(tmp_path):
         assert p.value.shape == q.value.shape
         # single-precision container: per-entry error within float32 ulp
         assert np.allclose(p.value, q.value, rtol=1.2e-7, atol=1e-30)
+
+
+def test_the_dataset_signature_round_trips_and_is_optional(tmp_path):
+    params, cfg, tc, stats = fixtures()
+    save_checkpoint(params, cfg, tc, stats, tmp_path / "ck", dataset_signature=SIGNATURE)
+    assert load_checkpoint(tmp_path / "ck").dataset_signature == SIGNATURE
+    save_checkpoint(params, cfg, tc, stats, tmp_path / "old")
+    assert "dataset" not in json.loads((tmp_path / "old" / "manifest.json").read_text())
+    assert load_checkpoint(tmp_path / "old").dataset_signature is None
+
+
+def _signature_with(key, value):
+    return {**SIGNATURE, key: value}
+
+
+# each is refused naming the manifest's 'dataset' entry
+MALFORMED_SIGNATURES = {
+    "not-an-object": ["flow"],
+    "missing-key": {k: v for k, v in SIGNATURE.items() if k != "node_ids"},
+    "extra-key": _signature_with("T", 4),
+    "integer-node-id": _signature_with("node_ids", ["a", "b", "c", 4]),
+    "names-as-one-string": _signature_with("channel_names", "flow"),
+    "unknown-kind": _signature_with("external_schema", [{"name": "x", "kind": "ordinal"}]),
+    "categories-as-a-string": _signature_with(
+        "external_schema", [{"name": "x", "kind": "categorical", "categories": "ab"}]
+    ),
+}
+
+
+@pytest.mark.parametrize("signature", MALFORMED_SIGNATURES.values(), ids=MALFORMED_SIGNATURES)
+def test_a_malformed_dataset_signature_raises_load_error(tmp_path, signature):
+    params, cfg, tc, stats = fixtures()
+    save_checkpoint(params, cfg, tc, stats, tmp_path / "ck", dataset_signature=signature)
+    with pytest.raises(LoadError, match=r"manifest\.json: bad 'dataset'"):
+        load_checkpoint(tmp_path / "ck")
 
 
 def test_second_save_is_byte_identical(tmp_path):
@@ -216,7 +262,7 @@ def test_any_mutated_manifest_loads_or_raises_load_error(tmp_path, data):
     params, cfg, tc, stats = fixtures()
     root = tmp_path / "ck"
     if not (root / "manifest.json").is_file():
-        save_checkpoint(params, cfg, tc, stats, root)
+        save_checkpoint(params, cfg, tc, stats, root, dataset_signature=SIGNATURE)
     pristine = (root / "manifest.json").read_text()
     manifest = json.loads(pristine)
     _, target = data.draw(st.sampled_from(list(_containers(manifest))))

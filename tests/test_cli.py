@@ -16,6 +16,7 @@ from stgf.checkpoint import load_checkpoint
 from stgf.cli import build_run_config, main
 from stgf.data import load_dataset, save_dataset
 from stgf.errors import ValidationError
+from stgf.training import TrainConfig
 from test_checkpoint import MALFORMED_MANIFESTS, MISFITTING_TABLES, rewrite_table
 
 FAST_SET = [
@@ -440,13 +441,26 @@ def test_predict_channel_mismatch_exits_2(run_dir, two_channel_dir, capsys):
     assert "model expects 3 channels, dataset has 2" in capsys.readouterr().err
 
 
+def _edited_meta_copy(data_dir, path, key, edit):
+    """A copy of the dataset directory whose meta.json holds ``edit`` of ``key``."""
+    shutil.copytree(data_dir, path)
+    meta = json.loads((path / "meta.json").read_text())
+    meta[key] = edit(meta[key])
+    (path / "meta.json").write_text(json.dumps(meta))
+
+
+def _served(ckpt, data, out, capsys):
+    """stdout, metrics.json and predictions.csv of eval and predict."""
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]) == 0
+    assert main(["predict", "--checkpoint", str(ckpt), "--data", str(data), "--at", "50"]) == 0
+    stdout = capsys.readouterr().out.replace(str(out), "OUT")
+    return stdout, [(out / name).read_bytes() for name in ("metrics.json", "predictions.csv")]
+
+
 def _reordered_copy(data_dir, path, order):
     """A copy of the dataset directory holding the covariate fields ``order``
     picks, in that order."""
-    shutil.copytree(data_dir, path)
-    meta = json.loads((path / "meta.json").read_text())
-    meta["external_schema"] = [meta["external_schema"][k] for k in order]
-    (path / "meta.json").write_text(json.dumps(meta))
+    _edited_meta_copy(data_dir, path, "external_schema", lambda schema: [schema[k] for k in order])
     rows = [row.split(",") for row in (path / "externals.csv").read_text().splitlines()]
     (path / "externals.csv").write_text("".join(",".join(r[k] for k in order) + "\n" for r in rows))
 
@@ -494,16 +508,8 @@ def test_a_continuous_field_first_evaluates_and_predicts_like_the_original(
     run_dir, data_dir, tmp_path, capsys, schema
 ):
     _reordered_copy(data_dir, tmp_path / "reordered", CONTINUOUS_FIRST[schema])
-    ckpt = str(run_dir / "checkpoint")
-    outputs = []
-    for data in (data_dir, tmp_path / "reordered"):
-        out = tmp_path / f"eval-{data.name}"
-        assert main(["eval", "--checkpoint", ckpt, "--data", str(data), "--out", str(out)]) == 0
-        assert main(["predict", "--checkpoint", ckpt, "--data", str(data), "--at", "50"]) == 0
-        stdout = capsys.readouterr().out.replace(str(out), "OUT")
-        files = [(out / name).read_bytes() for name in ("metrics.json", "predictions.csv")]
-        outputs.append((stdout, files))
-    assert outputs[0] == outputs[1]
+    want = _served(run_dir / "checkpoint", data_dir, tmp_path / "a", capsys)
+    assert _served(run_dir / "checkpoint", tmp_path / "reordered", tmp_path / "b", capsys) == want
 
 
 def test_a_continuous_field_first_trains_like_the_original(run_dir, data_dir, tmp_path):
@@ -513,6 +519,93 @@ def test_a_continuous_field_first_trains_like_the_original(run_dir, data_dir, tm
                  *FAST_SET]) == 0
     for name in ("loss_curve.csv", "checkpoint/params.bin"):
         assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def _day_types_reordered(schema):
+    return [{**schema[0], "categories": ["weekend", "weekday", "holiday"]}, *schema[1:]]
+
+
+# meta.json edits that keep the shapes the model reads but not what they mean
+RELABELLED = {
+    "day-type-categories-reordered": (
+        "external_schema",
+        _day_types_reordered,
+        'dataset\'s external_schema entry 0 is {"categories": ["weekend", "weekday", "holiday"], '
+        '"kind": "categorical", "name": "day_type"}, the model was trained on '
+        '{"categories": ["weekday", "weekend", "holiday"], "kind": "categorical", "name": "day_type"}',
+    ),
+    "channel-names-swapped": (
+        "channel_names",
+        lambda names: [names[1], names[0], *names[2:]],
+        'dataset\'s channel_names entry 0 is "speed", the model was trained on "flow"',
+    ),
+    "node-ids-reordered": (
+        "node_ids",
+        lambda ids: ids[::-1],
+        'dataset\'s node_ids entry 0 is "n002", the model was trained on "n000"',
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("case", sorted(RELABELLED))
+def test_a_relabelled_dataset_exits_2_naming_the_first_difference(
+    run_dir, data_dir, tmp_path, capsys, command, case
+):
+    key, edit, message = RELABELLED[case]
+    _edited_meta_copy(data_dir, tmp_path / "relabelled", key, edit)
+    argv = _checkpoint_command(command, run_dir / "checkpoint", tmp_path / "relabelled")
+    assert main(argv) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+
+
+def _checkpoint_copy(run_dir, path, edit):
+    """A copy of the run's checkpoint whose manifest holds ``edit`` of it."""
+    shutil.copytree(run_dir / "checkpoint", path)
+    manifest = json.loads((path / "manifest.json").read_text())
+    edit(manifest)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    return path
+
+
+def test_a_manifest_without_the_dataset_signature_serves_as_before(
+    run_dir, data_dir, tmp_path, capsys
+):
+    ckpt = _checkpoint_copy(run_dir, tmp_path / "checkpoint", lambda m: m.pop("dataset"))
+    assert load_checkpoint(ckpt).dataset_signature is None
+    _edited_meta_copy(data_dir, tmp_path / "relabelled", "external_schema", _day_types_reordered)
+    want = _served(run_dir / "checkpoint", data_dir, tmp_path / "a", capsys)
+    assert _served(ckpt, data_dir, tmp_path / "b", capsys) == want
+    # nothing to compare the categories with, so the relabelled copy is served
+    _served(ckpt, tmp_path / "relabelled", tmp_path / "c", capsys)
+
+
+def test_a_manifest_without_split_fractions_evaluates_the_default_split(
+    run_dir, data_dir, tmp_path, capsys
+):
+    def drop_fractions(manifest):
+        config = manifest["train_config"]
+        assert (config.pop("train_frac"), config.pop("val_frac")) == (
+            TrainConfig.train_frac, TrainConfig.val_frac
+        )
+
+    ckpt = _checkpoint_copy(run_dir, tmp_path / "checkpoint", drop_fractions)
+    want = _served(run_dir / "checkpoint", data_dir, tmp_path / "a", capsys)
+    assert _served(ckpt, data_dir, tmp_path / "b", capsys) == want
+
+
+def test_an_interval_that_does_not_divide_a_day_loads_and_evaluates(
+    run_dir, data_dir, tmp_path, capsys
+):
+    path = tmp_path / "seven"
+    _edited_meta_copy(data_dir, path, "interval_minutes", lambda _: 7)
+    assert main(["inspect", "--data", str(path)]) == 0
+    assert "interval 7 min" in capsys.readouterr().out
+    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint"), "--data", str(path),
+                 "--out", str(tmp_path / "e")]) == 0
+    assert main(["predict", "--checkpoint", str(run_dir / "checkpoint"), "--data", str(path),
+                 "--at", "350"]) == 0
+    assert "prediction for slot 50 (minute 350)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])

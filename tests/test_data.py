@@ -49,7 +49,7 @@ def toy_dataset(t=12, n=3, c=3, seed=0, interval=5):
     edges = tuple((i, i + 1, 1.0 + 0.5 * i) for i in range(n - 1))
     return SignalDataset(
         signals=signals,
-        graph=GraphSpec(n_nodes=n, edges=edges, directed=False),
+        graph=GraphSpec(n_nodes=n, edges=edges),
         interval_minutes=interval,
         channel_names=DEFAULT_CHANNEL_NAMES[:c],
         node_ids=tuple(f"n{i}" for i in range(n)),
@@ -149,11 +149,15 @@ def test_categorical_fields_take_the_first_columns():
 # -------------------------------------------------------------- persistence
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_save_load_round_trips_signals_bitwise(tmp_path):
     ds = toy_dataset()
     save_dataset(ds, tmp_path / "d")
     loaded = load_dataset(tmp_path / "d")
-    assert np.array_equal(loaded.signals, ds.signals.astype("<f4").astype(np.float64))
+    assert ds.signals.dtype == np.float32 and same_bits(loaded.signals, ds.signals)
     assert loaded.node_ids == ds.node_ids
     assert loaded.graph == ds.graph
     assert np.array_equal(loaded.externals, ds.externals)
@@ -164,6 +168,52 @@ def test_second_save_is_byte_identical(tmp_path):
     save_dataset(ds, tmp_path / "a")
     save_dataset(load_dataset(tmp_path / "a"), tmp_path / "b")
     assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
+
+
+def test_building_rounds_signals_to_float32_and_refuses_what_float32_cannot_hold():
+    ds = toy_dataset()
+    signals = ds.signals.astype(np.float64)
+    signals[1, 2, 0] = 0.1
+    assert dataclasses.replace(ds, signals=signals).signals[1, 2, 0] == np.float32(0.1)
+    # past float32's range the cast gives inf, refused without a warning
+    for value in (1e39, -1e39, np.nan):
+        signals[1, 2, 0] = value
+        with pytest.raises(ValidationError, match="not finite in float32 at flat index 15"):
+            dataclasses.replace(ds, signals=signals)
+
+
+def test_a_load_holds_the_series_once_as_float32(tmp_path):
+    import tracemalloc
+
+    save_dataset(toy_dataset(t=600, n=200), tmp_path / "d")
+    size = (tmp_path / "d" / "signals.bin").stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(tmp_path / "d")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.signals.dtype == np.float32 and loaded.signals.nbytes == size
+    # the payload plus the finite check's mask; a float64 copy would add 2 x
+    assert peak < 1.5 * size
+
+
+def test_a_loaded_dataset_reads_the_same_bits_as_a_float64_copy(tmp_path):
+    save_dataset(toy_dataset(t=40, seed=4), tmp_path / "d")
+    ds = load_dataset(tmp_path / "d")
+    wide = ds.signals.astype(np.float64)  # the series as float64 loads held it
+    prepared = prepare_samples(ds, window=3)
+    stats = minmax_fit(wide, end_slot=3 + len(prepared.train))
+    assert same_bits(prepared.stats.minimum, stats.minimum)
+    assert same_bits(prepared.stats.maximum, stats.maximum)
+    for part in (prepared.train, prepared.val, prepared.test):
+        reference = WindowSet(wide, ds.externals, stats, 3, part.target_slots)
+        for got, want in zip((*part.inputs(), part.y, part.y_norm),
+                             (*reference.inputs(), reference.y, reference.y_norm)):
+            assert same_bits(got, want)
+        for got, want in zip(part, reference):
+            for field in ("x", "external", "y", "y_norm"):
+                assert same_bits(getattr(got, field), getattr(want, field))
 
 
 def test_load_rejects_wrong_binary_length(tmp_path):
@@ -655,6 +705,8 @@ def test_windows_are_read_only_views_with_unchanged_values():
         assert np.array_equal(s.y, ds.signals[t, :, 0:1])
         assert np.array_equal(s.external, ds.externals[t])
     s = samples[0]
+    # y is widened from the float32 series, so it is a copy
+    assert s.y.dtype == np.float64 and not np.shares_memory(s.y, ds.signals)
     for field in (s.y, s.external):
         with pytest.raises(ValueError):
             field[...] = 0.0

@@ -30,11 +30,6 @@ def test_local_adjacency_path():
     assert a[0, 2] == 0.0
 
 
-def test_local_adjacency_directed_not_mirrored():
-    a = build_local_adjacency(GraphSpec(2, [(0, 1, 2.0)], directed=True))
-    np.testing.assert_array_equal(a, [[0.0, 0.5], [0.0, 0.0]])
-
-
 def test_local_adjacency_duplicate_edge_last_wins_with_warning():
     spec = GraphSpec(2, [(0, 1, 2.0), (0, 1, 4.0)])
     with pytest.warns(UserWarning, match="duplicate edge"):

@@ -64,7 +64,8 @@ def test_generated_directory_loads_cleanly(tmp_path):
     assert loaded.n_nodes == 6
     assert loaded.channel_names == ("flow", "speed", "occupancy")
     assert loaded.externals.shape == (256, 3)
-    assert np.array_equal(loaded.signals, ds.signals.astype("<f4").astype(np.float64))
+    assert loaded.signals.dtype == ds.signals.dtype == np.float32
+    assert loaded.signals.tobytes() == ds.signals.tobytes()
 
 
 def test_channel_correlations_match_design_targets():
