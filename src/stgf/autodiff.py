@@ -13,15 +13,17 @@ leads back to a parameter keeps no closure and receives no adjoint.
 
 Values are plain numpy arrays in double precision. A leading batch axis
 (or several) is allowed wherever an op reads only the trailing axes: the
-columns are the last axis, and ``matmul`` multiplies a shared matrix into
-a stack of matrices from either side. ``take`` gathers entries along the
-first axis by an index array and scatters their adjoints back with
-``np.add.at``, so an entry may be picked more than once. ``weighted_sum``
-adds the entries of a stack's first axis, each scaled elementwise by its
-own weight. ``add`` requires exactly equal shapes; every broadcast belongs
-to an op that says so (``broadcast_to``, the bias row of ``affine``, the
-weights of ``weighted_sum``) and whose backward sums the gradient back over
-the broadcast axes.
+columns are the last axis, and ``matmul`` has one form, a matrix applied
+to a matrix or to every matrix of a stack. Relu, sigmoid and tanh are
+activations of ``affine`` only (``lstm_layer`` applies its own gates),
+and ``mse_loss`` is ``mse_per_sample`` of a batch of one. ``take``
+gathers entries along the first axis by an index array and scatters their
+adjoints back with ``np.add.at``, so an entry may be picked more than
+once. ``weighted_sum`` adds the entries of a stack's first axis, each
+scaled elementwise by its own weight. ``add`` requires exactly equal
+shapes; every broadcast belongs to an op that says so (``broadcast_to``,
+the bias row of ``affine``, the weights of ``weighted_sum``) and whose
+backward sums the gradient back over the broadcast axes.
 
 Most ops are small, but ``lstm_layer`` runs a whole recurrent layer over a
 sequence as one node: it keeps what its hand-written backward needs
@@ -183,44 +185,29 @@ class Tape:
     # ------------------------------------------------------------------- ops
 
     def matmul(self, a: Node, b: Node) -> Node:
-        """Matrix product; one operand may be a stack of matrices.
+        """``a @ b`` for a matrix ``a`` and a matrix or stack of matrices ``b``.
 
-        ``M @ S`` applies the matrix ``M`` to every matrix of the stack
-        ``S`` (``N x N @ B x N x d``); ``S @ M`` multiplies every row of the
-        stack by ``M`` (``B x N x d @ d x k``). The shared matrix's gradient
-        is summed over the stack.
+        ``a`` is applied to every matrix of the stack (``N x N @ B x N x d``);
+        its gradient is summed over the stack.
         """
         av, bv = a.value, b.value
-        if av.ndim < 2 or bv.ndim < 2 or (av.ndim > 2 and bv.ndim > 2):
+        if av.ndim != 2 or bv.ndim < 2:
             raise ShapeError(
-                f"matmul: needs two matrices or a matrix and a stack, got {av.shape} x {bv.shape}"
+                f"matmul: needs a matrix times a matrix or a stack, got {av.shape} x {bv.shape}"
             )
         if av.shape[-1] != bv.shape[-2]:
             raise ShapeError(f"matmul: inner dimensions disagree, {av.shape} x {bv.shape}")
         need_a, need_b = a.needs_grad, b.needs_grad
 
-        if bv.ndim > 2:
-            value = np.matmul(av, bv)
+        def vjp(g: Array):
+            # sum over the stack of g_k @ b_k^T, as one contraction
+            axes = [*range(g.ndim - 2), g.ndim - 1]
+            return (
+                np.tensordot(g, bv, axes=(axes, axes)) if need_a else None,
+                np.matmul(av.T, g) if need_b else None,
+            )
 
-            def vjp(g: Array):
-                # sum over the stack of g_k @ b_k^T, as one contraction
-                axes = [*range(g.ndim - 2), g.ndim - 1]
-                return (
-                    np.tensordot(g, bv, axes=(axes, axes)) if need_a else None,
-                    np.matmul(av.T, g) if need_b else None,
-                )
-
-        else:
-            value = (_rows(av) @ bv).reshape(*av.shape[:-1], bv.shape[1])
-
-            def vjp(g: Array):
-                g2 = _rows(g)
-                return (
-                    (g2 @ bv.T).reshape(av.shape) if need_a else None,
-                    _rows(av).T @ g2 if need_b else None,
-                )
-
-        return self._push("matmul", (a, b), value, vjp)
+        return self._push("matmul", (a, b), np.matmul(av, bv), vjp)
 
     def affine(self, x: Node, w: Node, b: Node | None = None, act: str | None = None) -> Node:
         """``act(x @ w + b)`` as one node, with the 1 x k bias row ``b`` added
@@ -399,16 +386,6 @@ class Tape:
 
         return self._push("add", (a, b), a.value + b.value, vjp)
 
-    def relu(self, a: Node) -> Node:
-        apply, derivative = _ACTIVATIONS["relu"]
-        value = np.array(a.value, dtype=np.float64)
-        apply(value)
-
-        def vjp(g: Array):
-            return (g * derivative(value),)
-
-        return self._push("relu", (a,), value, vjp)
-
     def softmax_rows(self, a: Node) -> Node:
         """Row-wise softmax with max subtraction; backward applies the full
         row Jacobian ``diag(s) - s s^T`` rather than any fused-loss shortcut."""
@@ -522,28 +499,17 @@ class Tape:
         return self._push("mean", (a,), np.asarray(av.mean()), vjp)
 
     def mse_loss(self, pred: Node, target: Node) -> Node:
-        """Mean over axis-0 samples of the squared L2 error of each sample.
-
-        For a 2-D input each row is one sample; for 1-D each entry is one
-        scalar sample. Returns a scalar node.
-        """
+        """``mse_per_sample`` of the whole input as a batch of one: the
+        squared error summed and divided by the length of the first axis (1
+        for a scalar). Returns a scalar node."""
         self._check_same_shape("mse_loss", pred, target)
-        diff = pred.value - target.value
-        n_samples = pred.value.shape[0] if pred.value.ndim else 1
-        value = np.asarray(np.sum(diff * diff) / n_samples)
-
-        def vjp(g: Array):
-            gp = (2.0 / n_samples) * diff * float(g)
-            return gp, -gp
-
-        return self._push("mse_loss", (pred, target), value, vjp)
+        shape = (1, pred.value.shape[0] if pred.value.ndim else 1, -1)
+        one = self.mse_per_sample(self.reshape(pred, shape), self.reshape(target, shape))
+        return self.mean(one)
 
     def mse_per_sample(self, pred: Node, target: Node) -> Node:
-        """The vector of ``mse_loss(pred[b], target[b])`` over the batch axis.
-
-        Each sample ``b`` is a rows x k block; its entry is the block's
-        squared error summed and divided by its row count.
-        """
+        """The per-sample squared error of a batch x rows x ... stack:
+        entry ``b`` is ``sum((pred[b] - target[b]) ** 2) / rows``."""
         self._check_same_shape("mse_per_sample", pred, target)
         if pred.value.ndim < 3:
             raise ShapeError(f"mse_per_sample: expected batch x rows x k, got {pred.value.shape}")

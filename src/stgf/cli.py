@@ -72,7 +72,9 @@ def build_run_config(
         if not path.is_file():
             raise UsageError(f"config file not found: {path}")
         try:
-            loaded = json.loads(path.read_text())
+            loaded = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError:
+            raise UsageError(f"{path}: config file is not UTF-8 text") from None
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(loaded, dict):
@@ -127,7 +129,16 @@ def _resolve_run_dir(out: str) -> Path:
     root = os.environ.get("STGF_RUN_DIR")
     path = Path(out)
     if root and not path.is_absolute():
-        return Path(root) / path
+        path = Path(root) / path
+    return _refuse_non_directory(path)
+
+
+def _refuse_non_directory(path: Path) -> Path:
+    """``path`` unless it, or the nearest of its parents that exists, is
+    something other than a directory."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValidationError(f"{path}: --out cannot be a directory, {existing} is not one")
     return path
 
 
@@ -155,7 +166,7 @@ def _print_metrics_table(out, rows: dict[str, Metrics], split: str, n_samples: i
 
 
 def cmd_synth(args) -> int:
-    out = Path(args.out)
+    out = _refuse_non_directory(Path(args.out))
     if out.exists() and any(out.iterdir()) and not args.force:
         raise ValidationError(f"{out}: refusing to overwrite a non-empty directory without --force")
     dataset = generate_synthetic(
@@ -180,13 +191,13 @@ def cmd_train(args) -> int:
         raise UsageError("no dataset: pass --data or set data.path in the config")
     cfg["data.path"] = str(data_path)
 
-    dataset = load_dataset(data_path)
     run_dir = _resolve_run_dir(args.out)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
-
+    dataset = load_dataset(data_path)
+    # a setting the configs refuse leaves no run directory behind
     model_config = _model_config_for(dataset, cfg)
     train_config = _train_config_for(cfg, str(run_dir / "checkpoint"))
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
 
     result = train(dataset, model_config, train_config, log=print)
 
@@ -202,6 +213,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    out_dir = _resolve_run_dir(args.out) if args.out else Path(args.checkpoint).parent
     ckpt = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
     check_geometry(ckpt.model_config, dataset)
@@ -211,7 +223,6 @@ def cmd_eval(args) -> int:
     metrics, rows = evaluate(ckpt.params, ckpt.model_config, ckpt.stats, dataset, chosen)
     ha = ha_baseline(train_s, chosen, dataset.interval_minutes)
 
-    out_dir = _resolve_run_dir(args.out) if args.out else Path(args.checkpoint).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.json").write_text(
         json.dumps(

@@ -103,8 +103,7 @@ def adaptive_adjacency(tape: Tape, embedding: Node) -> Node:
     symmetric degree normalization applied to the geographic view is a
     no-op here (see the model's propagation step).
     """
-    scores = tape.relu(tape.matmul(embedding, tape.transpose(embedding)))
-    return tape.softmax_rows(scores)
+    return tape.softmax_rows(tape.affine(embedding, tape.transpose(embedding), act="relu"))
 
 
 def adaptive_adjacency_values(embedding: np.ndarray) -> np.ndarray:

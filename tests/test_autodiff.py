@@ -73,7 +73,7 @@ def _act(t, act, x):
 
 def test_activations():
     t = Tape()
-    np.testing.assert_array_equal(t.relu(t.constant([-1.0, 0.0, 2.0])).value, [0.0, 0.0, 2.0])
+    np.testing.assert_array_equal(_act(t, "relu", [-1.0, 0.0, 2.0]), [0.0, 0.0, 2.0])
     np.testing.assert_array_equal(_act(t, "sigmoid", [0.0]), [0.5])
     np.testing.assert_array_equal(_act(t, "tanh", [0.0]), [0.0])
 
@@ -81,7 +81,8 @@ def test_activations():
 def test_relu_derivative_is_zero_at_zero():
     t = Tape()
     w = Parameter("w", [0.0, -1.0, 3.0])
-    loss = t.sum(t.relu(t.param(w)))
+    rows = t.reshape(t.param(w), (3, 1))
+    loss = t.sum(t.affine(rows, t.constant(np.eye(1)), act="relu"))
     t.backward(loss)
     np.testing.assert_array_equal(t.grad_for(w), [0.0, 0.0, 1.0])
 
@@ -162,6 +163,21 @@ def test_mse_nonnegative_and_zero_iff_equal():
         assert (v == 0.0) == bool(np.array_equal(p, q))
 
 
+@pytest.mark.parametrize("shape", [(5,), (4, 3), (3, 2, 4)])
+def test_mse_loss_value_and_gradient_are_bitwise_the_direct_formula(shape):
+    rng = np.random.default_rng(len(shape))
+    n_samples = shape[0]
+    for _ in range(30):
+        w = Parameter("w", rng.normal(size=shape))
+        target = rng.normal(size=shape)
+        t = Tape()
+        loss = t.mse_loss(t.param(w), t.constant(target))
+        t.backward(loss)
+        diff = w.value - target
+        assert float(loss.value) == np.sum(diff * diff) / n_samples
+        np.testing.assert_array_equal(t.grad_for(w), (2.0 / n_samples) * diff)
+
+
 def test_backward_sum_gives_ones():
     t = Tape()
     w = Parameter("w", np.arange(6.0).reshape(2, 3))
@@ -209,7 +225,7 @@ def test_param_binds_each_parameter_once_without_copying():
 def test_tape_is_topologically_ordered():
     t = Tape()
     a = t.constant([[1.0]])
-    b = t.relu(a)
+    b = t.affine(a, t.constant([[1.0]]), act="relu")
     c = t.add(a, b)
     for node in t.nodes:
         assert all(i < node.id for i in node.input_ids)
@@ -300,7 +316,12 @@ def _random_program(rng, n_params=3, n_ops=7):
     return params, program, target
 
 
-def _apply(tape, op, a, b):
+def _apply(tape, op, a, b=None):
+    if op == "relu":
+        # relu exists only as an activation: an identity affine
+        return tape.affine(a, tape.constant(np.eye(a.value.shape[1])), act="relu")
+    if b is None:
+        return getattr(tape, op)(a)
     if op.startswith("affine"):
         return tape.affine(a, b, act=op.removeprefix("affine_"))
     if op == "weighted_sum":
@@ -312,10 +333,7 @@ def _apply(tape, op, a, b):
 def _build_from_program(tape, params, program, target):
     nodes = [tape.param(p) for p in params]
     for op, i, j in program:
-        if j is None:
-            nodes.append(getattr(tape, op)(nodes[i]))
-        else:
-            nodes.append(_apply(tape, op, nodes[i], nodes[j]))
+        nodes.append(_apply(tape, op, nodes[i], None if j is None else nodes[j]))
     return tape.mse_loss(nodes[-1], tape.constant(target))
 
 
@@ -355,8 +373,9 @@ def test_grad_check_matmul_shared_left_matrix_times_stack():
 
 
 def test_grad_check_matmul_stack_times_shared_right_matrix():
+    # a stack times a shared right matrix is an affine without a bias
     p = _params(2, s=(2, 3, 4), m=(4, 2))
-    _check(lambda t: _probe(t, t.matmul(t.param(p["s"]), t.param(p["m"])), 11), p)
+    _check(lambda t: _probe(t, t.affine(t.param(p["s"]), t.param(p["m"])), 11), p)
 
 
 def test_matmul_stack_matches_per_matrix_products():
@@ -364,10 +383,13 @@ def test_matmul_stack_matches_per_matrix_products():
     a, s, m = rng.normal(size=(3, 3)), rng.normal(size=(4, 3, 2)), rng.normal(size=(2, 5))
     t = Tape()
     left = t.matmul(t.constant(a), t.constant(s)).value
-    right = t.matmul(t.constant(s), t.constant(m)).value
+    right = t.affine(t.constant(s), t.constant(m)).value
     for k in range(4):
         np.testing.assert_allclose(left[k], a @ s[k], rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(right[k], s[k] @ m, rtol=1e-14, atol=1e-14)
+    # matmul has one form: the left operand is a matrix
+    with pytest.raises(ShapeError, match="matmul"):
+        t.matmul(t.constant(s), t.constant(m))
     with pytest.raises(ShapeError):
         t.matmul(t.constant(s), t.constant(s))
 
@@ -558,7 +580,7 @@ def test_backward_keeps_no_adjoint_for_constants():
     # a constant-only subgraph keeps no closure; the parameter still gets its gradient
     t = Tape()
     w = Parameter("w", [[2.0]])
-    c = t.relu(t.constant([[3.0]]))
+    c = t.affine(t.constant([[3.0]]), t.constant([[1.0]]), act="relu")
     loss = t.sum(t.weighted_sum(t.reshape(t.param(w), (1, 1, 1)), [c]))
     assert c._vjp is None and not c.needs_grad
     t.backward(loss)

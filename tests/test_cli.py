@@ -193,15 +193,51 @@ def test_run_dir_env_var_roots_relative_outputs(tmp_path, data_dir, monkeypatch)
 
 
 @pytest.mark.parametrize(
-    "entry", ["train.clip_norm=NaN", "train.epsilon=Infinity", "train.learning_rate=NaN"]
+    "entry, message",
+    [
+        *(
+            pytest.param(entry, f"{entry.split('.')[1].split('=')[0]} must be a finite number", id=entry)
+            for entry in ("train.clip_norm=NaN", "train.epsilon=Infinity", "train.learning_rate=NaN")
+        ),
+        pytest.param("model.window=0", "window must be >= 1", id="model.window=0"),
+    ],
 )
-def test_train_refuses_a_non_finite_setting_with_exit_2(tmp_path, data_dir, capsys, entry):
+def test_train_refuses_a_non_finite_setting_with_exit_2(tmp_path, data_dir, capsys, entry, message):
     code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
                  *FAST_SET, "--set", entry])
     assert code == 2
-    field = entry.split(".")[1].split("=")[0]
-    assert f"{field} must be a finite number" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "r" / "loss_curve.csv").exists()
+    # the configs are built before the run directory, so nothing is written
+    assert not (tmp_path / "r" / "config.json").exists()
+
+
+def test_a_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, data_dir, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"train.epochs": 1, "data.path": "caf\xe9"}')
+    assert main(["train", "--config", str(cfg), "--data", str(data_dir),
+                 "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "UTF-8" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("below", [(), ("run",)], ids=["the-file", "below-the-file"])
+@pytest.mark.parametrize("command", ["synth", "train", "eval"])
+def test_an_out_path_that_is_a_file_exits_2_and_leaves_it(
+    run_dir, data_dir, tmp_path, capsys, command, below
+):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    out = taken.joinpath(*below)
+    argv = {
+        "synth": ["synth", "--nodes", "3", "--slots", "64"],
+        "train": ["train", "--data", str(data_dir), *FAST_SET],
+        "eval": ["eval", "--checkpoint", str(run_dir / "checkpoint"), "--data", str(data_dir)],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+    assert taken.read_bytes() == b"not a directory\n"
 
 
 def test_train_numerical_blowup_exits_3(tmp_path, data_dir, capsys):

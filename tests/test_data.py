@@ -636,6 +636,24 @@ def test_minmax_single_channel_invert():
     assert minmax_invert(np.array([0.5]), stats, channel=1) == 7.0
 
 
+def test_minmax_fit_equals_the_whole_table_reduction_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        t, n = int(rng.integers(1, 120)), int(rng.integers(1, 12))
+        x = rng.normal(size=(t, n, 5)).astype(np.float32)
+        zeros = np.where(rng.random((t, n)) < 0.5, np.float32(-0.0), np.float32(0.0))
+        picked = rng.random((t, n)) < 0.3
+        # zero as both extrema, as the minimum, as the maximum, and inside the range
+        x[..., 0] = zeros
+        x[..., 1] = np.where(picked, zeros, np.abs(x[..., 1]))
+        x[..., 2] = np.where(picked, zeros, -np.abs(x[..., 2]))
+        x[..., 3] = np.where(picked, zeros, x[..., 3])
+        flat = x.reshape(-1, 5)
+        stats = minmax_fit(x)
+        assert stats.minimum.tobytes() == flat.min(axis=0).astype(np.float64).tobytes()
+        assert stats.maximum.tobytes() == flat.max(axis=0).astype(np.float64).tobytes()
+
+
 def test_minmax_fit_sees_only_the_requested_prefix():
     x = np.zeros((10, 1, 1))
     x[7:] = 1000.0

@@ -146,3 +146,14 @@ def test_adaptive_is_differentiable():
         return tape.mse_loss(adaptive_adjacency(tape, tape.param(emb)), tape.constant(target))
 
     assert grad_check(build, [emb], step=1e-6) < 1e-6
+
+
+def test_adaptive_adjacency_records_the_product_and_its_relu_as_one_node():
+    rng = np.random.default_rng(29)
+    emb = rng.normal(size=(5, 3))
+    tape = Tape()
+    out = adaptive_adjacency(tape, tape.param(Parameter("emb", emb)))
+    assert [n.op for n in tape.nodes] == ["param", "transpose", "affine_matmul", "softmax_rows"]
+    scores = np.maximum(emb @ emb.T, 0.0)
+    expected = np.exp(scores - scores.max(axis=1, keepdims=True))
+    np.testing.assert_allclose(out.value, expected / expected.sum(axis=1, keepdims=True), atol=1e-15)

@@ -7,6 +7,7 @@ from stgf.autodiff import Parameter, Tape
 from stgf.errors import ShapeError, ValidationError
 from stgf.gradcheck import grad_check
 from stgf.model import (
+    ABLATIONS,
     EXTERNAL_EMBED_WIDTH,
     ModelConfig,
     ModelParams,
@@ -749,6 +750,35 @@ def test_forward_rejects_covariates_of_another_batch_size():
     slots, index = as_slots(windows)
     with pytest.raises(ShapeError, match="covariates"):
         model_forward(Tape(), params, slots, externals[:2], local_norm, cfg, index)
+
+
+# Tape methods that record no node, the node op names that differ from
+# their method's name, and the ops no training tape records: ``sum`` is the
+# tests' scalar probe and ``mse_loss`` scores one window for perfbench and
+# the demos
+_NOT_OPS = {"backward", "grad_for", "accumulate_param_grads"}
+_OP_NAMES = {"constant": "const", "affine": "affine_matmul"}
+_UNUSED_BY_TRAINING = {"sum", "mse_loss"}
+
+
+def test_every_tape_op_is_recorded_by_some_training_tape():
+    recorded = set()
+    for ablation in ABLATIONS:
+        cfg = tiny_config(ablation=ablation)
+        params = init_params(cfg, np.random.default_rng(36))
+        windows, externals, local_norm, targets = random_batch(cfg, 3, seed=90)
+        slots, index = as_slots(windows)
+        tape = Tape()
+        out = model_forward(tape, params, slots, externals, local_norm, cfg, index)
+        tape.backward(tape.mean(tape.mse_per_sample(out, tape.constant(targets))))
+        recorded.update(node.op for node in tape.nodes)
+    ops = {
+        _OP_NAMES.get(name, name)
+        for name, member in vars(Tape).items()
+        if callable(member) and not name.startswith("_") and name not in _NOT_OPS
+    }
+    assert not _UNUSED_BY_TRAINING & recorded, "an allowlisted op is recorded after all"
+    assert ops - _UNUSED_BY_TRAINING - recorded == set()
 
 
 def _retained_bytes(tape, params):
