@@ -27,7 +27,8 @@ backward sums the gradient back over the broadcast axes.
 
 Most ops are small, but ``lstm_layer`` runs a whole recurrent layer over a
 sequence as one node: it keeps what its hand-written backward needs
-(the gate activations and cell states) in its closure, not as nodes.
+(the gate activations, gate-major so that each gate is one contiguous
+block, and the cell states) in its closure, not as nodes.
 
 A tape built with ``record=False`` runs the same ops forward only: it
 keeps no node list and no closures, so each intermediate is freed as soon
@@ -56,8 +57,9 @@ Vjp = Callable[[Array], Sequence[object]]
 
 
 def as_tensor(x) -> Array:
-    """Coerce to a C-contiguous float64 array (the universal value type)."""
-    return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+    """Coerce to a C-contiguous float64 array (the universal value type),
+    keeping its shape, a 0-D one included."""
+    return np.asarray(x, dtype=np.float64, order="C")
 
 
 def _require_matrix(op: str, name: str, a: Array) -> None:
@@ -78,13 +80,25 @@ def _sigmoid_(v: Array) -> None:
     v *= 0.5
 
 
+def _sigmoid_slope(y: Array, out: Array | None = None) -> Array:
+    """The sigmoid's derivative at its output, ``y * (1 - y)``."""
+    rest = np.subtract(1.0, y, out=out)
+    return np.multiply(y, rest, out=rest)
+
+
+def _tanh_slope(y: Array, out: Array | None = None) -> Array:
+    """The tanh's derivative at its output, ``1 - y * y``."""
+    square = np.multiply(y, y, out=out)
+    return np.subtract(1.0, square, out=square)
+
+
 # name -> (apply in place to a float array, derivative as a function of the output)
 _ACTIVATIONS: dict[str, tuple[Callable[[Array], object], Callable[[Array], Array]]] = {
     # the output is positive exactly where the input is, and the subgradient
     # at exactly 0 is defined as 0
     "relu": (lambda v: np.maximum(v, 0.0, out=v), lambda y: y > 0.0),
-    "sigmoid": (_sigmoid_, lambda y: y * (1.0 - y)),
-    "tanh": (lambda v: np.tanh(v, out=v), lambda y: 1.0 - y * y),
+    "sigmoid": (_sigmoid_, _sigmoid_slope),
+    "tanh": (lambda v: np.tanh(v, out=v), _tanh_slope),
 }
 
 
@@ -261,13 +275,18 @@ class Tape:
         Hidden and cell state start at zero, and the result is the P hidden
         states, P x ... x H.
 
-        The gate matrices are joined side by side into ``W_x`` and ``W_h``
-        for the call (and again by the backward, so no joined copy is
-        kept), so a step is two products, ``x_t @ W_x`` and ``h @ W_h``. The
-        node keeps only the gate activations and the cell states; its vjp
-        is backpropagation through time, forms each weight gradient in one
-        product over all P steps, and writes each gate's weight and bias
-        gradient.
+        The forward holds each step's gates gate-major, 4 x rows x H in the
+        order forget, input, output, candidate, so the three sigmoid gates
+        are one contiguous block and the candidate another. Each gate's
+        pre-activation is its own pair of products with views of its
+        matrix, ``x_t @ W[H:] + b + h @ W[:H]`` added in that order, so no
+        joined weight copy is made. The node keeps only the gate
+        activations and the cell states; its vjp is backpropagation through
+        time over a few reused rows x H buffers, recomputes ``tanh(c_t)``,
+        and writes the gate adjoints row-major in parameter order, so that
+        each weight gradient is one product over all P steps and the input
+        and recurrent adjoints are one product each with the matrices
+        joined side by side.
         """
         xv = x.value
         if xv.ndim < 2 or len(weights) != 4 or len(biases) != 4:
@@ -289,48 +308,56 @@ class Tape:
             return np.concatenate([wv[lo:hi] for wv in wvs], axis=1)
 
         xs = xv.reshape(steps, -1, d_in)
-        w_x, w_h, b = joined(hidden, None), joined(0, hidden), np.concatenate(bvs, axis=1)
+        rows = xs.shape[1]
+        # gate-major order f, i, o, c, as indices into the parameters' f, i, c, o
+        order = (0, 1, 3, 2)
         # the backward reads every step's gates; a tape that records nothing
         # reuses one block, which bounds the memory of a forward-only pass
-        gates = np.empty((steps if self.record else 1, xs.shape[1], 4 * hidden))
-        h = np.empty(xs.shape[:2] + (hidden,))
+        gates = np.empty((steps if self.record else 1, 4, rows, hidden))
+        h = np.empty((steps, rows, hidden))
         c = np.empty_like(h)
+        buf = np.empty((rows, hidden))
         for t in range(steps):
             a = gates[t if self.record else 0]
-            np.matmul(xs[t], w_x, out=a)
-            a += b
-            if t:
-                a += h[t - 1] @ w_h
-            f, i, cand, o = (a[:, s] for s in cols)
-            _sigmoid_(a[:, : 2 * hidden])
+            for gate, k in zip(a, order):
+                np.matmul(xs[t], wvs[k][hidden:], out=gate)
+                gate += bvs[k]
+                if t:
+                    gate += np.matmul(h[t - 1], wvs[k][:hidden], out=buf)
+            f, i, o, cand = a
+            _sigmoid_(a[:3])
             np.tanh(cand, out=cand)
-            _sigmoid_(o)
             np.multiply(i, cand, out=c[t])
             if t:
-                c[t] += f * c[t - 1]
+                c[t] += np.multiply(f, c[t - 1], out=buf)
             np.tanh(c[t], out=h[t])
             h[t] *= o
 
         def vjp(g: Array):
             g = g.reshape(h.shape)
             w_h = joined(0, hidden)
-            d_gates = np.empty_like(gates)
-            dh, dc = g[-1], 0.0
+            d_gates = np.empty((steps, rows, 4 * hidden))
+            # u and v hold the two factors of each gate adjoint, rounded op
+            # by op as in do = (dh * tanh(c)) * (o * (1 - o))
+            tc, u, v, dc, dh_next = np.empty((5, rows, hidden))
+            dc[...] = 0.0
+            dh = g[-1]
             for t in range(steps - 1, -1, -1):
-                f, i, cand, o = (gates[t][:, s] for s in cols)
+                f, i, o, cand = gates[t]
                 df, di, dcand, do = (d_gates[t][:, s] for s in cols)
-                tc = np.tanh(c[t])
-                np.multiply(dh * tc, o * (1.0 - o), out=do)
-                dc = dh * o * (1.0 - tc * tc) + dc
+                np.tanh(c[t], out=tc)
+                np.multiply(np.multiply(dh, tc, out=u), _sigmoid_slope(o, v), out=do)
+                dc += np.multiply(np.multiply(dh, o, out=u), _tanh_slope(tc, v), out=u)
                 if t:
-                    np.multiply(dc * c[t - 1], f * (1.0 - f), out=df)
+                    np.multiply(np.multiply(dc, c[t - 1], out=u), _sigmoid_slope(f, v), out=df)
                 else:
                     df[...] = 0.0  # the cell state starts at zero
-                np.multiply(dc * cand, i * (1.0 - i), out=di)
-                np.multiply(dc * i, 1.0 - cand * cand, out=dcand)
-                dc = dc * f
+                np.multiply(np.multiply(dc, cand, out=u), _sigmoid_slope(i, v), out=di)
+                np.multiply(np.multiply(dc, i, out=u), _tanh_slope(cand, v), out=dcand)
+                dc *= f
                 if t:
-                    dh = g[t - 1] + d_gates[t] @ w_h.T
+                    dh = np.matmul(d_gates[t], w_h.T, out=dh_next)
+                    dh += g[t - 1]
             flat = _rows(d_gates)
             d_wx = _rows(xv).T @ flat
             d_wh = _rows(h[:-1]).T @ _rows(d_gates[1:])

@@ -302,6 +302,13 @@ def cmd_inspect(args) -> int:
         print(f"  variant {ckpt.model_config.ablation}, seed {ckpt.train_config.get('seed')}")
         print(f"  parameters {len(ckpt.params)} tensors, {ckpt.params.total_size()} values")
         print(f"  model {json.dumps(ckpt.model_config.to_dict(), sort_keys=True)}")
+        signature = ckpt.dataset_signature
+        if signature is None:
+            print("  dataset signature: none recorded, so eval and predict cannot check the dataset")
+        else:
+            print(f"  dataset signature: {len(signature['node_ids'])} nodes, "
+                  f"{len(signature['channel_names'])} channels, "
+                  f"{len(signature['external_schema'])} covariate fields")
     return 0
 
 

@@ -32,7 +32,9 @@ from .graphs import adaptive_adjacency
 
 ABLATIONS = ("full", "local-only", "global-only", "no-channelwise")
 VIEWS = ("local", "global")
-# the order Tape.lstm_layer reads the gates in: forget, input, candidate, output
+# the order Tape.lstm_layer takes the gate parameters in: forget, input,
+# candidate, output; its gate buffers are laid out forget, input, output,
+# candidate, so this is not the buffer order
 LSTM_GATES = ("f", "i", "c", "o")
 
 # width of each categorical covariate's embedding rows

@@ -170,12 +170,21 @@ def clip_gradients(params: ModelParams, grad: np.ndarray, max_norm: float) -> fl
 
     The squared norm is summed one parameter's segment at a time, in table
     order, as over separate tensors; one sum over the whole vector would
-    round differently. Returns the pre-clip norm.
+    round differently. A finite gradient whose squared norm overflows is
+    divided by its largest magnitude first, then measured and clipped.
+    Returns the pre-clip norm.
     """
     _check_finite(params, grad)
     total = 0.0
-    for g in params.split(grad):
-        total += float(np.sum(g * g))
+    with np.errstate(over="ignore"):
+        for g in params.split(grad):
+            total += float(np.sum(g * g))
+    if math.isinf(total):
+        largest = float(np.max(np.abs(grad)))
+        grad /= largest
+        scaled = math.sqrt(float(np.sum(grad * grad)))
+        grad *= max_norm / scaled
+        return largest * scaled
     norm = math.sqrt(total)
     if norm > max_norm:
         grad *= max_norm / norm

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stgf.autodiff import Parameter, Tape
+from stgf.autodiff import Parameter, Tape, _sigmoid_
 from stgf.errors import ContractError, ShapeError
 from stgf.gradcheck import grad_check
 
@@ -547,6 +547,121 @@ def test_grad_check_two_stacked_lstm_layers_over_a_batch():
     _check(build, p)
 
 
+def _joined_lstm_reference(xv, wvs, bvs, g):
+    """The layer with its four f, i, c, o gate matrices joined side by side,
+    one rows x 4H block of gates per step: its value, then the adjoints of
+    the input, the four weights and the four biases for the output adjoint
+    ``g``."""
+    hidden, d_in, steps = bvs[0].shape[1], xv.shape[-1], xv.shape[0]
+    cols = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
+
+    def joined(lo, hi):
+        return np.concatenate([wv[lo:hi] for wv in wvs], axis=1)
+
+    xs = xv.reshape(steps, -1, d_in)
+    w_x, w_h, b = joined(hidden, None), joined(0, hidden), np.concatenate(bvs, axis=1)
+    gates = np.empty((steps, xs.shape[1], 4 * hidden))
+    h = np.empty(xs.shape[:2] + (hidden,))
+    c = np.empty_like(h)
+    for t in range(steps):
+        a = gates[t]
+        np.matmul(xs[t], w_x, out=a)
+        a += b
+        if t:
+            a += h[t - 1] @ w_h
+        f, i, cand, o = (a[:, s] for s in cols)
+        _sigmoid_(a[:, : 2 * hidden])
+        np.tanh(cand, out=cand)
+        _sigmoid_(o)
+        np.multiply(i, cand, out=c[t])
+        if t:
+            c[t] += f * c[t - 1]
+        np.tanh(c[t], out=h[t])
+        h[t] *= o
+
+    g = g.reshape(h.shape)
+    d_gates = np.empty_like(gates)
+    dh, dc = g[-1], 0.0
+    for t in range(steps - 1, -1, -1):
+        f, i, cand, o = (gates[t][:, s] for s in cols)
+        df, di, dcand, do = (d_gates[t][:, s] for s in cols)
+        tc = np.tanh(c[t])
+        np.multiply(dh * tc, o * (1.0 - o), out=do)
+        dc = dh * o * (1.0 - tc * tc) + dc
+        if t:
+            np.multiply(dc * c[t - 1], f * (1.0 - f), out=df)
+        else:
+            df[...] = 0.0
+        np.multiply(dc * cand, i * (1.0 - i), out=di)
+        np.multiply(dc * i, 1.0 - cand * cand, out=dcand)
+        dc = dc * f
+        if t:
+            dh = g[t - 1] + d_gates[t] @ w_h.T
+    flat = d_gates.reshape(-1, 4 * hidden)
+    d_wx = xv.reshape(-1, d_in).T @ flat
+    d_wh = h[:-1].reshape(-1, hidden).T @ d_gates[1:].reshape(-1, 4 * hidden)
+    d_b = flat.sum(axis=0, keepdims=True)
+    d_x = (flat @ w_x.T).reshape(xv.shape)
+    value = h.reshape(*xv.shape[:-1], hidden)
+    return [
+        value,
+        d_x,
+        *(np.concatenate([d_wh[:, s], d_wx[:, s]]) for s in cols),
+        *(d_b[:, s] for s in cols),
+    ]
+
+
+def _lstm_outputs(record, x, p):
+    t = Tape(record=record)
+    out = t.lstm_layer(
+        t.param(x), [t.param(p[f"w{k}"]) for k in range(4)], [t.param(p[f"b{k}"]) for k in range(4)]
+    )
+    return t, out
+
+
+def _lstm_against_the_joined_form(steps, lead, d_in, hidden, seed):
+    p = _lstm_gates(seed, d_in, hidden)
+    x = Parameter("x", np.random.default_rng(seed + 1).normal(size=(steps, *lead, d_in)))
+    g = np.random.default_rng(seed + 2).normal(size=(steps, *lead, hidden))
+    _, out = _lstm_outputs(True, x, p)
+    got = [out.value, *out._vjp(g)]
+    want = _joined_lstm_reference(
+        x.value, [p[f"w{k}"].value for k in range(4)], [p[f"b{k}"].value for k in range(4)], g
+    )
+    assert np.array_equal(_lstm_outputs(False, x, p)[1].value, out.value)
+    return got, want
+
+
+# P x rows x D x H: criterion 4 (a 32-window batch of 10 nodes) and the paper
+# default's two layers (2 windows of 170 nodes)
+@pytest.mark.parametrize(
+    "steps, lead, d_in, hidden",
+    [(3, (32, 10), 16, 32), (3, (2, 170), 64, 256), (3, (2, 170), 256, 256)],
+)
+def test_lstm_layer_is_the_joined_matrix_form_bit_for_bit(steps, lead, d_in, hidden):
+    got, want = _lstm_against_the_joined_form(steps, lead, d_in, hidden, seed=40)
+    assert len(got) == len(want) == 10
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape and np.array_equal(a, b), f"output {k} differs"
+
+
+# A gate's own product x @ W_g is one GEMM of H columns; the joined form takes
+# the gate's columns of one 4H-column GEMM. BLAS kernels tile columns in
+# fixed widths, and where H is not a multiple of that width a column can be
+# summed in a different order: OpenBLAS 0.3.31 on AVX-512 gives different
+# last bits at H = 5 with D >= 16, and at H = 1. So odd shapes agree to
+# rounding, and the forward-only value equals the recorded one exactly.
+@pytest.mark.parametrize(
+    "steps, lead, d_in, hidden",
+    [(1, (7,), 3, 5), (1, (4, 3), 16, 5), (2, (13,), 33, 17), (4, (3,), 2, 1), (5, (1,), 4, 8)],
+)
+def test_lstm_layer_agrees_with_the_joined_matrix_form_at_odd_shapes(steps, lead, d_in, hidden):
+    got, want = _lstm_against_the_joined_form(steps, lead, d_in, hidden, seed=41)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape, f"output {k}"
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14, err_msg=f"output {k}")
+
+
 def test_lstm_layer_refuses_gates_that_do_not_fit():
     t = Tape()
     p = _lstm_gates(29, 3, 4)
@@ -574,6 +689,13 @@ def test_forward_only_tape_records_nothing_and_refuses_backward():
     assert float(loss.value) == float(build(recorded).value)
     with pytest.raises(ContractError):
         free.backward(loss)
+
+
+def test_a_scalar_keeps_shape_0d_forward_only_recorded_and_as_a_parameter():
+    assert Tape(record=False).constant(3.0).value.shape == ()
+    assert Tape().constant(3.0).value.shape == ()
+    assert Parameter("p", 3.0).value.shape == ()
+    assert Tape(record=False).constant(np.zeros((3, 2)).T).value.flags.c_contiguous
 
 
 def test_backward_keeps_no_adjoint_for_constants():

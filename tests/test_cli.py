@@ -730,6 +730,14 @@ def test_inspect_dataset_and_checkpoint(run_dir, data_dir, capsys):
     assert "  external day_type: categorical [weekday, weekend, holiday]\n" in out
     assert "  external temperature: continuous\n" in out
     assert "externals (" not in out
+    assert "  dataset signature: 3 nodes, 3 channels, 3 covariate fields\n" in out
+
+
+def test_inspect_says_when_a_checkpoint_has_no_dataset_signature(run_dir, tmp_path, capsys):
+    ckpt = _checkpoint_copy(run_dir, tmp_path / "checkpoint", lambda m: m.pop("dataset"))
+    assert main(["inspect", "--checkpoint", str(ckpt)]) == 0
+    out = capsys.readouterr().out
+    assert "  dataset signature: none recorded, so eval and predict cannot check the dataset\n" in out
 
 
 def test_inspect_needs_an_argument(capsys):

@@ -811,6 +811,45 @@ def test_training_tape_retains_less_per_sample_than_a_per_sample_tape():
     out = model_forward(tape, params, slots, externals, local_norm, cfg, index)
     tape.mean(tape.mse_per_sample(out, tape.constant(targets)))
     assert _retained_bytes(tape, params) / 32 < 312_856
+    # 116,743.25 bytes per window when the LSTM kept its gates row-major
+    assert _retained_bytes(tape, params) <= 3_735_784
+
+
+def _lstm_sequence(cfg, steps, rows):
+    params = init_params(cfg, np.random.default_rng(37))
+    x = np.random.default_rng(38).normal(size=(steps, rows, cfg.feature_dim))
+    return params, x
+
+
+def test_an_lstm_layer_keeps_exactly_its_gates_and_states():
+    cfg = ModelConfig(**CRITERION_4)
+    steps, rows, hidden = 3, 320, cfg.lstm_hidden
+    params, x = _lstm_sequence(cfg, steps, rows)
+    tape = Tape()
+    lstm_cell(tape, tape.constant(x), params, 0)
+    # 4 gates, h and c for every step, beside the input
+    assert _retained_bytes(tape, params) == x.nbytes + steps * rows * 6 * hidden * 8
+
+
+def test_a_forward_only_lstm_layer_holds_one_step_of_gates():
+    import tracemalloc
+
+    cfg = ModelConfig(**CRITERION_4)
+    steps, rows, hidden = 3, 320, cfg.lstm_hidden
+    params, x = _lstm_sequence(cfg, steps, rows)
+    tape = Tape(record=False)
+    sequence = tape.constant(x)
+    tracemalloc.start()
+    try:
+        lstm_cell(tape, sequence, params, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = rows * hidden * 8
+    # h and c for every step, one step's 4 gates and one rows x H buffer;
+    # then NumPy's iterator buffer for the broadcast bias add, and a little
+    # for the Python objects
+    assert peak < (2 * steps + 4 + 1) * block + np.getbufsize() * 8 + 16384
 
 
 @pytest.mark.parametrize("window, n_batch", [(3, 8), (2, 1), (5, 32)])

@@ -1,6 +1,7 @@
 """Optimizer, metrics, baseline and training-loop tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,24 @@ def test_clip_names_the_broken_parameter():
     params = ModelParams([Parameter("ok", np.array([1.0])), Parameter("bad", np.array([1.0]))])
     with pytest.raises(NumericalError, match="'bad'"):
         clip_gradients(params, np.array([1.0, np.inf]), 1.0)
+
+
+@pytest.mark.parametrize(
+    "grad, norm",
+    [
+        ([1e200, 3.0, -4.0], 1e200),
+        ([1e160, 0.0, 1e160], 1e160 * math.sqrt(2.0)),
+        ([1.5e308, -1.5e308, 0.0], math.inf),  # the norm itself is past the largest float
+    ],
+)
+def test_clip_scales_a_finite_gradient_whose_squared_norm_overflows(grad, norm):
+    # the sum of squares overflows; clipping by its root would zero the gradient
+    params = ModelParams([Parameter("a", np.zeros(2)), Parameter("b", np.zeros(1))])
+    grad = np.array(grad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert clip_gradients(params, grad, 2.5) == pytest.approx(norm, rel=1e-15)
+    assert np.linalg.norm(grad) == pytest.approx(2.5, rel=1e-15)
 
 
 # The per-tensor optimizer the flat-vector versions replaced, kept as the
