@@ -311,14 +311,16 @@ class Tape:
         rows = xs.shape[1]
         # gate-major order f, i, o, c, as indices into the parameters' f, i, c, o
         order = (0, 1, 3, 2)
-        # the backward reads every step's gates; a tape that records nothing
-        # reuses one block, which bounds the memory of a forward-only pass
-        gates = np.empty((steps if self.record else 1, 4, rows, hidden))
+        # the backward reads every step's gates and cell states; a tape that
+        # records nothing reuses one block of each, which bounds the memory
+        # of a forward-only pass
+        kept = steps if self.record else 1
+        gates = np.empty((kept, 4, rows, hidden))
         h = np.empty((steps, rows, hidden))
-        c = np.empty_like(h)
+        c = np.empty((kept, rows, hidden))
         buf = np.empty((rows, hidden))
         for t in range(steps):
-            a = gates[t if self.record else 0]
+            a, c_t = gates[t % kept], c[t % kept]
             for gate, k in zip(a, order):
                 np.matmul(xs[t], wvs[k][hidden:], out=gate)
                 gate += bvs[k]
@@ -327,10 +329,12 @@ class Tape:
             f, i, o, cand = a
             _sigmoid_(a[:3])
             np.tanh(cand, out=cand)
-            np.multiply(i, cand, out=c[t])
+            if t:  # before c_t, which may be the block holding c_{t-1}
+                np.multiply(f, c[(t - 1) % kept], out=buf)
+            np.multiply(i, cand, out=c_t)
             if t:
-                c[t] += np.multiply(f, c[t - 1], out=buf)
-            np.tanh(c[t], out=h[t])
+                c_t += buf
+            np.tanh(c_t, out=h[t])
             h[t] *= o
 
         def vjp(g: Array):
@@ -557,7 +561,7 @@ class Tape:
 
         Adjoints are computed from scratch on each call and then added to
         the tape's parameter gradients, so running backward twice doubles
-        every gradient.
+        every gradient. ``loss`` must be a node this tape recorded.
         """
         if loss.value.size != 1:
             raise ContractError(
@@ -566,30 +570,22 @@ class Tape:
         if not self.record:
             raise ContractError("backward needs a recording tape; this one has record=False")
         nodes = self.nodes
+        if not (0 <= loss.id < len(nodes) and nodes[loss.id] is loss):
+            raise ContractError(f"backward: the {loss.op} loss node was not recorded on this tape")
         bound = {node.id: p for p, node in self._bindings.items()}
         adjoint: dict[int, Array] = {loss.id: np.ones_like(loss.value)}
-        # adjoints allocated here, which later contributions may update in
-        # place; a first contribution is stored as given, and may alias a
-        # value or another adjoint
-        owned: set[int] = set()
         for nid in range(loss.id, -1, -1):
             g = adjoint.pop(nid, None)
             if g is None:
                 continue
-            owned.discard(nid)
             node = nodes[nid]
             if node._vjp is not None:
                 for iid, contrib in zip(node.input_ids, node._vjp(g)):
                     if contrib is None or not nodes[iid].needs_grad:
                         continue
+                    # a new array: a contribution may alias a value or another adjoint
                     total = adjoint.get(iid)
-                    if total is None:
-                        adjoint[iid] = contrib
-                    elif iid in owned:
-                        total += contrib
-                    else:
-                        adjoint[iid] = total + contrib
-                        owned.add(iid)
+                    adjoint[iid] = contrib if total is None else total + contrib
             elif nid in bound:
                 p = bound[nid]
                 g = g.reshape(p.value.shape)

@@ -16,9 +16,9 @@ each entry by at most one float32 ulp and a second save reproduces the
 first byte for byte. A load converts the blob to float64 once and the
 loaded parameters are views into that one vector.
 
-A save writes both files under temporary names in the checkpoint
-directory and then renames them into place, ``params.bin`` first, so a
-save interrupted while writing leaves the previous checkpoint as it was.
+A save writes both files as one ``data.write_files`` set, ``params.bin``
+renamed first, so a save interrupted while writing leaves the previous
+checkpoint as it was. The manifest is read and written as UTF-8.
 A load refuses a manifest of the wrong structure with a ``LoadError``
 naming the manifest, before any value from it is used; that includes a
 parameter table whose names, shapes or order differ from the layout the
@@ -33,14 +33,13 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import os
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .data import ExternalField, NormStats
+from .data import ExternalField, NormStats, json_bytes, write_files
 from .errors import LoadError
 from .model import ModelConfig, ModelParams, param_layout
 
@@ -67,9 +66,6 @@ def save_checkpoint(
     *,
     dataset_signature: dict | None = None,
 ) -> None:
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "model_config": model_config.to_dict(),
@@ -80,24 +76,7 @@ def save_checkpoint(
     }
     if dataset_signature is not None:
         manifest["dataset"] = dataset_signature
-    staged = {
-        "params.bin": params.values.astype("<f4"),
-        "manifest.json": (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(),
-    }
-    temps = [root / f".{name}.tmp" for name in staged]
-    try:
-        for temp, data in zip(temps, staged.values()):
-            _write_file(temp, data)
-        for temp, name in zip(temps, staged):
-            os.replace(temp, root / name)
-    finally:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
-
-
-def _write_file(path: Path, data: bytes | np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
+    write_files(path, {"params.bin": params.values.astype("<f4"), "manifest.json": json_bytes(manifest)})
 
 
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
@@ -109,7 +88,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     if not blob_path.is_file():
         raise LoadError(f"{blob_path}: missing parameter blob")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
         raise LoadError(f"{manifest_path}: invalid JSON ({exc})") from None
     if not isinstance(manifest, dict):

@@ -5,7 +5,8 @@ Run configuration is a flat JSON object with dotted keys (``data.path``,
 highest: built-in defaults, the --config file, dedicated flags such as
 --ablation, then repeated --set key=value overrides. The effective merged
 config is echoed into the run directory so a run can be reproduced from
-its own artifacts.
+its own artifacts. Like every file a command writes, it is staged and
+renamed by ``data.write_files``; eval's two files are one set.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error,
 3 numerical failure.
@@ -14,7 +15,6 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .checkpoint import LoadedCheckpoint, load_checkpoint
 from .data import SignalDataset, check_signature, chronological_split, load_dataset, make_windows
+from .data import csv_bytes, json_bytes, write_files
 from .errors import NumericalError, UsageError, ValidationError
 from .model import ABLATIONS, ModelConfig
 from .synth import TOPOLOGIES, channel_correlations, generate_synthetic
@@ -196,16 +197,12 @@ def cmd_train(args) -> int:
     # a setting the configs refuse leaves no run directory behind
     model_config = _model_config_for(dataset, cfg)
     train_config = _train_config_for(cfg, str(run_dir / "checkpoint"))
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+    write_files(run_dir, {"config.json": json_bytes(cfg)})
 
     result = train(dataset, model_config, train_config, log=print)
 
-    with open(run_dir / "loss_curve.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_mse", "val_mse"])
-        for record in result.curve:
-            writer.writerow([record.epoch, repr(record.train_mse), repr(record.val_mse)])
+    curve = ((r.epoch, repr(r.train_mse), repr(r.val_mse)) for r in result.curve)
+    write_files(run_dir, {"loss_curve.csv": csv_bytes(["epoch", "train_mse", "val_mse"], curve)})
 
     print(f"best epoch {result.best_epoch} (val_mse {result.best_val_mse:.6f})")
     print(f"run artifacts in {run_dir}")
@@ -223,26 +220,12 @@ def cmd_eval(args) -> int:
     metrics, rows = evaluate(ckpt.params, ckpt.model_config, ckpt.stats, dataset, chosen)
     ha = ha_baseline(train_s, chosen, dataset.interval_minutes)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.json").write_text(
-        json.dumps(
-            {"split": args.split, "model": metrics.to_dict(), "ha": ha.to_dict()},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    with open(out_dir / "predictions.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp", "node_id", "y_true", "y_pred"])
-        writer.writerows(
-            zip(
-                rows.timestamp_minutes.tolist(),
-                rows.node_id,
-                map(repr, rows.y_true.tolist()),
-                map(repr, rows.y_pred.tolist()),
-            )
-        )
+    table = zip(rows.timestamp_minutes.tolist(), rows.node_id,
+                map(repr, rows.y_true.tolist()), map(repr, rows.y_pred.tolist()))
+    write_files(out_dir, {
+        "predictions.csv": csv_bytes(["timestamp", "node_id", "y_true", "y_pred"], table),
+        "metrics.json": json_bytes({"split": args.split, "model": metrics.to_dict(), "ha": ha.to_dict()}),
+    })
 
     _print_metrics_table(sys.stdout, {"model": metrics, "ha": ha}, args.split, len(chosen))
     print(f"wrote {out_dir / 'metrics.json'} and {out_dir / 'predictions.csv'}")

@@ -10,11 +10,14 @@ An STGF directory holds one multi-channel sensor-network series:
     externals.csv  header per external_schema; one row per time slot,
                    category names for categorical fields, decimals otherwise
 
-Text files are UTF-8. Both CSV tables are read the same way: the rows
-stream into one flat list of cells plus a list of row widths, and each
-field is converted from its stride of that list. Blank lines are skipped;
-a non-blank row of another width than the header's ends the table, and a
-load names the first bad line in file order, row then field.
+Text files are UTF-8. Every file the package writes, dataset, run or
+checkpoint, is staged and renamed as part of a set by ``write_files``, in
+the one JSON and CSV form of ``json_bytes`` and ``csv_bytes``. Both CSV
+tables are read the same way: the rows stream into one flat list of cells
+plus a list of row widths, and each field is converted from its stride of
+that list. Blank lines are skipped; a non-blank row of another width than
+the header's ends the table, and a load names the first bad line in file
+order, row then field.
 
 Slot t starts at minute t * interval_minutes, with slot 0 at midnight of
 day 0. Categorical covariates are stored as names on disk and as category
@@ -35,11 +38,13 @@ returns. ``WindowSample`` is the one window that indexing a set returns.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 from dataclasses import dataclass
 from itertools import chain, zip_longest
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -199,6 +204,48 @@ class SignalDataset:
 # -------------------------------------------------------------- persistence
 
 
+def write_files(root: str | Path, files: dict[str, bytes | np.ndarray]) -> None:
+    """Write a set of files into the directory ``root``, creating it.
+
+    Each file is written under a temporary name beside its target, then
+    the files are renamed into place in the order given. A failure while
+    writing leaves every file of the set as it was and removes the
+    temporary files. This is the only place the package writes a file.
+    """
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    temps = [root / f".{name}.tmp" for name in files]
+    try:
+        for temp, data in zip(temps, files.values()):
+            _write_file(temp, data)
+        for temp, name in zip(temps, files):
+            os.replace(temp, root / name)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+
+
+def _write_file(path: Path, data: bytes | np.ndarray) -> None:
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def json_bytes(value) -> bytes:
+    """The one JSON form of every artifact: sorted keys, indent 2, a
+    trailing newline, UTF-8."""
+    return (json.dumps(value, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def csv_bytes(header: Sequence, rows: Iterable[Sequence]) -> bytes:
+    """The one CSV form of every artifact: a header row, then the rows,
+    each ended by a bare line feed, UTF-8."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode("utf-8")
+
+
 def dataset_signature(dataset: SignalDataset) -> dict:
     """What a model trained on the dataset reads beyond its shapes: the
     covariate schema, channel names and node ids, as meta.json writes them."""
@@ -229,16 +276,14 @@ def check_signature(signature: dict | None, dataset: SignalDataset) -> None:
 
 
 def save_dataset(dataset: SignalDataset, path: str | Path) -> None:
-    """Write the directory layout described in the module docstring.
+    """Write the directory layout described in the module docstring, as one
+    ``write_files`` set with ``meta.json`` renamed last.
 
-    Identical datasets produce identical bytes: JSON keys are sorted,
-    floats are written with shortest round-trip decimals, and the signal
-    payload is a straight float32 dump.
+    Identical datasets produce identical bytes: floats are written with
+    shortest round-trip decimals and the signal payload is a straight
+    float32 dump.
     """
     dataset.check_externals()
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-
     meta = {
         "T": dataset.n_slots,
         "N": dataset.n_nodes,
@@ -246,25 +291,20 @@ def save_dataset(dataset: SignalDataset, path: str | Path) -> None:
         "interval_minutes": dataset.interval_minutes,
         **dataset_signature(dataset),
     }
-    meta_text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    (root / "meta.json").write_text(meta_text, encoding="utf-8")
-
-    dataset.signals.astype("<f4", copy=False).tofile(root / "signals.bin")
-
-    with open(root / "edges.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["src", "dst", "distance"])
-        for src, dst, dist in dataset.graph.edges:
-            writer.writerow([src, dst, repr(dist)])
-
-    with open(root / "externals.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        fields = dataset.external_fields
-        writer.writerow([f.name for f in fields])
-        in_schema_order = dataset.externals[:, external_columns(fields)].T
-        columns = [f.decode(column) for f, column in zip(fields, in_schema_order)]
+    fields = dataset.external_fields
+    in_schema_order = dataset.externals[:, external_columns(fields)].T
+    columns = [f.decode(column) for f, column in zip(fields, in_schema_order)]
+    write_files(path, {
+        "signals.bin": dataset.signals.astype("<f4", copy=False),
+        "edges.csv": csv_bytes(
+            ["src", "dst", "distance"], ((s, d, repr(w)) for s, d, w in dataset.graph.edges)
+        ),
         # an empty schema still writes one (empty) line per slot
-        writer.writerows(zip(*columns) if columns else [[]] * dataset.n_slots)
+        "externals.csv": csv_bytes(
+            [f.name for f in fields], zip(*columns) if columns else [[]] * dataset.n_slots
+        ),
+        "meta.json": json_bytes(meta),
+    })
 
 
 def _require_file(root: Path, name: str) -> Path:

@@ -201,6 +201,37 @@ def test_backward_requires_scalar():
         t.backward(w)
 
 
+def test_backward_refuses_a_loss_this_tape_did_not_record():
+    w = Parameter("w", [[2.0]])
+
+    def build(t, scale):
+        # d/dw = scale, with the same node ids on every tape
+        return t.sum(t.matmul(t.constant([[scale]]), t.param(w)))
+
+    t = Tape()
+    own = build(t, 3.0)
+    foreign = build(Tape(), 1.0)
+    assert foreign.id == own.id
+    with pytest.raises(ContractError, match="not recorded on this tape"):
+        t.backward(foreign)
+    with pytest.raises(ContractError, match="not recorded on this tape"):
+        t.backward(build(Tape(record=False), 3.0))
+    np.testing.assert_array_equal(t.grad_for(w), [[0.0]])
+    t.backward(own)
+    np.testing.assert_array_equal(t.grad_for(w), [[3.0]])
+
+
+def test_backward_sums_three_contributions_to_one_node():
+    t = Tape()
+    w = Parameter("w", [[1.0, -2.0]])
+    nw = t.param(w)
+    value = w.value.copy()
+    loss = t.sum(t.add(t.add(nw, nw), nw))
+    t.backward(loss)
+    np.testing.assert_array_equal(t.grad_for(w), [[3.0, 3.0]])
+    np.testing.assert_array_equal(w.value, value)
+
+
 def test_backward_twice_doubles_gradients():
     t = Tape()
     w = Parameter("w", [[1.0, -2.0], [0.5, 4.0]])

@@ -1,5 +1,6 @@
 """Checkpoint persistence round trips and integrity checks."""
 
+import errno
 import json
 
 import numpy as np
@@ -292,8 +293,23 @@ def test_any_mutated_manifest_loads_or_raises_load_error(tmp_path, data):
 # ------------------------------------------------------------- atomic saves
 
 
+def fail_writing(monkeypatch, name):
+    """Make the package's write of file ``name`` stop halfway on a full disk."""
+    import stgf.data
+
+    write = stgf.data._write_file
+
+    def disk_full(path, payload):
+        if path.name == f".{name}.tmp":
+            write(path, payload[: len(payload) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write(path, payload)
+
+    monkeypatch.setattr(stgf.data, "_write_file", disk_full)
+
+
 def test_interrupted_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
-    import stgf.checkpoint as checkpoint
+    import stgf.data
 
     params, cfg, tc, stats = fixtures(seed=1)
     save_checkpoint(params, cfg, tc, stats, tmp_path / "ck")
@@ -306,7 +322,7 @@ def test_interrupted_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
             raise KeyboardInterrupt
         path.write_bytes(data)
 
-    monkeypatch.setattr(checkpoint, "_write_file", interrupted)
+    monkeypatch.setattr(stgf.data, "_write_file", interrupted)
     newer, _, _, _ = fixtures(seed=2)
     with pytest.raises(KeyboardInterrupt):
         save_checkpoint(newer, cfg, tc, stats, tmp_path / "ck")
@@ -316,6 +332,17 @@ def test_interrupted_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
     loaded = load_checkpoint(tmp_path / "ck")
     for p, q in zip(params, loaded.params):
         assert np.allclose(p.value, q.value, rtol=1.2e-7, atol=1e-30)
+
+
+def test_a_save_failing_on_the_manifest_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    params, cfg, tc, stats = fixtures(seed=1)
+    save_checkpoint(params, cfg, tc, stats, tmp_path / "ck")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "ck").iterdir()}
+    fail_writing(monkeypatch, "manifest.json")
+    newer, _, _, _ = fixtures(seed=2)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(newer, cfg, tc, stats, tmp_path / "ck", dataset_signature=SIGNATURE)
+    assert {p.name: p.read_bytes() for p in (tmp_path / "ck").iterdir()} == before
 
 
 def test_save_load_save_is_byte_identical_and_leaves_no_temp_files(tmp_path):

@@ -17,7 +17,7 @@ from stgf.cli import build_run_config, main
 from stgf.data import load_dataset, save_dataset
 from stgf.errors import ValidationError
 from stgf.training import TrainConfig
-from test_checkpoint import MALFORMED_MANIFESTS, MISFITTING_TABLES, rewrite_table
+from test_checkpoint import MALFORMED_MANIFESTS, MISFITTING_TABLES, fail_writing, rewrite_table
 
 FAST_SET = [
     "--set", "model.gcn_dims=[4]",
@@ -287,6 +287,19 @@ def test_eval_predictions_csv_holds_the_table_rows(run_dir, data_dir, tmp_path):
         for k in range(len(table))
     ]
     assert (out / "predictions.csv").read_text() == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("failing", ["predictions.csv", "metrics.json"])
+def test_an_eval_failing_on_either_file_leaves_both(run_dir, data_dir, tmp_path, monkeypatch, failing):
+    out = tmp_path / "e"
+    argv = ["eval", "--checkpoint", str(run_dir / "checkpoint"), "--data", str(data_dir),
+            "--out", str(out)]
+    assert main([*argv, "--split", "test"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    fail_writing(monkeypatch, failing)
+    with pytest.raises(OSError, match="No space left"):
+        main([*argv, "--split", "val"])
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_eval_geometry_mismatch_exits_2(run_dir, tmp_path, capsys):
@@ -695,6 +708,14 @@ def test_an_unreadable_dataset_file_exits_2_naming_it(run_dir, data_dir, tmp_pat
 # ------------------------------------------------------------- one process
 
 
+def _env_with_src() -> dict:
+    """The environment for a fresh ``python -m stgf.cli`` of this checkout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_repeated_calls_in_one_process_match_fresh_processes(run_dir, data_dir, tmp_path, capsys):
     ckpt = str(run_dir / "checkpoint")
     calls = [
@@ -702,9 +723,7 @@ def test_repeated_calls_in_one_process_match_fresh_processes(run_dir, data_dir, 
         ["predict", "--checkpoint", ckpt, "--data", str(data_dir), "--at", "50"],
         ["eval", "--checkpoint", ckpt, "--data", str(data_dir), "--out", str(tmp_path / "e")],
     ]
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _env_with_src()
     for argv in calls:
         fresh = subprocess.run(
             [sys.executable, "-m", "stgf.cli", *argv],
@@ -714,6 +733,28 @@ def test_repeated_calls_in_one_process_match_fresh_processes(run_dir, data_dir, 
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert fresh.returncode == 0 and "wrote" in fresh.stdout
+
+
+def test_every_command_runs_without_the_locale_encoding(tmp_path):
+    """Under ``-X warn_default_encoding`` a text file opened without an
+    explicit encoding warns; here the warning is an error."""
+    env = _env_with_src()
+    data, run = tmp_path / "data", tmp_path / "run"
+    ckpt = ["--checkpoint", str(run / "checkpoint"), "--data", str(data)]
+    calls = [
+        ["synth", "--seed", "3", "--nodes", "3", "--slots", "64", "--out", str(data)],
+        ["train", "--data", str(data), "--out", str(run), *FAST_SET],
+        ["eval", *ckpt],
+        ["predict", *ckpt, "--at", "300"],
+        ["inspect", *ckpt],
+    ]
+    for argv in calls:
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "stgf.cli", *argv],
+            capture_output=True, encoding="utf-8", env=env, timeout=120,
+        )
+        assert done.returncode == 0, f"{argv[0]} exited {done.returncode}: {done.stderr}"
 
 
 # ------------------------------------------------------------------ inspect

@@ -22,6 +22,8 @@ from stgf.data import (
     SignalDataset,
     WindowSet,
     chronological_split,
+    csv_bytes,
+    json_bytes,
     load_dataset,
     make_windows,
     minmax_apply,
@@ -33,6 +35,7 @@ from stgf.data import (
 )
 from stgf.errors import LoadError, ValidationError
 from stgf.graphs import GraphSpec
+from test_checkpoint import fail_writing
 
 
 def toy_dataset(t=12, n=3, c=3, seed=0, interval=5):
@@ -168,6 +171,26 @@ def test_second_save_is_byte_identical(tmp_path):
     save_dataset(ds, tmp_path / "a")
     save_dataset(load_dataset(tmp_path / "a"), tmp_path / "b")
     assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
+
+
+@pytest.mark.parametrize("failing", ["signals.bin", "edges.csv", "externals.csv", "meta.json"])
+def test_a_save_failing_on_any_file_leaves_the_previous_dataset(tmp_path, monkeypatch, failing):
+    save_dataset(toy_dataset(seed=1), tmp_path / "d")
+    before = dir_bytes(tmp_path / "d")
+    fail_writing(monkeypatch, failing)
+    with pytest.raises(OSError, match="No space left"):
+        save_dataset(toy_dataset(t=20, n=4, seed=2), tmp_path / "d")
+    assert dir_bytes(tmp_path / "d") == before
+
+
+def test_json_bytes_sorts_keys_indents_two_and_ends_with_a_newline():
+    data = json_bytes({"b": [1.5, "é"], "a": None})
+    assert data == b'{\n  "a": null,\n  "b": [\n    1.5,\n    "\\u00e9"\n  ]\n}\n'
+
+
+def test_csv_bytes_ends_every_row_with_a_line_feed_in_utf8():
+    data = csv_bytes(["node", "v"], [("é", "1.5"), ("a,b", "2")])
+    assert data == 'node,v\né,1.5\n"a,b",2\n'.encode("utf-8")
 
 
 def test_building_rounds_signals_to_float32_and_refuses_what_float32_cannot_hold():

@@ -1,7 +1,9 @@
 """NumPy stays the only runtime dependency: every absolute import in the
 package names NumPy or a module of the standard library. No module imports
 ``gc``: the package keeps collections rare by allocating few containers,
-not by tuning or switching off the collector."""
+not by tuning or switching off the collector. Every file the package
+writes goes through ``data.write_files``: no other code opens a file for
+writing."""
 
 import ast
 import sys
@@ -15,7 +17,7 @@ ALLOWED = {"numpy"} | set(sys.stdlib_module_names)
 
 def absolute_imports(path: Path) -> list[str]:
     names = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -32,3 +34,33 @@ def test_package_imports_only_numpy_and_the_standard_library(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_leaves_the_garbage_collector_alone(path):
     assert "gc" not in absolute_imports(path), f"{path.name} imports gc"
+
+
+def file_writes(path: Path) -> list[str]:
+    """Calls in ``path`` that write a file, outside ``data._write_file``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    seam = set()
+    for node in ast.walk(tree):
+        if path.name == "data.py" and isinstance(node, ast.FunctionDef) and node.name == "_write_file":
+            seam |= {id(n) for n in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in seam:
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        # open(file, mode) or a path's .open(mode)
+        at = 0 if isinstance(func, ast.Attribute) else 1
+        modes = [*node.args[at : at + 1], *(k.value for k in node.keywords if k.arg == "mode")]
+        writes_mode = any(
+            isinstance(m, ast.Constant) and isinstance(m.value, str) and set(m.value) & set("wax+")
+            for m in modes
+        )
+        if name in ("write_text", "write_bytes", "tofile") or (name == "open" and writes_mode):
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_writes_files_only_through_write_files(path):
+    assert file_writes(path) == [], f"{path.name} writes a file itself"
