@@ -18,9 +18,10 @@ to a matrix or to every matrix of a stack. Relu, sigmoid and tanh are
 activations of ``affine`` only (``lstm_layer`` applies its own gates),
 and ``mse_loss`` is ``mse_per_sample`` of a batch of one. ``take``
 gathers entries along the first axis by an index array and scatters their
-adjoints back with ``np.add.at``, so an entry may be picked more than
-once. ``weighted_sum`` adds the entries of a stack's first axis, each
-scaled elementwise by its own weight. ``add`` requires exactly equal
+adjoints back with ``scatter_add``, one ``np.bincount`` that adds in index
+order as ``np.add.at`` does, so an entry may be picked more than once.
+``weighted_sum`` adds the entries of a stack's first axis, each scaled
+elementwise by its own weight. ``add`` requires exactly equal
 shapes; every broadcast belongs to an op that says so (``broadcast_to``,
 the bias row of ``affine``, the weights of ``weighted_sum``) and whose
 backward sums the gradient back over the broadcast axes.
@@ -60,6 +61,19 @@ def as_tensor(x) -> Array:
     """Coerce to a C-contiguous float64 array (the universal value type),
     keeping its shape, a 0-D one included."""
     return np.asarray(x, dtype=np.float64, order="C")
+
+
+def scatter_add(index, values: Array, n: int) -> Array:
+    """``n`` rows, row i the sum of the entries of ``values`` (an array of
+    ``index.shape`` plus the row shape) whose ``index`` is i; an index not
+    in [0, n) is the caller's to refuse. One ``np.bincount`` over flattened
+    bins adds each row's entries in index order, as ``np.add.at`` does, so
+    the sums are bitwise the same."""
+    index = np.asarray(index, dtype=np.intp)
+    row = values.shape[index.ndim :]
+    width = int(np.prod(row, dtype=np.intp))
+    bins = (index.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    return np.bincount(bins, weights=values.reshape(-1), minlength=n * width).reshape(n, *row)
 
 
 def _require_matrix(op: str, name: str, a: Array) -> None:
@@ -472,9 +486,7 @@ class Tape:
             raise ShapeError(f"take: index outside [0, {av.shape[0]})")
 
         def vjp(g: Array):
-            total = np.zeros(av.shape)
-            np.add.at(total, index, g)
-            return (total,)
+            return (scatter_add(index, g, av.shape[0]),)
 
         return self._push("take", (a,), av[index], vjp)
 

@@ -7,7 +7,9 @@ Layout:
                    name/shape/offset entries (offsets in float32 elements),
                    and optionally under ``dataset`` the covariate schema,
                    channel names and node ids of the dataset trained on, as
-                   its meta.json writes them (``data.dataset_signature``)
+                   its meta.json writes them, plus ``edges_sha256``, the
+                   hash of its canonical edge list, which manifests saved
+                   before it was recorded lack (``data.dataset_signature``)
     params.bin     little-endian float32: the ``ModelParams`` vector, which
                    holds the parameters back to back in manifest order
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
@@ -186,6 +189,14 @@ def _dataset_signature(value) -> dict:
         "channel_names": [str(x) for x in value["channel_names"]],
         "node_ids": [str(x) for x in value["node_ids"]],
     }
+    if "edges_sha256" in value:  # absent from manifests saved before it was recorded
+        digest = value["edges_sha256"]
+        if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+            raise ValueError(f"edges_sha256 must be 64 lowercase hex digits, got {digest!r}")
+        canonical["edges_sha256"] = digest
     if value != canonical:
-        raise ValueError("expected the schema entries and string lists a dataset's meta.json holds")
+        raise ValueError(
+            "expected the schema entries and string lists a dataset's meta.json holds, "
+            "and optionally edges_sha256"
+        )
     return value

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .checkpoint import LoadedCheckpoint, load_checkpoint
 from .data import SignalDataset, check_signature, chronological_split, load_dataset, make_windows
-from .data import csv_bytes, json_bytes, write_files
+from .data import csv_bytes, csv_columns_bytes, json_bytes, write_files
 from .errors import NumericalError, UsageError, ValidationError
 from .model import ABLATIONS, ModelConfig
 from .synth import TOPOLOGIES, channel_correlations, generate_synthetic
@@ -220,10 +220,9 @@ def cmd_eval(args) -> int:
     metrics, rows = evaluate(ckpt.params, ckpt.model_config, ckpt.stats, dataset, chosen)
     ha = ha_baseline(train_s, chosen, dataset.interval_minutes)
 
-    table = zip(rows.timestamp_minutes.tolist(), rows.node_id,
-                map(repr, rows.y_true.tolist()), map(repr, rows.y_pred.tolist()))
+    table = (rows.timestamp_minutes, rows.node_id, rows.y_true, rows.y_pred)
     write_files(out_dir, {
-        "predictions.csv": csv_bytes(["timestamp", "node_id", "y_true", "y_pred"], table),
+        "predictions.csv": csv_columns_bytes(["timestamp", "node_id", "y_true", "y_pred"], table),
         "metrics.json": json_bytes({"split": args.split, "model": metrics.to_dict(), "ha": ha.to_dict()}),
     })
 

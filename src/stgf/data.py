@@ -12,7 +12,8 @@ An STGF directory holds one multi-channel sensor-network series:
 
 Text files are UTF-8. Every file the package writes, dataset, run or
 checkpoint, is staged and renamed as part of a set by ``write_files``, in
-the one JSON and CSV form of ``json_bytes`` and ``csv_bytes``. Both CSV
+the one JSON and CSV form of ``json_bytes`` and ``csv_bytes``
+(``csv_columns_bytes`` writes the same CSV from columns). Both CSV
 tables are read the same way: the rows stream into one flat list of cells
 plus a list of row widths, and each field is converted from its stride of
 that list. Blank lines are skipped; a non-blank row of another width than
@@ -38,12 +39,14 @@ returns. ``WindowSample`` is the one window that indexing a set returns.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
 from dataclasses import dataclass
 from itertools import chain, zip_longest
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -79,7 +82,7 @@ class ExternalField:
         """Map a column of raw strings to its category codes, or to finite
         values through ``float`` (exactly Python's float syntax)."""
         if self.kind == "continuous":
-            column = np.array([float(v) for v in values])
+            column = np.fromiter(map(float, values), np.float64, len(values))
             finite = np.isfinite(column)
             if not finite.all():
                 raw = values[int(np.argmin(finite))]
@@ -87,7 +90,7 @@ class ExternalField:
             return column
         lookup = {c: i for i, c in enumerate(self.categories)}
         try:
-            return np.array([lookup[v] for v in values], dtype=np.float64)
+            return np.fromiter(map(lookup.__getitem__, values), np.float64, len(values))
         except KeyError as exc:
             raise ValidationError(
                 f"external field {self.name!r}: unknown category {exc.args[0]!r}, "
@@ -246,24 +249,67 @@ def csv_bytes(header: Sequence, rows: Iterable[Sequence]) -> bytes:
     return text.getvalue().encode("utf-8")
 
 
+def csv_columns_bytes(header: Sequence[str], columns: Sequence) -> bytes:
+    """The bytes ``csv_bytes`` writes for the rows of two or more columns
+    (array entries as Python numbers), rendered a column at a time: an
+    array of integers by ``str`` and one of floats by ``repr`` (numbers
+    never need quoting), a list of strings as ``csv_bytes``' writer quotes
+    them, each distinct string once."""
+    if len(columns) < 2:  # the writer quotes a row's only empty field
+        raise ValueError(f"csv_columns_bytes needs two or more columns, got {len(columns)}")
+    # the writer's file hands each line back, and writerow returns it
+    quote = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+
+    def cells(column) -> Iterable[str]:
+        if isinstance(column, np.ndarray):
+            return map(repr if column.dtype.kind == "f" else str, column.tolist())
+        # a field's quoting depends on that field alone; the second field
+        # keeps an empty string from being the row's only field
+        quoted = {v: quote.writerow((v, "-"))[:-3] for v in set(column)}
+        return map(quoted.__getitem__, column)
+
+    rows = map(",".join, zip(*map(cells, columns)))
+    return ("\n".join(chain([quote.writerow(header)[:-1]], rows)) + "\n").encode("utf-8")
+
+
+def edges_sha256(graph: GraphSpec) -> str:
+    """SHA-256 of the canonical edge list: each undirected edge as its
+    smaller node, its larger node and ``repr`` of its distance, one line
+    per edge, the lines in sorted order."""
+    edges = sorted((min(s, d), max(s, d), w) for s, d, w in graph.edges)
+    text = "".join(f"{s},{d},{w!r}\n" for s, d, w in edges)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def dataset_signature(dataset: SignalDataset) -> dict:
     """What a model trained on the dataset reads beyond its shapes: the
-    covariate schema, channel names and node ids, as meta.json writes them."""
+    covariate schema, channel names and node ids, as meta.json writes them,
+    and ``edges_sha256`` of its road graph, which meta.json does not hold."""
     return {
         "external_schema": [f.to_dict() for f in dataset.external_fields],
         "channel_names": list(dataset.channel_names),
         "node_ids": list(dataset.node_ids),
+        "edges_sha256": edges_sha256(dataset.graph),
     }
 
 
 def check_signature(signature: dict | None, dataset: SignalDataset) -> None:
     """Refuse a dataset whose ``dataset_signature`` differs from the one a
     model was trained on, naming the first difference; None, a signature
-    never recorded, passes. Covariate fields compare in the order of the
+    never recorded, passes, and so does a road graph when the signature
+    holds no edge hash. Covariate fields compare in the order of the
     externals matrix's columns, the order the model reads them in."""
     if signature is None:
         return
     for key, have in dataset_signature(dataset).items():
+        if key == "edges_sha256":
+            want = signature.get(key, have)
+            if want != have:
+                raise ValidationError(
+                    f"dataset's edges differ from the road graph the model was trained on "
+                    f"(edge list SHA-256 {have}, trained on {want})"
+                )
+            continue
         want = signature[key]
         if key == "external_schema":  # categorical fields first, as in external_columns
             want, have = (sorted(s, key=lambda d: d["kind"] == "continuous") for s in (want, have))
@@ -289,7 +335,7 @@ def save_dataset(dataset: SignalDataset, path: str | Path) -> None:
         "N": dataset.n_nodes,
         "C": dataset.n_channels,
         "interval_minutes": dataset.interval_minutes,
-        **dataset_signature(dataset),
+        **{k: v for k, v in dataset_signature(dataset).items() if k in META_KEYS},
     }
     fields = dataset.external_fields
     in_schema_order = dataset.externals[:, external_columns(fields)].T
@@ -316,7 +362,7 @@ def _require_file(root: Path, name: str) -> Path:
 
 def _parse(kind):
     """A column converter that applies ``kind`` to every cell."""
-    return lambda column: [kind(v) for v in column]
+    return lambda column: list(map(kind, column))
 
 
 class _Table:

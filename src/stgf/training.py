@@ -11,8 +11,10 @@ step direction is the gradient of the mean per-sample loss and batch size
 ``ModelParams.values``: each step adds the tape's parameter gradients into
 one flat gradient vector, clips it and takes one Adam step with moment
 vectors ``m`` and ``v``; the best-epoch snapshot is one copy of the
-parameter vector. Evaluation runs forward only, in chunks of at most
-``FORECAST_BATCH`` windows on tapes that record nothing, and builds its
+parameter vector. Evaluation runs forward only on tapes that record
+nothing, in chunks whose window count ``forecast_chunk`` sizes from a
+fixed byte budget and the model's shapes, so a criterion-4 split is one
+pass while a paper-default pass still holds 32 windows; it builds its
 metrics and prediction table from arrays. Losses are computed on
 normalized targets; reported evaluation metrics are always on the raw flow
 scale.
@@ -25,7 +27,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .autodiff import Tape
+from .autodiff import Tape, scatter_add
 from .checkpoint import save_checkpoint
 from .data import (
     MINUTES_PER_DAY,
@@ -211,10 +213,19 @@ class TrainResult:
     prepared: PreparedData
 
 
-# windows per forward-only batch: bounds the live intermediates of an
-# evaluation pass, which peak near 200 MB for 32 windows at the paper
-# default on 170 nodes
-FORECAST_BATCH = 32
+# bytes of float64 rows one forward-only pass may hold: 32 windows of
+# the paper default on 170 nodes (about 4.2 MB each; such a pass peaks near
+# 140 MB under tracemalloc), or about 4,400 windows at criterion-4 widths
+FORECAST_BYTES = 128 * 2**20
+
+
+def forecast_chunk(model_config: ModelConfig) -> int:
+    """Windows per forward-only pass: ``FORECAST_BYTES`` over a window's
+    widest float64 rows, its P x N LSTM rows at the four-gate width, or its
+    convolution rows at every channel's width if those are wider."""
+    c = model_config
+    width = max(4 * c.lstm_hidden, c.n_channels * max(c.gcn_dims))
+    return max(1, FORECAST_BYTES // (8 * c.window * c.n_nodes * width))
 
 
 def check_geometry(model_config: ModelConfig, dataset: SignalDataset) -> None:
@@ -259,15 +270,16 @@ def _forecast(
 ) -> np.ndarray:
     """Normalized B x N x 1 forecasts for a window set on the dataset's graph.
 
-    Forward only: windows run in chunks of ``FORECAST_BATCH`` on tapes that
-    record nothing, so no intermediate outlives its use.
+    Forward only: windows run in chunks of ``forecast_chunk`` windows on
+    tapes that record nothing, so no intermediate outlives its use.
     """
     local_norm = _local_view(model_config, dataset)
     if not len(windows):
         raise ValidationError("cannot evaluate on an empty sample list")
+    chunk = forecast_chunk(model_config)
     preds = []
-    for start in range(0, len(windows), FORECAST_BATCH):
-        slots, index, external = windows[start : start + FORECAST_BATCH].inputs()
+    for start in range(0, len(windows), chunk):
+        slots, index, external = windows[start : start + chunk].inputs()
         out = model_forward(
             Tape(record=False), params, slots, external, local_norm, model_config, index
         )
@@ -426,10 +438,9 @@ def ha_baseline(train_windows: WindowSet, eval_windows: WindowSet, interval_minu
 
     train_y = train_windows.y
     keys, key_of = np.unique(clocks(train_windows), return_inverse=True)
-    # np.add.at adds in sample order, so each clock's sum is formed in the
+    # scatter_add adds in sample order, so each clock's sum is formed in the
     # same order as a running total over the samples
-    sums = np.zeros((len(keys),) + train_y.shape[1:])
-    np.add.at(sums, key_of, train_y)
+    sums = scatter_add(key_of, train_y, len(keys))
     means = sums / np.bincount(key_of)[:, None, None]
     node_mean = np.mean(train_y, axis=0)
 

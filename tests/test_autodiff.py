@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stgf.autodiff import Parameter, Tape, _sigmoid_
+from stgf.autodiff import Parameter, Tape, _sigmoid_, scatter_add
 from stgf.errors import ContractError, ShapeError
 from stgf.gradcheck import grad_check
 
@@ -497,6 +497,29 @@ def test_take_values_and_scatter_added_gradient():
     np.testing.assert_array_equal(picked.value, [[[6, 7], [2, 3]], [[2, 3], [2, 3]]])
     t.backward(t.sum(picked))
     np.testing.assert_array_equal(t.grad_for(x), [[0, 0], [3, 3], [0, 0], [1, 1]])
+
+
+# index shape, row shape, rows: repeats, a 0-D pick, a 2-D index, empty indices
+SCATTERS = [((40,), (3, 2), 6), ((), (4, 5), 3), ((5, 4), (3,), 7), ((0,), (2, 3), 4), ((3, 0), (2,), 2)]
+
+
+@pytest.mark.parametrize("index_shape, row, n", SCATTERS)
+def test_scatter_add_and_take_backward_are_np_add_at_bit_for_bit(index_shape, row, n):
+    rng = np.random.default_rng(len(index_shape) + n)
+    index = rng.integers(0, n, size=index_shape)
+    shape = index_shape + row
+    # magnitudes 1e-8 .. 1e8, so the order of the adds decides the rounding
+    g = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    g.reshape(-1)[::3] = -0.0
+    for adjoint in (g, np.full(shape, -0.0)):
+        want = np.zeros((n,) + row)
+        np.add.at(want, index, adjoint)
+        got = scatter_add(index, adjoint, n)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        t = Tape()
+        picked = t.take(t.param(Parameter("x", np.zeros((n,) + row))), index)
+        (back,) = picked._vjp(adjoint)
+        assert back.tobytes() == want.tobytes()
 
 
 def test_take_rejects_bad_indices():

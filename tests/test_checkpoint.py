@@ -41,6 +41,7 @@ SIGNATURE = {
     ],
     "channel_names": ["flow", "speed"],
     "node_ids": ["a", "b", "c", "d"],
+    "edges_sha256": "0123456789abcdef" * 4,
 }
 
 
@@ -65,6 +66,10 @@ def test_the_dataset_signature_round_trips_and_is_optional(tmp_path):
     save_checkpoint(params, cfg, tc, stats, tmp_path / "old")
     assert "dataset" not in json.loads((tmp_path / "old" / "manifest.json").read_text())
     assert load_checkpoint(tmp_path / "old").dataset_signature is None
+    # saved before the edge hash was recorded
+    no_edges = {k: v for k, v in SIGNATURE.items() if k != "edges_sha256"}
+    save_checkpoint(params, cfg, tc, stats, tmp_path / "older", dataset_signature=no_edges)
+    assert load_checkpoint(tmp_path / "older").dataset_signature == no_edges
 
 
 def _signature_with(key, value):
@@ -82,6 +87,10 @@ MALFORMED_SIGNATURES = {
     "categories-as-a-string": _signature_with(
         "external_schema", [{"name": "x", "kind": "categorical", "categories": "ab"}]
     ),
+    "edge-hash-as-a-number": _signature_with("edges_sha256", 12),
+    "edge-hash-too-short": _signature_with("edges_sha256", "0123abcd"),
+    "edge-hash-in-capitals": _signature_with("edges_sha256", "0123456789ABCDEF" * 4),
+    "edge-hash-with-a-newline": _signature_with("edges_sha256", "0123456789abcdef" * 4 + "\n"),
 }
 
 
@@ -263,6 +272,8 @@ def test_any_mutated_manifest_loads_or_raises_load_error(tmp_path, data):
     params, cfg, tc, stats = fixtures()
     root = tmp_path / "ck"
     if not (root / "manifest.json").is_file():
+        # SIGNATURE holds every key a save records, edges_sha256 included,
+        # so the mutations reach each of them
         save_checkpoint(params, cfg, tc, stats, root, dataset_signature=SIGNATURE)
     pristine = (root / "manifest.json").read_text()
     manifest = json.loads(pristine)

@@ -608,6 +608,32 @@ def test_a_relabelled_dataset_exits_2_naming_the_first_difference(
     assert f"error: {message}\n" in capsys.readouterr().err
 
 
+def _rewired_copy(data_dir, path):
+    """A copy of the dataset directory whose road graph lacks its first edge."""
+    shutil.copytree(data_dir, path)
+    header, _, *rest = (path / "edges.csv").read_text().splitlines(keepends=True)
+    (path / "edges.csv").write_text("".join([header, *rest]))
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_a_rewired_road_graph_exits_2_naming_the_edges(run_dir, data_dir, tmp_path, capsys, command):
+    rewired = _rewired_copy(data_dir, tmp_path / "rewired")
+    assert main(_checkpoint_command(command, run_dir / "checkpoint", rewired)) == 2
+    err = capsys.readouterr().err
+    assert "error: dataset's edges differ from the road graph the model was trained on" in err
+
+
+def test_a_manifest_without_the_edge_hash_serves_as_before(run_dir, data_dir, tmp_path, capsys):
+    ckpt = _checkpoint_copy(
+        run_dir, tmp_path / "checkpoint", lambda m: m["dataset"].pop("edges_sha256")
+    )
+    want = _served(run_dir / "checkpoint", data_dir, tmp_path / "a", capsys)
+    assert _served(ckpt, data_dir, tmp_path / "b", capsys) == want
+    # nothing to compare the road graph with, so the rewired copy is served
+    _served(ckpt, _rewired_copy(data_dir, tmp_path / "rewired"), tmp_path / "c", capsys)
+
+
 def _checkpoint_copy(run_dir, path, edit):
     """A copy of the run's checkpoint whose manifest holds ``edit`` of it."""
     shutil.copytree(run_dir / "checkpoint", path)

@@ -23,6 +23,9 @@ from stgf.data import (
     WindowSet,
     chronological_split,
     csv_bytes,
+    csv_columns_bytes,
+    dataset_signature,
+    edges_sha256,
     json_bytes,
     load_dataset,
     make_windows,
@@ -191,6 +194,41 @@ def test_json_bytes_sorts_keys_indents_two_and_ends_with_a_newline():
 def test_csv_bytes_ends_every_row_with_a_line_feed_in_utf8():
     data = csv_bytes(["node", "v"], [("é", "1.5"), ("a,b", "2")])
     assert data == 'node,v\né,1.5\n"a,b",2\n'.encode("utf-8")
+
+
+# node ids the writer must quote, or must leave as they are
+AWKWARD_IDS = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", " lead", "trail ", "", "ünï 東京", "plain"]
+
+
+def test_csv_columns_bytes_is_csv_bytes_of_the_rows():
+    n_windows = 3
+    stamps = np.repeat(np.arange(n_windows) * 5, len(AWKWARD_IDS))
+    ids = AWKWARD_IDS * n_windows
+    y = np.random.default_rng(0).standard_normal(len(ids)) * 1e3
+    y[:3] = [-0.0, 1e-300, 123456789.0]
+    header = ["timestamp", "node_id", "y_true", "y_pred"]
+    rows = zip(stamps.tolist(), ids, map(repr, y.tolist()), map(repr, (y / 7).tolist()))
+    want = csv_bytes(header, rows)
+    assert csv_columns_bytes(header, (stamps, ids, y, y / 7)) == want
+    # an id leads the row too, and an empty table is its header
+    assert csv_columns_bytes(["id", "v"], (ids, y)) == csv_bytes(["id", "v"], zip(ids, y.tolist()))
+    assert csv_columns_bytes(["id", "v"], ([], np.zeros(0))) == b"id,v\n"
+    with pytest.raises(ValueError, match="two or more columns"):
+        csv_columns_bytes(["id"], (ids,))
+
+
+def test_the_edge_hash_reads_the_undirected_edge_set_and_stays_out_of_meta_json(tmp_path):
+    ds = toy_dataset(n=4)
+    digest = edges_sha256(ds.graph)
+    assert dataset_signature(ds)["edges_sha256"] == digest
+    flipped = GraphSpec(4, tuple((d, s, w) for s, d, w in reversed(ds.graph.edges)))
+    assert edges_sha256(flipped) == digest
+    for edges in (ds.graph.edges[:-1], ds.graph.edges[:-1] + ((0, 3, 1.0),),
+                  ds.graph.edges[:-1] + ((2, 3, np.nextafter(2.0, 3.0)),)):
+        assert edges_sha256(GraphSpec(4, edges)) != digest
+    save_dataset(ds, tmp_path / "d")
+    meta = json.loads((tmp_path / "d" / "meta.json").read_text(encoding="utf-8"))
+    assert "edges_sha256" not in meta
 
 
 def test_building_rounds_signals_to_float32_and_refuses_what_float32_cannot_hold():

@@ -14,8 +14,8 @@ from stgf.errors import NumericalError, ValidationError
 from stgf.graphs import GraphSpec
 from stgf.model import ModelConfig, ModelParams, init_params
 from stgf.synth import build_synthetic
+import stgf.training
 from stgf.training import (
-    FORECAST_BATCH,
     AdamState,
     Metrics,
     TrainConfig,
@@ -24,6 +24,7 @@ from stgf.training import (
     compute_metrics,
     evaluate,
     _forecast,
+    forecast_chunk,
     ha_baseline,
     mean_sample_mse,
     train,
@@ -553,13 +554,52 @@ def test_mean_sample_mse_matches_manual_average():
     assert got == pytest.approx(want / len(subset), rel=1e-12)
 
 
-def test_mean_sample_mse_equals_the_running_total_bitwise():
+def test_mean_sample_mse_equals_the_running_total_bitwise(monkeypatch):
     ds, cfg = small_setup(seed=5)
     params = init_params(cfg, np.random.default_rng(6))
     windows = prepare_samples(ds, cfg.window, 0.7, 0.1).train
-    assert len(windows) > FORECAST_BATCH and len(windows) % FORECAST_BATCH
+    # a budget small enough that the windows run as several chunks, the last partial
+    monkeypatch.setattr(stgf.training, "FORECAST_BYTES", 10 * 2**10)
+    chunk = forecast_chunk(cfg)
+    assert len(windows) > chunk and len(windows) % chunk
     # the oracle: a running total over the windows, one window at a time
     total = 0.0
     for d in _forecast(params, cfg, ds, windows) - windows.y_norm:
         total += (np.sum(d * d) / d.shape[0]).item()
     assert mean_sample_mse(params, cfg, windows, ds) == total / len(windows)
+
+
+# ------------------------------------------------------------ forecast chunks
+
+CRITERION_4_MODEL = dict(gcn_dims=(8, 16), lstm_layers=1, lstm_hidden=32, embed_dim=4)
+
+
+def test_forecast_chunks_hold_32_paper_windows_and_a_whole_criterion_4_split(monkeypatch):
+    assert forecast_chunk(ModelConfig(n_nodes=170)) == 32
+    ds = build_synthetic(seed=7, n_nodes=10, n_slots=2016)
+    cfg = ModelConfig(n_nodes=10, n_channels=ds.n_channels, window=3, **CRITERION_4_MODEL)
+    test = prepare_samples(ds, cfg.window, 0.7, 0.1).test
+    assert len(test) == 403
+    calls = []
+
+    def counted(tape, params, slots, external, *rest):
+        calls.append(len(external))
+        return model_forward(tape, params, slots, external, *rest)
+
+    model_forward = stgf.training.model_forward
+    monkeypatch.setattr(stgf.training, "model_forward", counted)
+    _forecast(init_params(cfg, np.random.default_rng(0)), cfg, ds, test)
+    assert calls == [403]
+
+
+def test_forecast_chunks_from_a_smaller_budget_agree_with_one_chunk(monkeypatch):
+    ds, cfg = small_setup(seed=4)
+    params = init_params(cfg, np.random.default_rng(8))
+    windows = prepare_samples(ds, cfg.window, 0.7, 0.1).train
+    assert forecast_chunk(cfg) >= len(windows)
+    whole = _forecast(params, cfg, ds, windows)
+    for budget in (1, 5 * 2**10, 20 * 2**10):
+        monkeypatch.setattr(stgf.training, "FORECAST_BYTES", budget)
+        assert 1 <= forecast_chunk(cfg) < len(windows)
+        chunked = _forecast(params, cfg, ds, windows)
+        np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=0)
