@@ -14,10 +14,10 @@ Text files are UTF-8. Every file the package writes, dataset, run or
 checkpoint, is staged and renamed as part of a set by ``write_files``, in
 the one JSON and CSV form of ``json_bytes`` and ``csv_bytes``
 (``csv_columns_bytes`` writes the same CSV from columns). Both CSV
-tables are read the same way: the rows stream into one flat list of cells
-plus a list of row widths, and each field is converted from its stride of
-that list. Blank lines are skipped; a non-blank row of another width than
-the header's ends the table, and a load names the first bad line in file
+tables are read the same way: into a header, one flat list of cells and an
+array of row widths, and each field is converted from its stride of that
+list. Blank lines are skipped; a non-blank row of another width than the
+header's ends the table, and a load names the first bad line in file
 order, row then field.
 
 Slot t starts at minute t * interval_minutes, with slot 0 at midnight of
@@ -80,9 +80,10 @@ class ExternalField:
 
     def encode(self, values: Sequence[str]) -> np.ndarray:
         """Map a column of raw strings to its category codes, or to finite
-        values through ``float`` (exactly Python's float syntax)."""
+        values. NumPy converts a list of str to float64 through Python's
+        ``float``, so the syntax and the ``ValueError`` are ``float``'s."""
         if self.kind == "continuous":
-            column = np.fromiter(map(float, values), np.float64, len(values))
+            column = np.array(values, dtype=np.float64)
             finite = np.isfinite(column)
             if not finite.all():
                 raw = values[int(np.argmin(finite))]
@@ -164,6 +165,7 @@ class SignalDataset:
             raise ValidationError(f"signals hold a value not finite in float32 at flat index {bad}")
         if self.interval_minutes < 1:
             raise ValidationError(f"interval_minutes must be >= 1, got {self.interval_minutes}")
+        _check_slot_minutes(t, self.interval_minutes)
         if len(self.channel_names) != c:
             raise ValidationError(f"{len(self.channel_names)} channel names for {c} channels")
         if len(self.node_ids) != n:
@@ -202,6 +204,16 @@ class SignalDataset:
     @property
     def n_channels(self) -> int:
         return self.signals.shape[2]
+
+
+def _check_slot_minutes(n_slots: int, interval_minutes: int) -> None:
+    """Refuse a series whose last slot starts past int64's range, the
+    integers its timestamps are computed in."""
+    last = (n_slots - 1) * int(interval_minutes)
+    if last > np.iinfo(np.int64).max:
+        raise ValidationError(
+            f"slot {n_slots - 1} starts at minute {last}, past the int64 range of timestamps"
+        )
 
 
 # -------------------------------------------------------------- persistence
@@ -365,8 +377,54 @@ def _parse(kind):
     return lambda column: list(map(kind, column))
 
 
+def _split_cells(data: bytes, text: str) -> tuple[list[str], list[str], np.ndarray] | None:
+    """The header, body cells and body row widths of a table ``str.split``
+    cuts exactly as ``csv.reader`` would, or None for any other table.
+
+    It cuts ``text``, the UTF-8 decoding of ``data``, when the table holds
+    no ``"``, CR or NUL, no blank line and no line of more bytes than
+    ``csv.field_size_limit()``. Then every line ends at a LF, or at the end
+    of the file, and its fields are the text between commas. The widths
+    count the comma bytes between LF bytes; UTF-8 never uses those byte
+    values inside a multi-byte character, so bytes and characters agree.
+    """
+    if b'"' in data or b"\r" in data or b"\0" in data:
+        return None
+    raw = np.frombuffer(data if data.endswith(b"\n") else data + b"\n", dtype=np.uint8)
+    seps = np.flatnonzero((raw == ord("\n")) | (raw == ord(",")))
+    lfs = np.flatnonzero(raw[seps] == ord("\n"))  # which separators end a line
+    lengths = np.diff(seps[lfs], prepend=-1) - 1
+    if not lengths.all() or lengths.max() > csv.field_size_limit():
+        return None
+    widths = np.diff(lfs, prepend=-1)  # a line's separators: its commas and its LF
+    header, _, body = text.removesuffix("\n").partition("\n")
+    cells = body.replace("\n", ",").split(",") if body else []
+    return header.split(","), cells, widths[1:]
+
+
+def _reader_cells(text: str) -> tuple[list[str] | None, list[str], np.ndarray]:
+    """The header, body cells and body row widths of ``text`` as
+    ``csv.reader`` reads it; the header is None for an empty text."""
+    widths: list[int] = []
+
+    def note_width(row: list[str]) -> list[str]:
+        widths.append(len(row))
+        return row
+
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    cells = list(chain.from_iterable(map(note_width, reader)))
+    return header, cells, np.array(widths, dtype=np.int64)
+
+
 class _Table:
     """One CSV table of the directory format, read as a flat list of cells.
+
+    The file is read once and decoded as UTF-8. ``_split_cells`` cuts a
+    table without quotes, CR, NUL, blank lines or over-long lines, as
+    ``save_dataset`` writes them unless the schema is empty or a covariate
+    name needs quoting; ``csv.reader`` reads every other table. Both give
+    the same header, cells and widths, so the checks below are one path.
 
     No row list outlives its line: a table of T rows held as T lists makes
     the garbage collector run full collections in a process that loads
@@ -379,20 +437,12 @@ class _Table:
     """
 
     def __init__(self, path: Path, width: int, max_rows: int | None = None) -> None:
-        widths: list[int] = []
-
-        def note_width(row: list[str]) -> list[str]:
-            widths.append(len(row))
-            return row
-
+        data = path.read_bytes()
         try:
-            with open(path, newline="", encoding="utf-8") as fh:
-                reader = csv.reader(fh)
-                self.header = next(reader, None)
-                cells = list(chain.from_iterable(map(note_width, reader)))
+            text = data.decode("utf-8")
+            self.header, cells, counts = _split_cells(data, text) or _reader_cells(text)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise LoadError(f"{path}: cannot read as UTF-8 CSV ({exc})") from None
-        counts = np.array(widths, dtype=np.int64)
         rows = np.flatnonzero(counts)  # index of each non-blank row after the header
         self.fault = None
         if max_rows is not None and len(rows) > max_rows:
@@ -457,6 +507,10 @@ def load_dataset(path: str | Path) -> SignalDataset:
             raise LoadError(f"{meta_path}: {key} must be an integer >= 1, got {value!r}")
     t, n, c, interval = meta["T"], meta["N"], meta["C"], meta["interval_minutes"]
     try:
+        _check_slot_minutes(t, interval)
+        for key in ("channel_names", "node_ids", "external_schema"):
+            if not isinstance(meta[key], list):  # a string would read as its characters
+                raise TypeError(f"{key} must be a JSON list, got {type(meta[key]).__name__}")
         channel_names = tuple(str(x) for x in meta["channel_names"])
         node_ids = tuple(str(x) for x in meta["node_ids"])
         fields = tuple(ExternalField.from_dict(d) for d in meta["external_schema"])

@@ -1,21 +1,26 @@
 """End-to-end command-line tests driving main() in process."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stgf.checkpoint import load_checkpoint
 from stgf.cli import build_run_config, main
 from stgf.data import load_dataset, save_dataset
-from stgf.errors import ValidationError
+from stgf.errors import LoadError, ValidationError
 from stgf.training import TrainConfig
 from test_checkpoint import MALFORMED_MANIFESTS, MISFITTING_TABLES, fail_writing, rewrite_table
 
@@ -729,6 +734,72 @@ def test_an_unreadable_dataset_file_exits_2_naming_it(run_dir, data_dir, tmp_pat
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"error: {path / name}: {want}" in err
+
+
+# meta.json edits that loaded at 64 slots of 3 nodes and 3 channels: slot
+# minutes that wrap past int64, and strings read as lists of characters
+META_EDITS = {
+    "interval-past-int64": ("interval_minutes", 10**18),
+    "channel-names-string": ("channel_names", "fso"),
+    "node-ids-string": ("node_ids", "abc"),
+}
+
+
+@pytest.mark.parametrize("command", ["inspect", "eval", "predict"])
+@pytest.mark.parametrize("case", sorted(META_EDITS))
+def test_metadata_the_series_cannot_hold_exits_2_naming_meta_json(
+    run_dir, data_dir, tmp_path, capsys, command, case
+):
+    key, value = META_EDITS[case]
+    path = tmp_path / "bad"
+    _edited_meta_copy(data_dir, path, key, lambda _: value)
+    argv = (["inspect", "--data", str(path)] if command == "inspect"
+            else _checkpoint_command(command, run_dir / "checkpoint", path))
+    if command == "eval":
+        argv += ["--out", str(tmp_path / "e")]
+    assert main(argv) == 2
+    assert f"error: {path / 'meta.json'}: bad metadata (" in capsys.readouterr().err
+
+
+def _damaged(data: bytes, kind: str, where: float, mask: int) -> bytes:
+    """``data`` cut at ``where`` of its length, or with the byte there
+    XORed with ``mask``."""
+    at = min(int(where * len(data)), len(data) - 1)
+    if kind == "cut":
+        return data[:at]
+    return data[:at] + bytes([data[at] ^ mask]) + data[at + 1 :]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    name=st.sampled_from(["checkpoint/params.bin", "checkpoint/manifest.json", "data/signals.bin"]),
+    kind=st.sampled_from(["cut", "flip"]),
+    where=st.floats(0.0, 1.0),
+    mask=st.integers(1, 255),
+)
+def test_a_damaged_checkpoint_or_series_loads_or_exits_2(run_dir, data_dir, name, kind, where, mask):
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt, data = Path(tmp) / "checkpoint", Path(tmp) / "data"
+        shutil.copytree(run_dir / "checkpoint", ckpt)
+        shutil.copytree(data_dir, data)
+        original = (Path(tmp) / name).read_bytes()
+        damaged = _damaged(original, kind, where, mask)
+        (Path(tmp) / name).write_bytes(damaged)
+        try:
+            load_dataset(data) if name.startswith("data/") else load_checkpoint(ckpt)
+            refusal = None
+        except LoadError as exc:
+            refusal = f"error: {exc}"
+        # a cut is refused, unless it took only the manifest's last newline
+        if kind == "cut" and original[len(damaged) :] != b"\n":
+            assert refusal is not None
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["predict", "--checkpoint", str(ckpt), "--data", str(data), "--at", "50"])
+        if refusal is None:
+            assert code in (0, 2, 3), err.getvalue()
+        else:
+            assert code == 2 and refusal in err.getvalue()
 
 
 # ------------------------------------------------------------- one process

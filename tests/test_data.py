@@ -7,12 +7,14 @@ import json
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stgf import data as data_module
 from stgf.data import (
     DEFAULT_CHANNEL_NAMES,
     DEFAULT_EXTERNAL_FIELDS,
@@ -96,6 +98,38 @@ def test_external_field_continuous_column():
     assert f.decode(column) == ["0.5", "-1e+300", "2.0", "1000.0"]
     with pytest.raises(ValueError, match="could not convert string to float: 'warm'"):
         f.encode(["1.0", "warm"])
+
+
+def _float_or_error(raw: str):
+    try:
+        return float(raw)
+    except ValueError as exc:
+        return str(exc)
+
+
+# decimal text with the spaces, underscores, signs, exponents, words and
+# non-ASCII digits that float accepts or refuses
+_DECIMALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.text(alphabet=st.sampled_from(list("0123456789._+-eE ainfINF\u0663\u00a0x,")), max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_DECIMALS, min_size=1, max_size=8))
+def test_a_continuous_column_converts_each_cell_as_float_does(cells):
+    f = ExternalField("temperature", "continuous")
+    want = [_float_or_error(raw) for raw in cells]
+    errors = [w for w in want if isinstance(w, str)]
+    try:
+        column = f.encode(cells)
+    except ValidationError:  # a value float reads as inf or nan
+        assert not errors and not np.isfinite(want).all()
+    except ValueError as exc:
+        assert str(exc) == errors[0]
+    else:
+        assert not errors
+        assert column.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999", " NaN "])
@@ -455,6 +489,45 @@ def test_load_refuses_a_count_that_is_not_a_positive_json_integer(tmp_path, key,
     assert str(info.value) == f"{path}: {key} must be an integer >= 1, got {value!r}"
 
 
+def test_a_last_slot_minute_past_int64_is_refused(tmp_path):
+    # 199 slots of 10**17 minutes loaded, and eval wrote timestamps that
+    # had wrapped past int64 to negative minutes
+    ds = toy_dataset(t=200)
+    save_dataset(ds, tmp_path / "d")
+    path = tmp_path / "d" / "meta.json"
+    meta = json.loads(path.read_text())
+    meta["interval_minutes"] = 10**17
+    path.write_text(json.dumps(meta))
+    with pytest.raises(LoadError) as info:
+        load_dataset(tmp_path / "d")
+    assert str(info.value) == (
+        f"{path}: bad metadata (slot 199 starts at minute 19900000000000000000, "
+        "past the int64 range of timestamps)"
+    )
+    with pytest.raises(ValidationError, match="slot 199 starts at minute 19900000000000000000"):
+        dataclasses.replace(ds, interval_minutes=10**17)
+    # the widest interval whose last slot still fits
+    meta["interval_minutes"] = (2**63 - 1) // 199
+    path.write_text(json.dumps(meta))
+    assert load_dataset(tmp_path / "d").interval_minutes == (2**63 - 1) // 199
+
+
+@pytest.mark.parametrize("key, value", [
+    ("channel_names", "fso"), ("node_ids", "abc"), ("channel_names", {"f": 1, "s": 2, "o": 3}),
+])
+def test_load_refuses_names_that_are_not_a_json_list(tmp_path, key, value):
+    # a string of three letters loaded as three channel names or node ids
+    save_dataset(toy_dataset(), tmp_path / "d")
+    path = tmp_path / "d" / "meta.json"
+    meta = json.loads(path.read_text())
+    meta[key] = value
+    path.write_text(json.dumps(meta))
+    with pytest.raises(LoadError) as info:
+        load_dataset(tmp_path / "d")
+    kind = type(value).__name__
+    assert str(info.value) == f"{path}: bad metadata ({key} must be a JSON list, got {kind})"
+
+
 # Each case edits edges.csv of toy_dataset() (edges 0-1 at 1.0 and 1-2 at
 # 1.5 on lines 2 and 3) and gives the message load_dataset must raise after
 # the file name, by the same first-bad-line rule as externals.csv.
@@ -552,6 +625,7 @@ def _edits():
     tokens = st.sampled_from([
         b"\x00", b'"', b"\r", b"\xff", b"\xc3", b"\xed\xa0\x80",  # NUL, quote, CR, not UTF-8
         b"9" * (csv.field_size_limit() + 1),  # over-long field
+        b",", b"\n", b"\n\n", b"\r\n", b'"a,b"', b" ", "é".encode("utf-8"),  # cells and lines
     ])
     position = st.floats(0.0, 1.0)
     return st.one_of(
@@ -566,6 +640,15 @@ def _apply(data: bytes, edit) -> bytes:
     if kind == "cut":
         return data[:at]
     return data[:at] + token + data[at + (kind == "over") :]
+
+
+def _load_outcome(root):
+    """The arrays a load gives, or its LoadError text."""
+    try:
+        ds = load_dataset(root)
+    except LoadError as exc:
+        return str(exc)
+    return ds.signals.tobytes(), ds.externals.tobytes(), ds.graph.edges
 
 
 @pytest.fixture(scope="module")
@@ -590,10 +673,60 @@ def test_a_damaged_dataset_loads_or_raises_load_error(toy_files, edits):
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in files.items():
             (Path(tmp) / name).write_bytes(data)
-        try:
-            load_dataset(tmp)
-        except LoadError:
-            pass
+        loaded = _load_outcome(tmp)
+        # csv.reader alone, the oracle of the split path, reads it the same
+        with mock.patch.object(data_module, "_split_cells", lambda data, text: None):
+            assert _load_outcome(tmp) == loaded
+
+
+# the characters csv.reader treats apart, plus spaces, non-ASCII letters
+# and line separators that neither tokeniser splits at
+_CSV_CHARS = ',"\r\n\x00 aé日\u2028\x85'
+
+
+@st.composite
+def csv_texts(draw):
+    """Text over ``_CSV_CHARS``, or over those without a quote, CR and NUL,
+    maybe with one long field of about ``csv.field_size_limit()``
+    characters, with or without a trailing LF."""
+    chars = draw(st.sampled_from([_CSV_CHARS, _CSV_CHARS.translate({ord(c): None for c in '"\r\x00'})]))
+    text = draw(st.text(alphabet=st.sampled_from(list(chars)), max_size=40))
+    if draw(st.booleans()):
+        limit = csv.field_size_limit()
+        field = draw(st.sampled_from(["a", "é"])) * (limit + draw(st.integers(-1, 1)))
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + field + text[at:]
+    if draw(st.booleans()):
+        text = text.removesuffix("\n") if text.endswith("\n") else text + "\n"
+    return text
+
+
+def _reader_tokens(text):
+    try:
+        header, cells, widths = data_module._reader_cells(text)
+    except csv.Error as exc:
+        return f"csv.Error: {exc}"
+    return header, cells, widths.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts())
+def test_the_split_tokeniser_agrees_with_csv_reader(text):
+    split = data_module._split_cells(text.encode("utf-8"), text)
+    if split is not None:
+        header, cells, widths = split
+        assert (header, cells, widths.tolist()) == _reader_tokens(text)
+
+
+def test_the_split_tokeniser_cuts_the_tables_save_dataset_writes(tmp_path):
+    save_dataset(toy_dataset(), tmp_path / "d")
+    for name in ("edges.csv", "externals.csv"):
+        data = (tmp_path / "d" / name).read_bytes()
+        text = data.decode("utf-8")
+        header, cells, widths = data_module._split_cells(data, text)
+        assert (header, cells, widths.tolist()) == _reader_tokens(text)
+    for text in ("", "\n", "a,b\n\nc,d\n", 'a,"b"\n', "a,b\r\n", "a\x00,b\n"):
+        assert data_module._split_cells(text.encode("utf-8"), text) is None
 
 
 # names that need csv quoting or are not ASCII

@@ -11,7 +11,8 @@ also records the numeric environment that wrote them: the NumPy version,
 the BLAS build and the CPU architecture. Another environment may round
 differently, so there the test skips only the golden comparison, naming
 the difference; two runs in fresh directories must still agree byte for
-byte.
+byte. The flow also writes the same bytes at one and at two OpenBLAS
+threads, each run in a fresh process started with that thread count.
 
 After a change meant to change these bytes, rewrite the golden file with
 
@@ -24,7 +25,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -108,6 +111,39 @@ def test_the_criterion_4_flow_writes_the_golden_bytes(tmp_path):
         pytest.skip(f"golden digests were recorded in another numeric environment: {differs}")
     changed = [k for k in golden["digests"] if first.get(k) != golden["digests"][k]]
     assert first == golden["digests"], f"bytes differ from the golden file: {changed}"
+
+
+def test_one_and_two_blas_threads_write_the_same_bytes(tmp_path):
+    # BLAS reads its thread count once, when NumPy loads, so each count
+    # needs its own process; the two run side by side
+    tests = Path(__file__).parent
+    script = (
+        "import json, sys; from pathlib import Path; from test_determinism import flow_digests; "
+        "print(json.dumps(flow_digests(Path(sys.argv[1]))))"
+    )
+    pythonpath = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                               os.environ.get("PYTHONPATH")]))
+    runs = {
+        threads: subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path / threads)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for threads in ("1", "2")
+    }
+    digests = {}
+    try:
+        for threads, run in runs.items():
+            out, err = run.communicate(timeout=300)
+            assert run.returncode == 0, err
+            digests[threads] = json.loads(out)
+    finally:
+        for run in runs.values():
+            run.kill()  # does nothing to a process that has exited
+    assert sorted(digests["1"]) == sorted([*ARTIFACTS, *(f"{c} stdout" for c in
+                                           ("synth", "train", "eval", "predict"))])
+    changed = [k for k in digests["1"] if digests["1"][k] != digests["2"][k]]
+    assert changed == [], f"1 and 2 BLAS threads wrote different bytes: {changed}"
 
 
 if __name__ == "__main__":
