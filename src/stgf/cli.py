@@ -22,9 +22,11 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import LoadedCheckpoint, load_checkpoint
 from .data import SignalDataset, check_signature, chronological_split, load_dataset, make_windows
-from .data import csv_bytes, csv_columns_bytes, json_bytes, write_files
+from .data import csv_bytes, json_bytes, write_files
 from .errors import NumericalError, UsageError, ValidationError
 from .model import ABLATIONS, ModelConfig
 from .synth import TOPOLOGIES, channel_correlations, generate_synthetic
@@ -201,8 +203,9 @@ def cmd_train(args) -> int:
 
     result = train(dataset, model_config, train_config, log=print)
 
-    curve = ((r.epoch, repr(r.train_mse), repr(r.val_mse)) for r in result.curve)
-    write_files(run_dir, {"loss_curve.csv": csv_bytes(["epoch", "train_mse", "val_mse"], curve)})
+    header = ["epoch", "train_mse", "val_mse"]
+    curve = [np.array([getattr(r, k) for r in result.curve]) for k in header]
+    write_files(run_dir, {"loss_curve.csv": csv_bytes(header, curve)})
 
     print(f"best epoch {result.best_epoch} (val_mse {result.best_val_mse:.6f})")
     print(f"run artifacts in {run_dir}")
@@ -222,7 +225,7 @@ def cmd_eval(args) -> int:
 
     table = (rows.timestamp_minutes, rows.node_id, rows.y_true, rows.y_pred)
     write_files(out_dir, {
-        "predictions.csv": csv_columns_bytes(["timestamp", "node_id", "y_true", "y_pred"], table),
+        "predictions.csv": csv_bytes(["timestamp", "node_id", "y_true", "y_pred"], table),
         "metrics.json": json_bytes({"split": args.split, "model": metrics.to_dict(), "ha": ha.to_dict()}),
     })
 

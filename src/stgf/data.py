@@ -12,8 +12,7 @@ An STGF directory holds one multi-channel sensor-network series:
 
 Text files are UTF-8. Every file the package writes, dataset, run or
 checkpoint, is staged and renamed as part of a set by ``write_files``, in
-the one JSON and CSV form of ``json_bytes`` and ``csv_bytes``
-(``csv_columns_bytes`` writes the same CSV from columns). Both CSV
+the one JSON and CSV form of ``json_bytes`` and ``csv_bytes``. Both CSV
 tables are read the same way: into a header, one flat list of cells and an
 array of row widths, and each field is converted from its stride of that
 list. Blank lines are skipped; a non-blank row of another width than the
@@ -98,10 +97,10 @@ class ExternalField:
                 f"expected one of {list(self.categories)}"
             ) from None
 
-    def decode(self, column: np.ndarray) -> list[str]:
-        """Inverse of ``encode``: one string per entry of a valid column."""
+    def decode(self, column: np.ndarray) -> np.ndarray | list[str]:
+        """Inverse of ``encode`` for a valid column: names, or the column itself."""
         if self.kind == "continuous":
-            return [repr(v) for v in column.tolist()]
+            return column
         return [self.categories[i] for i in column.astype(np.int64).tolist()]
 
     def to_dict(self) -> dict:
@@ -174,6 +173,8 @@ class SignalDataset:
             raise ValidationError("node ids must be unique")
         if self.graph.n_nodes != n:
             raise ValidationError(f"graph has {self.graph.n_nodes} nodes, signals have {n}")
+        if not self.external_fields:  # a table of no columns has no rows to count
+            raise ValidationError("a dataset needs at least one covariate field")
         self.check_externals()
 
     def check_externals(self) -> None:
@@ -251,33 +252,23 @@ def json_bytes(value) -> bytes:
     return (json.dumps(value, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def csv_bytes(header: Sequence, rows: Iterable[Sequence]) -> bytes:
-    """The one CSV form of every artifact: a header row, then the rows,
-    each ended by a bare line feed, UTF-8."""
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return text.getvalue().encode("utf-8")
+def csv_bytes(header: Sequence[str], columns: Sequence) -> bytes:
+    """The one CSV form of every artifact: a header row, then a row per
+    entry of the columns, each line ended by a bare line feed, UTF-8.
 
-
-def csv_columns_bytes(header: Sequence[str], columns: Sequence) -> bytes:
-    """The bytes ``csv_bytes`` writes for the rows of two or more columns
-    (array entries as Python numbers), rendered a column at a time: an
-    array of integers by ``str`` and one of floats by ``repr`` (numbers
-    never need quoting), a list of strings as ``csv_bytes``' writer quotes
-    them, each distinct string once."""
-    if len(columns) < 2:  # the writer quotes a row's only empty field
-        raise ValueError(f"csv_columns_bytes needs two or more columns, got {len(columns)}")
+    A column is rendered whole: an array of integers by ``str``, one of
+    floats by ``repr`` (numbers never need quoting), and a list of strings
+    as ``csv.writer`` quotes them, each distinct string once."""
     # the writer's file hands each line back, and writerow returns it
     quote = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    # the writer quotes each field on its own terms, but "" only when it is
+    # its row's one field; a pad field keeps a row of several out of that case
+    pad, cut = ((), -1) if len(columns) == 1 else (("-",), -3)
 
     def cells(column) -> Iterable[str]:
         if isinstance(column, np.ndarray):
             return map(repr if column.dtype.kind == "f" else str, column.tolist())
-        # a field's quoting depends on that field alone; the second field
-        # keeps an empty string from being the row's only field
-        quoted = {v: quote.writerow((v, "-"))[:-3] for v in set(column)}
+        quoted = {v: quote.writerow((v, *pad))[:cut] for v in set(column)}
         return map(quoted.__getitem__, column)
 
     rows = map(",".join, zip(*map(cells, columns)))
@@ -352,15 +343,11 @@ def save_dataset(dataset: SignalDataset, path: str | Path) -> None:
     fields = dataset.external_fields
     in_schema_order = dataset.externals[:, external_columns(fields)].T
     columns = [f.decode(column) for f, column in zip(fields, in_schema_order)]
+    edges = np.array(dataset.graph.edges, dtype=np.float64).reshape(-1, 3).T  # node indices exact
     write_files(path, {
         "signals.bin": dataset.signals.astype("<f4", copy=False),
-        "edges.csv": csv_bytes(
-            ["src", "dst", "distance"], ((s, d, repr(w)) for s, d, w in dataset.graph.edges)
-        ),
-        # an empty schema still writes one (empty) line per slot
-        "externals.csv": csv_bytes(
-            [f.name for f in fields], zip(*columns) if columns else [[]] * dataset.n_slots
-        ),
+        "edges.csv": csv_bytes(["src", "dst", "distance"], [*edges[:2].astype(np.int64), edges[2]]),
+        "externals.csv": csv_bytes([f.name for f in fields], columns),
         "meta.json": json_bytes(meta),
     })
 
@@ -422,9 +409,9 @@ class _Table:
 
     The file is read once and decoded as UTF-8. ``_split_cells`` cuts a
     table without quotes, CR, NUL, blank lines or over-long lines, as
-    ``save_dataset`` writes them unless the schema is empty or a covariate
-    name needs quoting; ``csv.reader`` reads every other table. Both give
-    the same header, cells and widths, so the checks below are one path.
+    ``save_dataset`` writes them unless a covariate name needs quoting;
+    ``csv.reader`` reads every other table. Both give the same header,
+    cells and widths, so the checks below are one path.
 
     No row list outlives its line: a table of T rows held as T lists makes
     the garbage collector run full collections in a process that loads
@@ -514,6 +501,8 @@ def load_dataset(path: str | Path) -> SignalDataset:
         channel_names = tuple(str(x) for x in meta["channel_names"])
         node_ids = tuple(str(x) for x in meta["node_ids"])
         fields = tuple(ExternalField.from_dict(d) for d in meta["external_schema"])
+        if not fields:
+            raise ValueError("external_schema names no covariate field")
     except (TypeError, KeyError, ValueError) as exc:
         raise LoadError(f"{meta_path}: bad metadata ({exc})") from None
 
@@ -561,6 +550,8 @@ def load_dataset(path: str | Path) -> SignalDataset:
             externals=externals,
         )
     except ValidationError as exc:
+        if not np.isfinite(signals).all():  # checked first, so exc names the value
+            raise LoadError(f"{bin_path}: {exc}") from None
         raise LoadError(f"{root}: inconsistent dataset ({exc})") from None
 
 

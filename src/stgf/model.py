@@ -80,6 +80,11 @@ class ModelConfig:
                 setattr(self, f.name, tuple(_integer(f.name, v, least) for v in value))
         if not self.gcn_dims:
             raise ValidationError("gcn_dims must not be empty")
+        if self.external_dim == 0:
+            raise ValidationError(
+                "the model needs a covariate input: external_cardinalities is empty "
+                "and external_continuous is 0"
+            )
         if self.ablation not in ABLATIONS:
             raise ValidationError(f"unknown ablation {self.ablation!r}, expected one of {ABLATIONS}")
 

@@ -206,6 +206,20 @@ def test_malformed_manifest_raises_load_error(tmp_path, edit):
         load_checkpoint(tmp_path / "ck")
 
 
+def test_a_manifest_whose_model_reads_no_covariate_is_refused(tmp_path):
+    params, cfg, tc, stats = fixtures()
+    save_checkpoint(params, cfg, tc, stats, tmp_path / "ck")
+
+    def no_covariates(manifest):
+        manifest["model_config"].update(external_cardinalities=[], external_continuous=0)
+        return manifest
+
+    _edit_manifest(tmp_path / "ck", no_covariates)
+    with pytest.raises(LoadError, match=r"manifest.json: bad 'model_config' \(ValidationError: "
+                                        r"the model needs a covariate input"):
+        load_checkpoint(tmp_path / "ck")
+
+
 def _poison_blob(directory, name, value):
     """Write ``value`` over the first float32 of parameter ``name``."""
     manifest = json.loads((directory / "manifest.json").read_text())

@@ -737,11 +737,13 @@ def test_an_unreadable_dataset_file_exits_2_naming_it(run_dir, data_dir, tmp_pat
 
 
 # meta.json edits that loaded at 64 slots of 3 nodes and 3 channels: slot
-# minutes that wrap past int64, and strings read as lists of characters
+# minutes that wrap past int64, and strings read as lists of characters;
+# and a schema of no covariate fields, which was blamed on externals.csv
 META_EDITS = {
     "interval-past-int64": ("interval_minutes", 10**18),
     "channel-names-string": ("channel_names", "fso"),
     "node-ids-string": ("node_ids", "abc"),
+    "external-schema-empty": ("external_schema", []),
 }
 
 

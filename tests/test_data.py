@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import gc
+import io
 import json
 import re
 import tempfile
@@ -11,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stgf import data as data_module
@@ -25,7 +26,6 @@ from stgf.data import (
     WindowSet,
     chronological_split,
     csv_bytes,
-    csv_columns_bytes,
     dataset_signature,
     edges_sha256,
     json_bytes,
@@ -95,7 +95,7 @@ def test_external_field_continuous_column():
     column = f.encode(["0.5", "-1e300", " 2 ", "1_000"])
     assert column.shape == (4,)
     assert column.tolist() == [0.5, -1e300, 2.0, 1000.0]
-    assert f.decode(column) == ["0.5", "-1e+300", "2.0", "1000.0"]
+    assert f.decode(column) is column
     with pytest.raises(ValueError, match="could not convert string to float: 'warm'"):
         f.encode(["1.0", "warm"])
 
@@ -226,29 +226,49 @@ def test_json_bytes_sorts_keys_indents_two_and_ends_with_a_newline():
 
 
 def test_csv_bytes_ends_every_row_with_a_line_feed_in_utf8():
-    data = csv_bytes(["node", "v"], [("é", "1.5"), ("a,b", "2")])
-    assert data == 'node,v\né,1.5\n"a,b",2\n'.encode("utf-8")
+    data = csv_bytes(["node", "v"], [["é", "a,b"], np.array([1.5, 2.0])])
+    assert data == 'node,v\né,1.5\n"a,b",2.0\n'.encode("utf-8")
 
 
-# node ids the writer must quote, or must leave as they are
-AWKWARD_IDS = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", " lead", "trail ", "", "ünï 東京", "plain"]
+def _csv_writer_bytes(header, rows) -> bytes:
+    """The row writer ``csv_bytes`` replaced: ``csv.writer`` with a bare
+    line feed, floats as ``repr``, UTF-8."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return text.getvalue().encode("utf-8")
 
 
-def test_csv_columns_bytes_is_csv_bytes_of_the_rows():
-    n_windows = 3
-    stamps = np.repeat(np.arange(n_windows) * 5, len(AWKWARD_IDS))
-    ids = AWKWARD_IDS * n_windows
-    y = np.random.default_rng(0).standard_normal(len(ids)) * 1e3
-    y[:3] = [-0.0, 1e-300, 123456789.0]
-    header = ["timestamp", "node_id", "y_true", "y_pred"]
-    rows = zip(stamps.tolist(), ids, map(repr, y.tolist()), map(repr, (y / 7).tolist()))
-    want = csv_bytes(header, rows)
-    assert csv_columns_bytes(header, (stamps, ids, y, y / 7)) == want
-    # an id leads the row too, and an empty table is its header
-    assert csv_columns_bytes(["id", "v"], (ids, y)) == csv_bytes(["id", "v"], zip(ids, y.tolist()))
-    assert csv_columns_bytes(["id", "v"], ([], np.zeros(0))) == b"id,v\n"
-    with pytest.raises(ValueError, match="two or more columns"):
-        csv_columns_bytes(["id"], (ids,))
+# text the writer must quote, or must leave as it is, the empty string too
+_CSV_TEXT = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "é", "a"]), max_size=4)
+_CSV_CELLS = {
+    "int": st.integers(-(2**63), 2**63 - 1),
+    "float": st.one_of(st.sampled_from([-0.0, 5e-324, 1e300]), st.floats()),
+    "str": _CSV_TEXT,
+}
+
+
+@st.composite
+def _csv_tables(draw):
+    """A header and 1-4 columns of 0-6 entries: int64 or float64 arrays,
+    or lists of strings."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_CSV_CELLS)), min_size=1, max_size=4))
+    n_rows = draw(st.integers(0, 6))
+    header = draw(st.lists(_CSV_TEXT, min_size=len(kinds), max_size=len(kinds)))
+    columns = [draw(st.lists(_CSV_CELLS[k], min_size=n_rows, max_size=n_rows)) for k in kinds]
+    dtypes = {"int": np.int64, "float": np.float64}
+    return header, [np.array(c, dtype=dtypes[k]) if k in dtypes else c for k, c in zip(kinds, columns)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_tables())
+@example((["only"], [["", "a", ""]]))  # an empty string as a row's only field
+@example(([""], [np.zeros(0)]))  # an empty header as its row's only field, no rows
+def test_csv_bytes_is_csv_writer_of_the_rows(table):
+    header, columns = table
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    assert csv_bytes(header, columns) == _csv_writer_bytes(header, rows)
 
 
 def test_the_edge_hash_reads_the_undirected_edge_set_and_stays_out_of_meta_json(tmp_path):
@@ -275,6 +295,24 @@ def test_building_rounds_signals_to_float32_and_refuses_what_float32_cannot_hold
         signals[1, 2, 0] = value
         with pytest.raises(ValidationError, match="not finite in float32 at flat index 15"):
             dataclasses.replace(ds, signals=signals)
+
+
+def test_a_dataset_without_covariate_fields_is_refused():
+    ds = toy_dataset()
+    with pytest.raises(ValidationError, match="a dataset needs at least one covariate field"):
+        dataclasses.replace(ds, external_fields=(), externals=np.zeros((ds.n_slots, 0)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_signal_is_blamed_on_signals_bin(tmp_path, value):
+    save_dataset(toy_dataset(), tmp_path / "d")
+    path = tmp_path / "d" / "signals.bin"
+    signals = np.fromfile(path, dtype="<f4")
+    signals[100] = value
+    signals.tofile(path)
+    want = f"{path}: signals hold a value not finite in float32 at flat index 100"
+    with pytest.raises(LoadError, match=re.escape(want)):
+        load_dataset(tmp_path / "d")
 
 
 def test_a_load_holds_the_series_once_as_float32(tmp_path):

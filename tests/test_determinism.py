@@ -12,7 +12,9 @@ the BLAS build and the CPU architecture. Another environment may round
 differently, so there the test skips only the golden comparison, naming
 the difference; two runs in fresh directories must still agree byte for
 byte. The flow also writes the same bytes at one and at two OpenBLAS
-threads, each run in a fresh process started with that thread count.
+threads, each run in a fresh process started with that thread count and
+with Python's ``EncodingWarning`` raised as an error, so a text file the
+package opens without ``encoding="utf-8"`` fails the test.
 
 After a change meant to change these bytes, rewrite the golden file with
 
@@ -115,7 +117,8 @@ def test_the_criterion_4_flow_writes_the_golden_bytes(tmp_path):
 
 def test_one_and_two_blas_threads_write_the_same_bytes(tmp_path):
     # BLAS reads its thread count once, when NumPy loads, so each count
-    # needs its own process; the two run side by side
+    # needs its own process; the two run side by side, and a text file
+    # opened in the locale's encoding fails them
     tests = Path(__file__).parent
     script = (
         "import json, sys; from pathlib import Path; from test_determinism import flow_digests; "
@@ -125,7 +128,8 @@ def test_one_and_two_blas_threads_write_the_same_bytes(tmp_path):
                                                os.environ.get("PYTHONPATH")]))
     runs = {
         threads: subprocess.Popen(
-            [sys.executable, "-c", script, str(tmp_path / threads)],
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", script, str(tmp_path / threads)],
             env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath},
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )

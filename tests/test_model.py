@@ -96,6 +96,12 @@ def test_external_dim_counts_categories_and_continuous():
     assert tiny_config(external_cardinalities=(5,), external_continuous=0).external_dim == 1
 
 
+def test_a_config_without_covariate_inputs_is_refused():
+    # it used to build, then fail in the covariate encoder's concatenation
+    with pytest.raises(ValidationError, match="the model needs a covariate input"):
+        tiny_config(external_cardinalities=(), external_continuous=0)
+
+
 def test_first_gcn_layer_width_depends_on_channel_handling():
     assert tiny_config().gcn_layer_dims()[0] == (1, 2)
     assert tiny_config(ablation="no-channelwise").gcn_layer_dims()[0] == (2, 2)

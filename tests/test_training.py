@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stgf.autodiff import Parameter
-from stgf.data import SignalDataset, make_windows, minmax_fit, prepare_samples
+from stgf.data import ExternalField, SignalDataset, make_windows, minmax_fit, prepare_samples
 from stgf.errors import NumericalError, ValidationError
 from stgf.graphs import GraphSpec
 from stgf.model import ModelConfig, ModelParams, init_params
@@ -324,7 +324,8 @@ def test_metrics_invariant_enforced_on_construction():
 
 def flow_windows(flows, targets):
     """One-slot windows over a series whose slot t carries the node flows
-    ``flows[t]``, picked by their target slots."""
+    ``flows[t]``, picked by their target slots. The one covariate is zero;
+    the historical average never reads it."""
     flows = np.asarray(flows, dtype=float)
     n_slots, n_nodes = flows.shape
     dataset = SignalDataset(
@@ -333,8 +334,8 @@ def flow_windows(flows, targets):
         interval_minutes=1,
         channel_names=("flow",),
         node_ids=tuple(f"n{v}" for v in range(n_nodes)),
-        external_fields=(),
-        externals=np.zeros((n_slots, 0)),
+        external_fields=(ExternalField("zero", "continuous"),),
+        externals=np.zeros((n_slots, 1)),
     )
     windows = make_windows(dataset, minmax_fit(dataset.signals), 1)
     # window k targets slot k + 1
