@@ -4,6 +4,7 @@ one gradient entry against a finite difference by hand."""
 import numpy as np
 
 from stgf.autodiff import Parameter, Tape
+from stgf.errors import ContractError
 
 
 def forward(tape, w, b, x, target):
@@ -43,11 +44,16 @@ def main():
     print(f"tape gradient at w[1,2]:     {gw[1, 2]:.10f}")
     print(f"abs diff: {abs(fd - gw[1, 2]):.2e}")
 
-    # calling backward twice doubles every accumulated gradient -- the tape
-    # adds into its parameter gradients rather than overwriting, same
-    # contract the optimizer uses
-    tape.backward(loss)
-    print(f"after second backward, ratio = {tape.grad_for(w)[1, 2] / gw[1, 2]:.1f}")
+    # backward is one sweep: it drops each node's closure once it has run,
+    # freeing what the closure held, so a second backward on the same tape
+    # is refused and the gradients stay as the first sweep left them
+    try:
+        tape.backward(loss)
+    except ContractError as exc:
+        print(f"second backward refused: {exc}")
+    else:
+        raise SystemExit("a second backward ran")
+    print(f"gradient at w[1,2] unchanged: {tape.grad_for(w)[1, 2] == gw[1, 2]}")
 
 
 if __name__ == "__main__":

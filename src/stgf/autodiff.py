@@ -5,11 +5,15 @@ objects (define-by-run, so the graph is rebuilt on every pass). Each node
 stores its value and a closure mapping the node's output adjoint to
 adjoints of its inputs. ``Tape.backward`` walks the list in reverse, which
 is a valid traversal order because an op can only reference nodes created
-before it. Each intermediate adjoint is dropped as soon as its node's
-closure has consumed it; only those of bound parameters are kept, in one
-store the tape owns (``grad_for`` reads it, ``accumulate_param_grads``
-adds it into a caller's gradient arrays). A node none of whose inputs
-leads back to a parameter keeps no closure and receives no adjoint.
+before it. The walk is one sweep: it drops each node's closure right after
+running it, so what a closure held (an LSTM layer's gates and cell
+states) is freed as the sweep passes it, and a second ``backward`` on the
+same tape is refused. Node values stay. Each intermediate adjoint is
+dropped as soon as its node's closure has consumed it; only those of bound
+parameters are kept, in one store the tape owns (``grad_for`` reads it,
+``accumulate_param_grads`` adds it into a caller's gradient arrays). A
+node none of whose inputs leads back to a parameter keeps no closure and
+receives no adjoint.
 
 Values are plain numpy arrays in double precision. A leading batch axis
 (or several) is allowed wherever an op reads only the trailing axes: the
@@ -29,7 +33,9 @@ backward sums the gradient back over the broadcast axes.
 Most ops are small, but ``lstm_layer`` runs a whole recurrent layer over a
 sequence as one node: it keeps what its hand-written backward needs
 (the gate activations, gate-major so that each gate is one contiguous
-block, and the cell states) in its closure, not as nodes.
+block, and the cell states) in its closure, not as nodes. Because the
+closure runs once, its backward writes over those arrays as it consumes
+them.
 
 A tape built with ``record=False`` runs the same ops forward only: it
 keeps no node list and no closures, so each intermediate is freed as soon
@@ -38,7 +44,7 @@ as the calling code drops it, and ``backward`` is refused.
 Tapes are single-threaded; nodes and their value arrays must be treated
 as immutable once created. A parameter leaf aliases ``Parameter.value``,
 so a parameter must not be mutated between binding it on a tape and that
-tape's last ``backward`` (the optimizer only writes between tapes).
+tape's ``backward`` (the optimizer only writes between tapes).
 Independent tapes may run concurrently.
 """
 
@@ -169,6 +175,7 @@ class Tape:
         self.nodes: list[Node] = []
         self._bindings: dict[Parameter, Node] = {}
         self._grads: dict[Parameter, Array] = {}
+        self._swept = False
 
     # ------------------------------------------------------------------ leaves
 
@@ -201,7 +208,7 @@ class Tape:
         """The leaf bound to ``p`` on this tape, created on first use.
 
         The leaf's value is ``p.value`` itself, not a copy, so ``p`` must
-        not be mutated until this tape's last ``backward`` has run.
+        not be mutated until this tape's ``backward`` has run.
         """
         node = self._bindings.get(p)
         if node is None:
@@ -296,11 +303,19 @@ class Tape:
         matrix, ``x_t @ W[H:] + b + h @ W[:H]`` added in that order, so no
         joined weight copy is made. The node keeps only the gate
         activations and the cell states; its vjp is backpropagation through
-        time over a few reused rows x H buffers, recomputes ``tanh(c_t)``,
+        time over four reused rows x H buffers and one rows x 4H buffer,
         and writes the gate adjoints row-major in parameter order, so that
         each weight gradient is one product over all P steps and the input
         and recurrent adjoints are one product each with the matrices
         joined side by side.
+
+        The vjp runs once (``Tape.backward`` is one sweep), so it spends
+        what the forward kept: ``tanh(c_t)`` is written over ``c_t``, and
+        step t's four gate adjoints, formed in the rows x 4H buffer, are
+        copied over step t's gates once the step has read them for the
+        last time. Both weight-gradient products write into the row blocks
+        of one (H + D) x 4H array, and each gate's gradient is a column
+        view of it.
         """
         xv = x.value
         if xv.ndim < 2 or len(weights) != 4 or len(biases) != 4:
@@ -354,16 +369,20 @@ class Tape:
         def vjp(g: Array):
             g = g.reshape(h.shape)
             w_h = joined(0, hidden)
-            d_gates = np.empty((steps, rows, 4 * hidden))
+            # step t's gate adjoints, row-major in parameter order, overwrite
+            # step t's gates once the step has read them for the last time
+            d_gates = gates.reshape(steps, rows, 4 * hidden)
             # u and v hold the two factors of each gate adjoint, rounded op
             # by op as in do = (dh * tanh(c)) * (o * (1 - o))
-            tc, u, v, dc, dh_next = np.empty((5, rows, hidden))
+            u, v, dc, dh_next = np.empty((4, rows, hidden))
+            step = np.empty((rows, 4 * hidden))
+            df, di, dcand, do = (step[:, s] for s in cols)
             dc[...] = 0.0
             dh = g[-1]
             for t in range(steps - 1, -1, -1):
                 f, i, o, cand = gates[t]
-                df, di, dcand, do = (d_gates[t][:, s] for s in cols)
-                np.tanh(c[t], out=tc)
+                # c_t is read here for the last time, so tanh(c_t) replaces it
+                tc = np.tanh(c[t], out=c[t])
                 np.multiply(np.multiply(dh, tc, out=u), _sigmoid_slope(o, v), out=do)
                 dc += np.multiply(np.multiply(dh, o, out=u), _tanh_slope(tc, v), out=u)
                 if t:
@@ -373,19 +392,20 @@ class Tape:
                 np.multiply(np.multiply(dc, cand, out=u), _sigmoid_slope(i, v), out=di)
                 np.multiply(np.multiply(dc, i, out=u), _tanh_slope(cand, v), out=dcand)
                 dc *= f
+                d_gates[t] = step
                 if t:
-                    dh = np.matmul(d_gates[t], w_h.T, out=dh_next)
+                    dh = np.matmul(step, w_h.T, out=dh_next)
                     dh += g[t - 1]
+            del tc, u, v, dc, dh_next, dh, step, df, di, dcand, do, f, i, o, cand, w_h
             flat = _rows(d_gates)
-            d_wx = _rows(xv).T @ flat
-            d_wh = _rows(h[:-1]).T @ _rows(d_gates[1:])
-            d_b = flat.sum(axis=0, keepdims=True)
+            # before d_w, so that the joined input weights are freed first
             d_x = (flat @ joined(hidden, None).T).reshape(xv.shape) if x.needs_grad else None
-            return [
-                d_x,
-                *(np.concatenate([d_wh[:, s], d_wx[:, s]]) for s in cols),
-                *(d_b[:, s] for s in cols),
-            ]
+            # rows :H of each gate's gradient multiply the hidden state, H: the input
+            d_w = np.empty((hidden + d_in, 4 * hidden))
+            np.matmul(_rows(xv).T, flat, out=d_w[hidden:])
+            np.matmul(_rows(h[:-1]).T, _rows(d_gates[1:]), out=d_w[:hidden])
+            d_b = flat.sum(axis=0, keepdims=True)
+            return [d_x, *(d_w[:, s] for s in cols), *(d_b[:, s] for s in cols)]
 
         value = h.reshape(steps, *xv.shape[1:-1], hidden)
         return self._push("lstm_layer", (x, *weights, *biases), value, vjp)
@@ -569,11 +589,12 @@ class Tape:
     # -------------------------------------------------------------- backward
 
     def backward(self, loss: Node) -> None:
-        """Accumulate d(loss)/d(p) for every parameter ``p`` bound on the tape.
+        """Compute d(loss)/d(p) for every parameter ``p`` bound on the tape.
 
-        Adjoints are computed from scratch on each call and then added to
-        the tape's parameter gradients, so running backward twice doubles
-        every gradient. ``loss`` must be a node this tape recorded.
+        One sweep: each node's vjp closure is dropped right after it runs,
+        with every array only it held (node values stay), so a tape runs
+        backward once and a second call raises ``ContractError``. ``loss``
+        must be a node this tape recorded.
         """
         if loss.value.size != 1:
             raise ContractError(
@@ -584,15 +605,21 @@ class Tape:
         nodes = self.nodes
         if not (0 <= loss.id < len(nodes) and nodes[loss.id] is loss):
             raise ContractError(f"backward: the {loss.op} loss node was not recorded on this tape")
+        if self._swept:
+            raise ContractError("backward: this tape has run its one backward sweep")
+        self._swept = True
         bound = {node.id: p for p, node in self._bindings.items()}
         adjoint: dict[int, Array] = {loss.id: np.ones_like(loss.value)}
-        for nid in range(loss.id, -1, -1):
+        for nid in range(len(nodes) - 1, -1, -1):
+            node = nodes[nid]
+            vjp, node._vjp = node._vjp, None
             g = adjoint.pop(nid, None)
             if g is None:
                 continue
-            node = nodes[nid]
-            if node._vjp is not None:
-                for iid, contrib in zip(node.input_ids, node._vjp(g)):
+            if vjp is not None:
+                contribs = vjp(g)
+                del vjp  # and with it every array only the closure held
+                for iid, contrib in zip(node.input_ids, contribs):
                     if contrib is None or not nodes[iid].needs_grad:
                         continue
                     # a new array: a contribution may alias a value or another adjoint
@@ -605,7 +632,8 @@ class Tape:
                 self._grads[p] = g if previous is None else previous + g
 
     def grad_for(self, p: Parameter) -> Array:
-        """Gradient accumulated for a parameter (zeros if it got none)."""
+        """A copy of the gradient the tape's one backward sweep left for a
+        parameter (zeros if it got none, or before the sweep)."""
         g = self._grads.get(p)
         return np.zeros_like(p.value) if g is None else g.copy()
 

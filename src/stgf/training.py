@@ -311,7 +311,9 @@ def train(
 
     Deterministic given (seed, configs, dataset): initialization and every
     epoch's batch order come from one seeded generator, and each batch's
-    summation order is fixed by its shapes.
+    summation order is fixed by its shapes. A non-finite training loss or
+    validation MSE raises ``NumericalError`` naming the epoch, so epoch 1
+    always takes the first snapshot.
     """
     local_norm = _local_view(model_config, dataset)
     prepared = prepare_samples(
@@ -326,7 +328,6 @@ def train(
     curve: list[EpochRecord] = []
     best_val = math.inf
     best_epoch = 0
-    best_params = params.copy()
 
     n_train = len(prepared.train)
     for epoch in range(1, train_config.epochs + 1):
@@ -353,6 +354,8 @@ def train(
 
         train_mse = float(epoch_losses.mean())
         val_mse = mean_sample_mse(params, model_config, prepared.val, dataset)
+        if not math.isfinite(val_mse):
+            raise NumericalError(f"non-finite validation MSE at epoch {epoch}")
         curve.append(EpochRecord(epoch=epoch, train_mse=train_mse, val_mse=val_mse))
         if log is not None:
             log(f"epoch {epoch:3d}  train_mse {train_mse:.6f}  val_mse {val_mse:.6f}")

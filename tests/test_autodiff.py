@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -232,7 +233,7 @@ def test_backward_sums_three_contributions_to_one_node():
     np.testing.assert_array_equal(w.value, value)
 
 
-def test_backward_twice_doubles_gradients():
+def test_a_second_backward_raises_contract_error():
     t = Tape()
     w = Parameter("w", [[1.0, -2.0], [0.5, 4.0]])
     nw = t.param(w)
@@ -241,8 +242,59 @@ def test_backward_twice_doubles_gradients():
     t.backward(loss)
     once = t.grad_for(w)
     assert np.any(once != 0.0)
+    with pytest.raises(ContractError, match="one backward sweep"):
+        t.backward(loss)
+    with pytest.raises(ContractError, match="one backward sweep"):
+        t.backward(t.sum(h))
+    np.testing.assert_array_equal(t.grad_for(w), once)
+
+
+def test_the_sweep_drops_every_vjp_and_keeps_every_value():
+    p = _lstm_gates(5, 3, 4)
+    x = Parameter("x", np.random.default_rng(6).normal(size=(3, 2, 3)))
+    t = Tape()
+    out = t.lstm_layer(
+        t.param(x), [t.param(p[f"w{k}"]) for k in range(4)], [t.param(p[f"b{k}"]) for k in range(4)]
+    )
+    loss = t.sum(out)
+    # recorded after the loss, so the sweep never reaches them
+    t.sum(t.add(out, out))
+    t.affine(t.param(x), t.constant(np.ones((3, 1))))
+    values = [n.value.copy() for n in t.nodes]
+    assert sum(n._vjp is not None for n in t.nodes) > 3
     t.backward(loss)
-    np.testing.assert_array_equal(t.grad_for(w), 2.0 * once)
+    assert [n for n in t.nodes if n._vjp is not None] == []
+    for n, value in zip(t.nodes, values):
+        assert np.array_equal(n.value, value), n
+
+
+def test_one_lstm_layer_backward_stays_below_the_adjoint_block():
+    # the paper default's second layer at batch 2: P = 3 steps of 2 x 170
+    # rows, D = H = 256. The vjp once allocated a P x rows x 4H block of gate
+    # adjoints; it now writes them over the spent gates, so the sweep's peak
+    # stays below that block plus the output adjoint the sum hands in
+    steps, rows, d_in, hidden = 3, 340, 256, 256
+    p = _lstm_gates(9, d_in, hidden)
+    x = Parameter("x", np.random.default_rng(10).normal(size=(steps, rows, d_in)))
+    tracemalloc.start()
+    try:
+        t = Tape()
+        out = t.lstm_layer(
+            t.param(x), [t.param(p[f"w{k}"]) for k in range(4)],
+            [t.param(p[f"b{k}"]) for k in range(4)],
+        )
+        loss = t.sum(out)
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        t.backward(loss)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = steps * rows * 4 * hidden * 8
+    adjoint = steps * rows * hidden * 8
+    assert peak - base < block + adjoint, (peak - base, block + adjoint)
+    # the closure's gates and cell states are gone, net of the gradients kept
+    assert after < base
 
 
 def test_param_binds_each_parameter_once_without_copying():

@@ -457,6 +457,17 @@ def test_train_aborts_on_exploding_values():
         train(ds, cfg, tc)
 
 
+def test_a_non_finite_validation_mse_raises_naming_the_epoch():
+    # one batch per epoch: its loss is finite, and its step blows up the
+    # parameters that validation then runs
+    ds, cfg = small_setup()
+    tc = TrainConfig(epochs=2, batch_size=100_000, seed=0, learning_rate=1e300)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericalError, match="non-finite validation MSE at epoch 1"
+    ):
+        train(ds, cfg, tc)
+
+
 def test_train_rejects_mismatched_geometry():
     ds, cfg = small_setup()
     wrong = ModelConfig(n_nodes=ds.n_nodes + 1, n_channels=ds.n_channels, **SMALL_MODEL)
