@@ -165,12 +165,7 @@ class SignalDataset:
         if self.interval_minutes < 1:
             raise ValidationError(f"interval_minutes must be >= 1, got {self.interval_minutes}")
         _check_slot_minutes(t, self.interval_minutes)
-        if len(self.channel_names) != c:
-            raise ValidationError(f"{len(self.channel_names)} channel names for {c} channels")
-        if len(self.node_ids) != n:
-            raise ValidationError(f"{len(self.node_ids)} node ids for {n} nodes")
-        if len(set(self.node_ids)) != n:
-            raise ValidationError("node ids must be unique")
+        _check_labels(self.channel_names, self.node_ids, c, n)
         if self.graph.n_nodes != n:
             raise ValidationError(f"graph has {self.graph.n_nodes} nodes, signals have {n}")
         if not self.external_fields:  # a table of no columns has no rows to count
@@ -217,6 +212,17 @@ def _check_slot_minutes(n_slots: int, interval_minutes: int) -> None:
         )
 
 
+def _check_labels(channel_names: tuple, node_ids: tuple, n_channels: int, n_nodes: int) -> None:
+    """Refuse a name count that differs from the channel or node count, or
+    a node id given twice."""
+    if len(channel_names) != n_channels:
+        raise ValidationError(f"{len(channel_names)} channel names for {n_channels} channels")
+    if len(node_ids) != n_nodes:
+        raise ValidationError(f"{len(node_ids)} node ids for {n_nodes} nodes")
+    if len(set(node_ids)) != n_nodes:
+        raise ValidationError("node ids must be unique")
+
+
 # -------------------------------------------------------------- persistence
 
 
@@ -258,12 +264,16 @@ def csv_bytes(header: Sequence[str], columns: Sequence) -> bytes:
 
     A column is rendered whole: an array of integers by ``str``, one of
     floats by ``repr`` (numbers never need quoting), and a list of strings
-    as ``csv.writer`` quotes them, each distinct string once."""
-    # the writer's file hands each line back, and writerow returns it
-    quote = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    as ``csv.writer`` quotes them, each distinct string once; a string
+    holding a CR or an LF is quoted, so a reader never takes it for a line
+    end."""
+    # the writer's file hands each line back, and writerow returns it; the
+    # writer quotes a field holding a character of its line terminator, so
+    # "\r\n" quotes both CR and LF, and the terminator is cut off again
+    quote = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n")
     # the writer quotes each field on its own terms, but "" only when it is
     # its row's one field; a pad field keeps a row of several out of that case
-    pad, cut = ((), -1) if len(columns) == 1 else (("-",), -3)
+    pad, cut = ((), -2) if len(columns) == 1 else (("-",), -4)
 
     def cells(column) -> Iterable[str]:
         if isinstance(column, np.ndarray):
@@ -272,7 +282,7 @@ def csv_bytes(header: Sequence[str], columns: Sequence) -> bytes:
         return map(quoted.__getitem__, column)
 
     rows = map(",".join, zip(*map(cells, columns)))
-    return ("\n".join(chain([quote.writerow(header)[:-1]], rows)) + "\n").encode("utf-8")
+    return ("\n".join(chain([quote.writerow(header)[:-2]], rows)) + "\n").encode("utf-8")
 
 
 def edges_sha256(graph: GraphSpec) -> str:
@@ -500,10 +510,11 @@ def load_dataset(path: str | Path) -> SignalDataset:
                 raise TypeError(f"{key} must be a JSON list, got {type(meta[key]).__name__}")
         channel_names = tuple(str(x) for x in meta["channel_names"])
         node_ids = tuple(str(x) for x in meta["node_ids"])
+        _check_labels(channel_names, node_ids, c, n)
         fields = tuple(ExternalField.from_dict(d) for d in meta["external_schema"])
         if not fields:
             raise ValueError("external_schema names no covariate field")
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:  # ValidationError is a ValueError
         raise LoadError(f"{meta_path}: bad metadata ({exc})") from None
 
     bin_path = _require_file(root, "signals.bin")

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stgf.checkpoint import load_checkpoint
+from stgf.checkpoint import load_checkpoint, save_checkpoint
 from stgf.cli import build_run_config, main
 from stgf.data import load_dataset, save_dataset
 from stgf.errors import LoadError, ValidationError
@@ -292,6 +292,24 @@ def test_eval_predictions_csv_holds_the_table_rows(run_dir, data_dir, tmp_path):
         for k in range(len(table))
     ]
     assert (out / "predictions.csv").read_text() == "\n".join(want) + "\n"
+
+
+def test_a_node_id_holding_a_cr_or_an_lf_reads_back_from_predictions_csv(run_dir, data_dir, tmp_path):
+    dataset = load_dataset(data_dir)
+    node_ids = ("n\r0", "n\n1", "n\r\n2")
+    save_dataset(dataclasses.replace(dataset, node_ids=node_ids), tmp_path / "data")
+    # the same parameters, saved without the dataset signature that names node ids
+    ckpt = load_checkpoint(run_dir / "checkpoint")
+    save_checkpoint(ckpt.params, ckpt.model_config, ckpt.train_config, ckpt.stats,
+                    tmp_path / "checkpoint")
+    out = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", str(tmp_path / "checkpoint"),
+                 "--data", str(tmp_path / "data"), "--out", str(out)]) == 0
+    with open(out / "predictions.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["timestamp", "node_id", "y_true", "y_pred"]
+    assert {len(row) for row in rows} == {4}
+    assert [row[1] for row in rows[1:]] == list(node_ids) * ((len(rows) - 1) // 3)
 
 
 @pytest.mark.parametrize("failing", ["predictions.csv", "metrics.json"])
@@ -744,6 +762,8 @@ META_EDITS = {
     "channel-names-string": ("channel_names", "fso"),
     "node-ids-string": ("node_ids", "abc"),
     "external-schema-empty": ("external_schema", []),
+    "channel-names-short": ("channel_names", ["flow", "speed"]),
+    "node-ids-repeated": ("node_ids", ["n0", "n0", "n1"]),
 }
 
 

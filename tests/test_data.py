@@ -231,13 +231,18 @@ def test_csv_bytes_ends_every_row_with_a_line_feed_in_utf8():
 
 
 def _csv_writer_bytes(header, rows) -> bytes:
-    """The row writer ``csv_bytes`` replaced: ``csv.writer`` with a bare
-    line feed, floats as ``repr``, UTF-8."""
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
-    return text.getvalue().encode("utf-8")
+    """The row writer ``csv_bytes`` replaced: ``csv.writer`` at CRLF line
+    ends, which quotes a field holding a CR or an LF, each row's CRLF then
+    cut to a bare line feed; floats as ``repr``, UTF-8."""
+    lines = []
+    for row in [header, *rows]:
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\r\n").writerow(
+            [repr(v) if isinstance(v, float) else v for v in row]
+        )
+        assert text.getvalue().endswith("\r\n")
+        lines.append(text.getvalue()[:-2] + "\n")
+    return "".join(lines).encode("utf-8")
 
 
 # text the writer must quote, or must leave as it is, the empty string too
@@ -566,6 +571,23 @@ def test_load_refuses_names_that_are_not_a_json_list(tmp_path, key, value):
     assert str(info.value) == f"{path}: bad metadata ({key} must be a JSON list, got {kind})"
 
 
+@pytest.mark.parametrize("key, value, problem", [
+    ("channel_names", ["flow", "speed"], "2 channel names for 3 channels"),
+    ("channel_names", ["flow", "speed", "occupancy", "x"], "4 channel names for 3 channels"),
+    ("node_ids", ["n0", "n1"], "2 node ids for 3 nodes"),
+    ("node_ids", ["n0", "n1", "n0"], "node ids must be unique"),
+])
+def test_load_blames_meta_json_for_names_that_do_not_fit_the_series(tmp_path, key, value, problem):
+    save_dataset(toy_dataset(), tmp_path / "d")
+    path = tmp_path / "d" / "meta.json"
+    meta = json.loads(path.read_text())
+    meta[key] = value
+    path.write_text(json.dumps(meta))
+    with pytest.raises(LoadError) as info:
+        load_dataset(tmp_path / "d")
+    assert str(info.value) == f"{path}: bad metadata ({problem})"
+
+
 # Each case edits edges.csv of toy_dataset() (edges 0-1 at 1.0 and 1-2 at
 # 1.5 on lines 2 and 3) and gives the message load_dataset must raise after
 # the file name, by the same first-bad-line rule as externals.csv.
@@ -768,7 +790,7 @@ def test_the_split_tokeniser_cuts_the_tables_save_dataset_writes(tmp_path):
 
 
 # names that need csv quoting or are not ASCII
-_LABELS = st.text(alphabet=st.sampled_from('ab ,"\'é日-'), min_size=1, max_size=6)
+_LABELS = st.text(alphabet=st.sampled_from('ab ,"\'é日-\r\n'), min_size=1, max_size=6)
 _VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e300, -1e300, -1.5]),
@@ -812,6 +834,18 @@ def test_covariates_round_trip_through_the_csv(ds):
         assert np.array_equal(loaded.externals, ds.externals)
         save_dataset(loaded, b)
         assert dir_bytes(a) == dir_bytes(b)
+
+
+def test_a_category_holding_a_cr_or_an_lf_round_trips(tmp_path):
+    ds = toy_dataset(t=8)
+    day = ExternalField("day_type", "categorical", ("week\rday", "week\nend", "holi\r\nday"))
+    ds = dataclasses.replace(ds, external_fields=(day, *ds.external_fields[1:]))
+    save_dataset(ds, tmp_path / "a")
+    loaded = load_dataset(tmp_path / "a")
+    assert loaded.external_fields == ds.external_fields
+    assert np.array_equal(loaded.externals, ds.externals)
+    save_dataset(loaded, tmp_path / "b")
+    assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
 
 
 def test_large_meta_shape_is_accepted(tmp_path):
