@@ -396,7 +396,8 @@ class Tape:
                 if t:
                     dh = np.matmul(step, w_h.T, out=dh_next)
                     dh += g[t - 1]
-            del tc, u, v, dc, dh_next, dh, step, df, di, dcand, do, f, i, o, cand, w_h
+            # free the step buffers and the joined recurrent weights first
+            del u, v, dc, dh_next, dh, step, df, di, dcand, do, w_h
             flat = _rows(d_gates)
             # before d_w, so that the joined input weights are freed first
             d_x = (flat @ joined(hidden, None).T).reshape(xv.shape) if x.needs_grad else None
