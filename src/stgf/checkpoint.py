@@ -24,10 +24,11 @@ checkpoint as it was. The manifest is read and written as UTF-8.
 A load refuses a manifest of the wrong structure with a ``LoadError``
 naming the manifest, before any value from it is used; that includes a
 parameter table whose names, shapes or order differ from the layout the
-manifest's model config builds (``model.param_layout``), non-finite
-normalization stats, and a ``dataset`` entry in another form than a save
-writes. A blob holding a NaN or an infinity is refused naming the first
-parameter that holds one.
+manifest's model config builds (``model.param_layout``), a training config
+``TrainConfig`` refuses (it is kept as the dict stored), normalization
+stats other than flat lists of finite numbers, and a ``dataset`` entry in
+another form than a save writes. A blob holding a NaN or an infinity is
+refused naming the first parameter that holds one.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import ExternalField, NormStats, json_bytes, write_files
-from .errors import LoadError
-from .model import ModelConfig, ModelParams, param_layout
+from .errors import LoadError, _json_number
+from .model import ModelConfig, ModelParams, TrainConfig, param_layout
 
 CHECKPOINT_FORMAT = "stgf-checkpoint-v1"
 
@@ -117,7 +118,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             f"{manifest_path}: norm_stats cover {stats.n_channels} channels, "
             f"the model has {model_config.n_channels}"
         )
-    train_config = section("train_config", _train_config)
+    section("train_config", TrainConfig.from_dict)
     signature = section("dataset", _dataset_signature) if "dataset" in manifest else None
 
     # the table must be the one a save of this model config writes
@@ -133,7 +134,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
                 f"the model config expects {expected}"
             )
     size = sum(math.prod(shape) for _, shape in layout)
-    if manifest["total_size"] != size:
+    if section("total_size", lambda value: _json_number("total_size", value, least=0)) != size:
         raise LoadError(
             f"{manifest_path}: total_size is {manifest['total_size']!r}, the table covers {size}"
         )
@@ -155,7 +156,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         params=ModelParams.view(flat, layout),
         model_config=model_config,
         stats=stats,
-        train_config=train_config,
+        train_config=dict(manifest["train_config"]),
         manifest=manifest,
         dataset_signature=signature,
     )
@@ -168,18 +169,6 @@ def _table(layout: list[tuple[str, tuple[int, ...]]]) -> list[dict]:
         {"name": name, "shape": list(shape), "offset": offset}
         for (name, shape), offset in zip(layout, offsets)
     ]
-
-
-def _train_config(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
-    config = dict(value)
-    # eval splits the dataset by these, or by TrainConfig's defaults if absent
-    for key in [k for k in ("train_frac", "val_frac") if k in config]:
-        frac = config[key]
-        if isinstance(frac, bool) or not isinstance(frac, (int, float)) or not math.isfinite(frac):
-            raise ValueError(f"{key} must be a finite number, got {frac!r}")
-    return config
 
 
 def _dataset_signature(value) -> dict:

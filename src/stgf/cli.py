@@ -27,7 +27,7 @@ import numpy as np
 from .checkpoint import LoadedCheckpoint, load_checkpoint
 from .data import SignalDataset, check_signature, chronological_split, load_dataset, make_windows
 from .data import csv_bytes, json_bytes, write_files
-from .errors import NumericalError, UsageError, ValidationError
+from .errors import NumericalError, UsageError, ValidationError, _json_number
 from .model import ABLATIONS, ModelConfig
 from .synth import TOPOLOGIES, channel_correlations, generate_synthetic
 from .training import Metrics, TrainConfig, check_geometry, evaluate, ha_baseline, train
@@ -43,25 +43,19 @@ def _default_config() -> dict:
             continue
         value = f.default
         cfg[f"model.{f.name}"] = list(value) if isinstance(value, tuple) else value
-    for f in dataclasses.fields(TrainConfig):
-        if f.name == "checkpoint_dir":
-            continue
-        cfg[f"train.{f.name}"] = f.default
+    cfg.update((f"train.{k}", v) for k, v in TrainConfig().to_dict().items() if k != "checkpoint_dir")
     return cfg
 
 
 def _coerce(key: str, value):
-    """Cast int and float keys to the type of their default; a bool is
-    refused, and so is a float for an int key, rather than truncated."""
+    """An int or float key's value, checked by the number rule; a float key
+    takes an int as a float. The configs check each key's own bounds."""
     kind = type(_default_config()[key])
-    if kind not in (int, float):
-        return value
-    try:
-        if isinstance(value, bool) or (kind is int and isinstance(value, float)):
-            raise TypeError
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"config key {key!r}: cannot interpret {value!r}") from None
+    if kind is float:
+        return float(_json_number(f"config key {key}", value))
+    if kind is int:
+        return _json_number(f"config key {key}", value, least=0)
+    return value
 
 
 def build_run_config(
@@ -111,20 +105,12 @@ def _model_config_for(dataset: SignalDataset, cfg: dict) -> ModelConfig:
         n_channels=dataset.n_channels,
         external_cardinalities=tuple(len(f.categories) for f in fields if f.kind == "categorical"),
         external_continuous=sum(1 for f in fields if f.kind == "continuous"),
-        **{
-            f.name: cfg[f"model.{f.name}"]
-            for f in dataclasses.fields(ModelConfig)
-            if f.name not in _DERIVED_MODEL_FIELDS
-        },
+        **{k.removeprefix("model."): v for k, v in cfg.items() if k.startswith("model.")},
     )
 
 
 def _train_config_for(cfg: dict, checkpoint_dir: str | None) -> TrainConfig:
-    kwargs = {
-        f.name: cfg[f"train.{f.name}"]
-        for f in dataclasses.fields(TrainConfig)
-        if f.name != "checkpoint_dir"
-    }
+    kwargs = {k.removeprefix("train."): v for k, v in cfg.items() if k.startswith("train.")}
     return TrainConfig(checkpoint_dir=checkpoint_dir, **kwargs)
 
 
@@ -149,11 +135,8 @@ def _split_for_eval(dataset: SignalDataset, ckpt: LoadedCheckpoint, which: str):
     # the splits are slices of target slots; only the rows the chosen
     # split's windows read are normalized, and the HA baseline reads none
     samples = make_windows(dataset, ckpt.stats, ckpt.model_config.window)
-    train_s, val_s, test_s = chronological_split(
-        samples,
-        float(ckpt.train_config.get("train_frac", TrainConfig.train_frac)),
-        float(ckpt.train_config.get("val_frac", TrainConfig.val_frac)),
-    )
+    config = TrainConfig.from_dict(ckpt.train_config)
+    train_s, val_s, test_s = chronological_split(samples, config.train_frac, config.val_frac)
     chosen = {"train": train_s, "val": val_s, "test": test_s}[which]
     return train_s, chosen
 

@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import LoadError, ValidationError
+from .errors import LoadError, ValidationError, _json_number
 from .graphs import GraphSpec
 
 META_KEYS = ("T", "N", "C", "interval_minutes", "channel_names", "node_ids", "external_schema")
@@ -111,7 +111,10 @@ class ExternalField:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExternalField":
-        return cls(d["name"], d["kind"], tuple(d.get("categories", ())))
+        categories = d.get("categories", [])
+        if not isinstance(categories, list):  # a string would read as its characters
+            raise TypeError(f"categories must be a JSON list, got {type(categories).__name__}")
+        return cls(d["name"], d["kind"], tuple(categories))
 
 
 DEFAULT_EXTERNAL_FIELDS = (
@@ -498,12 +501,9 @@ def load_dataset(path: str | Path) -> SignalDataset:
     missing = [k for k in META_KEYS if k not in meta]
     if missing:
         raise LoadError(f"{meta_path}: missing keys {missing}")
-    for key in ("T", "N", "C", "interval_minutes"):
-        value = meta[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise LoadError(f"{meta_path}: {key} must be an integer >= 1, got {value!r}")
-    t, n, c, interval = meta["T"], meta["N"], meta["C"], meta["interval_minutes"]
     try:
+        counts = ("T", "N", "C", "interval_minutes")
+        t, n, c, interval = (_json_number(key, meta[key], least=1) for key in counts)
         _check_slot_minutes(t, interval)
         for key in ("channel_names", "node_ids", "external_schema"):
             if not isinstance(meta[key], list):  # a string would read as its characters
@@ -598,7 +598,10 @@ class NormStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormStats":
-        return cls(np.array(d["minimum"]), np.array(d["maximum"]))
+        """Stats from the two flat lists of numbers ``to_dict`` writes; a float
+        is left to ``__post_init__``, which refuses a non-finite one."""
+        keys = ("minimum", "maximum")
+        return cls(*([x if isinstance(x, float) else _json_number(k, x) for x in d[k]] for k in keys))
 
 
 def minmax_fit(signals: np.ndarray, end_slot: int | None = None) -> NormStats:

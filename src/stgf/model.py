@@ -16,6 +16,8 @@ slot that several windows read is convolved once.
 
 All functions here record onto a caller-supplied tape; nothing mutates
 parameters. Forward passes are deterministic given parameter values.
+``TrainConfig`` lives here beside ``ModelConfig`` so that a checkpoint load
+can check both without importing the training loop.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Node, Parameter, Tape
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, _json_number
 from .graphs import adaptive_adjacency
 
 ABLATIONS = ("full", "local-only", "global-only", "no-channelwise")
@@ -39,16 +41,6 @@ LSTM_GATES = ("f", "i", "c", "o")
 
 # width of each categorical covariate's embedding rows
 EXTERNAL_EMBED_WIDTH = 4
-
-
-def _integer(name: str, value, least: int) -> int:
-    """``value`` as an int of at least ``least``; a bool or a float, even an
-    integral one, is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValidationError(f"{name} must be >= {least}, got {value}")
-    return int(value)
 
 
 @dataclass
@@ -73,11 +65,11 @@ class ModelConfig:
             value = getattr(self, f.name)
             least = 0 if f.name == "external_continuous" else 1
             if f.type == "int":
-                setattr(self, f.name, _integer(f.name, value, least))
+                setattr(self, f.name, _json_number(f.name, value, least))
             elif f.type == "tuple[int, ...]":
                 if not isinstance(value, (Sequence, np.ndarray)):
                     raise ValidationError(f"{f.name} must be a list of integers, got {value!r}")
-                setattr(self, f.name, tuple(_integer(f.name, v, least) for v in value))
+                setattr(self, f.name, tuple(_json_number(f.name, v, least) for v in value))
         if not self.gcn_dims:
             raise ValidationError("gcn_dims must not be empty")
         if self.external_dim == 0:
@@ -124,6 +116,47 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        return cls(**d)
+
+
+@dataclass
+class TrainConfig:
+    """Loop hyperparameters with conventional defaults."""
+
+    epochs: int = 50
+    batch_size: int = 32
+    learning_rate: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+    clip_norm: float = 5.0
+    seed: int = 0
+    train_frac: float = 0.7
+    val_frac: float = 0.1
+    checkpoint_dir: str | None = None
+
+    def __post_init__(self):
+        # field types are strings here (postponed annotations)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                setattr(self, f.name, _json_number(f.name, value, 0 if f.name == "seed" else 1))
+            elif f.type == "float":
+                _json_number(f.name, value)
+        # learning_rate 0 is allowed: it freezes the model, which is useful
+        # as a determinism probe
+        if self.learning_rate < 0.0:
+            raise ValidationError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValidationError("momentum decay rates must lie in [0, 1)")
+        if self.epsilon <= 0.0 or self.clip_norm <= 0.0:
+            raise ValidationError("epsilon and clip_norm must be positive")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrainConfig":
         return cls(**d)
 
 

@@ -23,7 +23,7 @@ scale.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,52 +41,7 @@ from .data import (
 )
 from .errors import NumericalError, ValidationError
 from .graphs import build_local_adjacency, normalize_adjacency
-from .model import ModelConfig, ModelParams, _integer, init_params, model_forward
-
-
-@dataclass
-class TrainConfig:
-    """Loop hyperparameters with conventional defaults."""
-
-    epochs: int = 50
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    clip_norm: float = 5.0
-    seed: int = 0
-    train_frac: float = 0.7
-    val_frac: float = 0.1
-    checkpoint_dir: str | None = None
-
-    def __post_init__(self):
-        # field types are strings here (postponed annotations)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int":
-                setattr(self, f.name, _integer(f.name, value, 0 if f.name == "seed" else 1))
-            elif f.type == "float" and (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float, np.number))
-                or not math.isfinite(value)
-            ):
-                raise ValidationError(f"{f.name} must be a finite number, got {value!r}")
-        # learning_rate 0 is allowed: it freezes the model, which is useful
-        # as a determinism probe
-        if self.learning_rate < 0.0:
-            raise ValidationError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValidationError("momentum decay rates must lie in [0, 1)")
-        if self.epsilon <= 0.0 or self.clip_norm <= 0.0:
-            raise ValidationError("epsilon and clip_norm must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
+from .model import ModelConfig, ModelParams, TrainConfig, init_params, model_forward
 
 
 @dataclass

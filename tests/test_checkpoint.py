@@ -184,8 +184,17 @@ def _drop(key, inner):
     return edit
 
 
+def _each(key, inner, convert):
+    def edit(manifest):
+        manifest[key][inner] = [convert(x) for x in manifest[key][inner]]
+        return manifest
+
+    return edit
+
+
 # each of these escaped load_checkpoint as a raw exception, so `stgf predict`
-# ended in a traceback instead of exit 2
+# ended in a traceback instead of exit 2, or (from "norm-stats-strings" on)
+# loaded as values the manifest does not hold as numbers
 MALFORMED_MANIFESTS = {
     "extra-model-config-key": _set("model_config", 3, "hidden_size"),
     "model-config-list": _set("model_config", [1, 2]),
@@ -194,6 +203,26 @@ MALFORMED_MANIFESTS = {
     "total-size-string": _set("total_size", "x"),
     "train-config-list": _set("train_config", [1, 2]),
     "manifest-list": lambda manifest: [manifest],
+    "norm-stats-strings": _each("norm_stats", "minimum", str),
+    "norm-stats-bools": _each("norm_stats", "minimum", bool),
+    "norm-stats-nested": _each("norm_stats", "minimum", lambda x: [x]),
+    "train-config-zero-epochs": _set("train_config", 0, "epochs"),
+    "train-config-bool-seed": _set("train_config", True, "seed"),
+    "train-config-unknown-key": _set("train_config", 3, "patience"),
+    "total-size-float": lambda manifest: {**manifest, "total_size": float(manifest["total_size"])},
+}
+
+# what the load says of the cases above that loaded before every manifest
+# number went through one rule
+NUMBER_RULE_REFUSALS = {
+    "norm-stats-strings": "bad 'norm_stats' (ValidationError: minimum must be a finite number, got '0.0')",
+    "norm-stats-bools": "bad 'norm_stats' (ValidationError: minimum must be a finite number, got False)",
+    "norm-stats-nested": "bad 'norm_stats' (ValidationError: minimum must be a finite number, got [0.0])",
+    "train-config-zero-epochs": "bad 'train_config' (ValidationError: epochs must be >= 1, got 0)",
+    "train-config-bool-seed": "bad 'train_config' (ValidationError: seed must be an integer, got True)",
+    "train-config-unknown-key": "bad 'train_config' (TypeError: TrainConfig.__init__() got an unexpected "
+                                "keyword argument 'patience')",
+    "total-size-float": "bad 'total_size' (ValidationError: total_size must be an integer, got ",
 }
 
 
@@ -204,6 +233,17 @@ def test_malformed_manifest_raises_load_error(tmp_path, edit):
     _edit_manifest(tmp_path / "ck", edit)
     with pytest.raises(LoadError, match="manifest.json"):
         load_checkpoint(tmp_path / "ck")
+
+
+@pytest.mark.parametrize("case", sorted(NUMBER_RULE_REFUSALS))
+def test_a_manifest_number_that_breaks_the_rule_is_refused_naming_its_section(tmp_path, case):
+    params, cfg, tc, stats = fixtures()
+    save_checkpoint(params, cfg, tc, stats, tmp_path / "ck")
+    _edit_manifest(tmp_path / "ck", MALFORMED_MANIFESTS[case])
+    with pytest.raises(LoadError) as info:
+        load_checkpoint(tmp_path / "ck")
+    path = tmp_path / "ck" / "manifest.json"
+    assert str(info.value).startswith(f"{path}: {NUMBER_RULE_REFUSALS[case]}")
 
 
 def test_a_manifest_whose_model_reads_no_covariate_is_refused(tmp_path):

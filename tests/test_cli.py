@@ -500,6 +500,27 @@ def test_set_refuses_a_non_integer_for_an_integer_key(tmp_path, data_dir, capsys
     assert entry.split("=")[0].split(".")[1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ['train.epochs="5"', 'train.learning_rate="0.1"'])
+def test_a_quoted_number_is_refused_naming_its_key(tmp_path, data_dir, capsys, entry):
+    # _coerce cast the string to the key's type
+    key, raw = entry.split("=")
+    kind = "an integer" if key == "train.epochs" else "a finite number"
+    message = f"config key {key} must be {kind}, got {json.loads(raw)!r}"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: json.loads(raw)}), encoding="utf-8")
+    for flags in (["--set", entry], ["--config", str(cfg)]):
+        code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r").exists()
+
+
+def test_set_refuses_an_integer_past_the_float_range_for_a_float_key():
+    # float() of it raised OverflowError, which ended `stgf train` in a traceback
+    with pytest.raises(ValidationError, match="train.learning_rate must be a finite number"):
+        build_run_config(None, None, ["train.learning_rate=" + "9" * 400])
+
+
 def test_set_refuses_a_bool_for_a_float_key():
     with pytest.raises(ValidationError, match="train.learning_rate"):
         build_run_config(None, None, ["train.learning_rate=true"])

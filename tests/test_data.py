@@ -497,7 +497,7 @@ META_FAULTS = {
     "not-an-object": (lambda text: "5\n", "expected a JSON object, got int"),
     "infinite-slot-count": (
         lambda text: text.replace('"T": 12', '"T": 1e999'),
-        "T must be an integer >= 1, got inf",
+        "bad metadata (T must be an integer, got inf)",
     ),
     "integer-past-the-digit-limit": (
         lambda text: text.replace('"T": 12', '"T": ' + "1" * 5000),
@@ -529,7 +529,8 @@ def test_load_refuses_a_count_that_is_not_a_positive_json_integer(tmp_path, key,
     path.write_text(json.dumps(meta))
     with pytest.raises(LoadError) as info:
         load_dataset(tmp_path / "d")
-    assert str(info.value) == f"{path}: {key} must be an integer >= 1, got {value!r}"
+    problem = f"must be >= 1, got {value}" if value in (0, -2) else f"must be an integer, got {value!r}"
+    assert str(info.value) == f"{path}: bad metadata ({key} {problem})"
 
 
 def test_a_last_slot_minute_past_int64_is_refused(tmp_path):
@@ -569,6 +570,18 @@ def test_load_refuses_names_that_are_not_a_json_list(tmp_path, key, value):
         load_dataset(tmp_path / "d")
     kind = type(value).__name__
     assert str(info.value) == f"{path}: bad metadata ({key} must be a JSON list, got {kind})"
+
+
+def test_load_refuses_categories_that_are_not_a_json_list(tmp_path):
+    # "xy" loaded as the two categories x and y
+    save_dataset(toy_dataset(), tmp_path / "d")
+    path = tmp_path / "d" / "meta.json"
+    meta = json.loads(path.read_text())
+    meta["external_schema"][0]["categories"] = "xy"
+    path.write_text(json.dumps(meta))
+    with pytest.raises(LoadError) as info:
+        load_dataset(tmp_path / "d")
+    assert str(info.value) == f"{path}: bad metadata (categories must be a JSON list, got str)"
 
 
 @pytest.mark.parametrize("key, value, problem", [

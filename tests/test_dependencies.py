@@ -3,7 +3,8 @@ package names NumPy or a module of the standard library. No module imports
 ``gc``: the package keeps collections rare by allocating few containers,
 not by tuning or switching off the collector. Every file the package
 writes goes through ``data.write_files``: no other code opens a file for
-writing."""
+writing. Every text file the package reads or writes is UTF-8: each text
+read or write names its encoding, so none depends on the locale."""
 
 import ast
 import sys
@@ -64,3 +65,49 @@ def file_writes(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_writes_files_only_through_write_files(path):
     assert file_writes(path) == [], f"{path.name} writes a file itself"
+
+
+def text_io_without_encoding(path: Path) -> list[str]:
+    """Calls in ``path`` that read or write text without ``encoding=``:
+    ``read_text``, ``write_text``, ``io.TextIOWrapper``, and ``open`` in a
+    mode without ``b``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if not isinstance(node, ast.Call) or any(k.arg == "encoding" for k in node.keywords):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        # open(file, mode) or a path's .open(mode); no mode means text
+        at = 0 if isinstance(func, ast.Attribute) else 1
+        modes = [*node.args[at : at + 1], *(k.value for k in node.keywords if k.arg == "mode")]
+        binary = any(isinstance(m, ast.Constant) and "b" in str(m.value) for m in modes)
+        if name in ("read_text", "write_text", "TextIOWrapper") or (name == "open" and not binary):
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_names_the_encoding_of_every_text_read_and_write(path):
+    assert text_io_without_encoding(path) == [], f"{path.name} uses the locale's encoding"
+
+
+def test_the_encoding_check_sees_each_kind_of_text_call(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "p.read_text()\n"
+        "p.write_text(s)\n"
+        "open(f)\n"
+        "open(f, 'w')\n"
+        "p.open()\n"
+        "io.TextIOWrapper(b)\n"
+        "open(f, 'rb')\n"
+        "p.open('wb')\n"
+        "open(f, mode='ab')\n"
+        "p.read_text(encoding='utf-8')\n"
+        "open(f, 'w', encoding='utf-8')\n",
+        encoding="utf-8",
+    )
+    assert text_io_without_encoding(source) == [
+        "line 1: read_text", "line 2: write_text", "line 3: open", "line 4: open",
+        "line 5: open", "line 6: TextIOWrapper",
+    ]
