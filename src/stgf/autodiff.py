@@ -628,9 +628,7 @@ class Tape:
                     adjoint[iid] = contrib if total is None else total + contrib
             elif nid in bound:
                 p = bound[nid]
-                g = g.reshape(p.value.shape)
-                previous = self._grads.get(p)
-                self._grads[p] = g if previous is None else previous + g
+                self._grads[p] = g.reshape(p.value.shape)
 
     def grad_for(self, p: Parameter) -> Array:
         """A copy of the gradient the tape's one backward sweep left for a

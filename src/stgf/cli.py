@@ -25,21 +25,18 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import LoadedCheckpoint, load_checkpoint
-from .data import SignalDataset, check_signature, chronological_split, load_dataset, make_windows
-from .data import csv_bytes, json_bytes, write_files
+from .data import MODEL_FIELDS, SignalDataset, check_fits, chronological_split, load_dataset
+from .data import csv_bytes, json_bytes, make_windows, write_files
 from .errors import NumericalError, UsageError, ValidationError, _json_number
 from .model import ABLATIONS, ModelConfig
 from .synth import TOPOLOGIES, channel_correlations, generate_synthetic
-from .training import Metrics, TrainConfig, check_geometry, evaluate, ha_baseline, train
-
-# model keys the dataset determines; everything else is configurable
-_DERIVED_MODEL_FIELDS = {"n_nodes", "n_channels", "external_cardinalities", "external_continuous"}
+from .training import Metrics, TrainConfig, evaluate, ha_baseline, train
 
 
 def _default_config() -> dict:
     cfg: dict = {"data.path": None}
     for f in dataclasses.fields(ModelConfig):
-        if f.name in _DERIVED_MODEL_FIELDS:
+        if f.name in MODEL_FIELDS:  # the dataset fixes these
             continue
         value = f.default
         cfg[f"model.{f.name}"] = list(value) if isinstance(value, tuple) else value
@@ -99,14 +96,8 @@ def build_run_config(
 
 
 def _model_config_for(dataset: SignalDataset, cfg: dict) -> ModelConfig:
-    fields = dataset.external_fields
-    return ModelConfig(
-        n_nodes=dataset.n_nodes,
-        n_channels=dataset.n_channels,
-        external_cardinalities=tuple(len(f.categories) for f in fields if f.kind == "categorical"),
-        external_continuous=sum(1 for f in fields if f.kind == "continuous"),
-        **{k.removeprefix("model."): v for k, v in cfg.items() if k.startswith("model.")},
-    )
+    model_keys = {k.removeprefix("model."): v for k, v in cfg.items() if k.startswith("model.")}
+    return ModelConfig(**dataset.model_fields(), **model_keys)
 
 
 def _train_config_for(cfg: dict, checkpoint_dir: str | None) -> TrainConfig:
@@ -199,8 +190,7 @@ def cmd_eval(args) -> int:
     out_dir = _resolve_run_dir(args.out) if args.out else Path(args.checkpoint).parent
     ckpt = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    check_geometry(ckpt.model_config, dataset)
-    check_signature(ckpt.dataset_signature, dataset)
+    check_fits(ckpt.model_config, dataset, ckpt.dataset_signature)
     train_s, chosen = _split_for_eval(dataset, ckpt, args.split)
 
     metrics, rows = evaluate(ckpt.params, ckpt.model_config, ckpt.stats, dataset, chosen)
@@ -220,8 +210,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    check_geometry(ckpt.model_config, dataset)
-    check_signature(ckpt.dataset_signature, dataset)
+    check_fits(ckpt.model_config, dataset, ckpt.dataset_signature)
     window = ckpt.model_config.window
     interval = dataset.interval_minutes
 
@@ -267,7 +256,7 @@ def cmd_inspect(args) -> int:
         ckpt = load_checkpoint(args.checkpoint)
         print(f"checkpoint {args.checkpoint}")
         print(f"  format {ckpt.manifest['format']}")
-        print(f"  variant {ckpt.model_config.ablation}, seed {ckpt.train_config.get('seed')}")
+        print(f"  variant {ckpt.model_config.ablation}, seed {TrainConfig.from_dict(ckpt.train_config).seed}")
         print(f"  parameters {len(ckpt.params)} tensors, {ckpt.params.total_size()} values")
         print(f"  model {json.dumps(ckpt.model_config.to_dict(), sort_keys=True)}")
         signature = ckpt.dataset_signature

@@ -33,6 +33,10 @@ those targets, and the model reads a batch as the block of distinct slots
 its windows cover plus a B x P index into that block. Signals are
 normalized where read: each call widens and normalizes only the rows it
 returns. ``WindowSample`` is the one window that indexing a set returns.
+
+A dataset fixes the ``ModelConfig`` fields ``model_fields`` returns, and
+``check_fits`` is the one check that a dataset fits a model: those fields
+first, then the ``dataset_signature`` the model was trained on.
 """
 
 from __future__ import annotations
@@ -52,9 +56,12 @@ import numpy as np
 
 from .errors import LoadError, ValidationError, _json_number
 from .graphs import GraphSpec
+from .model import ModelConfig
 
 META_KEYS = ("T", "N", "C", "interval_minutes", "channel_names", "node_ids", "external_schema")
 MINUTES_PER_DAY = 1440
+# the ModelConfig fields a dataset fixes, in ModelConfig's order
+MODEL_FIELDS = ("n_nodes", "n_channels", "external_cardinalities", "external_continuous")
 
 
 @dataclass(frozen=True)
@@ -204,6 +211,15 @@ class SignalDataset:
     def n_channels(self) -> int:
         return self.signals.shape[2]
 
+    def model_fields(self) -> dict:
+        """The ``ModelConfig`` fields the dataset fixes: its node and channel
+        counts, the category count of each categorical field in the order
+        of the externals matrix's columns, and the number of continuous fields."""
+        categorical = [f for f in self.external_fields if f.kind == "categorical"]
+        counts = tuple(len(f.categories) for f in categorical)
+        values = (self.n_nodes, self.n_channels, counts, len(self.external_fields) - len(categorical))
+        return dict(zip(MODEL_FIELDS, values))
+
 
 def _check_slot_minutes(n_slots: int, interval_minutes: int) -> None:
     """Refuse a series whose last slot starts past int64's range, the
@@ -309,12 +325,18 @@ def dataset_signature(dataset: SignalDataset) -> dict:
     }
 
 
-def check_signature(signature: dict | None, dataset: SignalDataset) -> None:
-    """Refuse a dataset whose ``dataset_signature`` differs from the one a
-    model was trained on, naming the first difference; None, a signature
+def check_fits(model_config: ModelConfig, dataset: SignalDataset, signature: dict | None = None) -> None:
+    """Refuse a dataset that does not fit a model, naming the first
+    difference: first a field of ``dataset.model_fields`` that holds another
+    value in ``model_config``, then a difference from the
+    ``dataset_signature`` the model was trained on. A signature of None,
     never recorded, passes, and so does a road graph when the signature
     holds no edge hash. Covariate fields compare in the order of the
     externals matrix's columns, the order the model reads them in."""
+    for key, have in dataset.model_fields().items():
+        want = getattr(model_config, key)
+        if want != have:
+            raise ValidationError(f"model expects {key} {want}, dataset has {have}")
     if signature is None:
         return
     for key, have in dataset_signature(dataset).items():

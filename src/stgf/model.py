@@ -143,6 +143,8 @@ class TrainConfig:
                 setattr(self, f.name, _json_number(f.name, value, 0 if f.name == "seed" else 1))
             elif f.type == "float":
                 _json_number(f.name, value)
+            elif not isinstance(value, (str, type(None))):  # checkpoint_dir
+                raise ValidationError(f"{f.name} must be a string or null, got {value!r}")
         # learning_rate 0 is allowed: it freezes the model, which is useful
         # as a determinism probe
         if self.learning_rate < 0.0:

@@ -17,7 +17,8 @@ fixed byte budget and the model's shapes, so a criterion-4 split is one
 pass while a paper-default pass still holds 32 windows; it builds its
 metrics and prediction table from arrays. Losses are computed on
 normalized targets; reported evaluation metrics are always on the raw flow
-scale.
+scale. Training and evaluation first refuse, with ``data.check_fits``, a
+dataset whose fixed model fields differ from the model config's.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .data import (
     PreparedData,
     SignalDataset,
     WindowSet,
+    check_fits,
     dataset_signature,
     minmax_invert,
     prepare_samples,
@@ -183,37 +185,9 @@ def forecast_chunk(model_config: ModelConfig) -> int:
     return max(1, FORECAST_BYTES // (8 * c.window * c.n_nodes * width))
 
 
-def check_geometry(model_config: ModelConfig, dataset: SignalDataset) -> None:
-    """Refuse a dataset whose node or channel count, categorical cardinalities
-    (in schema order) or continuous field count differ from the model's."""
-    if model_config.n_nodes != dataset.n_nodes:
-        raise ValidationError(
-            f"model expects {model_config.n_nodes} nodes, dataset has {dataset.n_nodes}"
-        )
-    if model_config.n_channels != dataset.n_channels:
-        raise ValidationError(
-            f"model expects {model_config.n_channels} channels, dataset has {dataset.n_channels}"
-        )
-    # external_encode reads a code per categorical field in schema order, then the values
-    categorical = [f for f in dataset.external_fields if f.kind == "categorical"]
-    for k, (want, f) in enumerate(zip(model_config.external_cardinalities, categorical)):
-        if want != len(f.categories):
-            raise ValidationError(
-                f"model expects categorical covariate {k} to have {want} categories, "
-                f"dataset's ({f.name!r}) has {len(f.categories)}"
-            )
-    want = (len(model_config.external_cardinalities), model_config.external_continuous)
-    have = (len(categorical), len(dataset.external_fields) - len(categorical))
-    if want != have:
-        raise ValidationError(
-            f"model expects {want[0]} categorical and {want[1]} continuous covariates, "
-            f"dataset has {have[0]} and {have[1]}"
-        )
-
-
 def _local_view(model_config: ModelConfig, dataset: SignalDataset) -> np.ndarray:
     """Check that the dataset fits the model; return its normalized distance view."""
-    check_geometry(model_config, dataset)
+    check_fits(model_config, dataset)
     return normalize_adjacency(build_local_adjacency(dataset.graph))
 
 

@@ -209,6 +209,7 @@ MALFORMED_MANIFESTS = {
     "train-config-zero-epochs": _set("train_config", 0, "epochs"),
     "train-config-bool-seed": _set("train_config", True, "seed"),
     "train-config-unknown-key": _set("train_config", 3, "patience"),
+    "train-config-checkpoint-dir-list": _set("train_config", ["a"], "checkpoint_dir"),
     "total-size-float": lambda manifest: {**manifest, "total_size": float(manifest["total_size"])},
 }
 

@@ -353,7 +353,7 @@ def test_eval_channel_mismatch_exits_2(run_dir, two_channel_dir, capsys):
     code = main(["eval", "--checkpoint", str(run_dir / "checkpoint"),
                  "--data", str(two_channel_dir)])
     assert code == 2
-    assert "model expects 3 channels, dataset has 2" in capsys.readouterr().err
+    assert "model expects n_channels 3, dataset has 2" in capsys.readouterr().err
 
 
 def test_eval_missing_checkpoint_exits_2(tmp_path, data_dir):
@@ -392,7 +392,7 @@ def test_predict_geometry_mismatch_exits_2(run_dir, tmp_path, capsys):
     code = main(["predict", "--checkpoint", str(run_dir / "checkpoint"),
                  "--data", str(tmp_path / "other"), "--at", "50"])
     assert code == 2
-    assert "model expects 3 nodes, dataset has 4" in capsys.readouterr().err
+    assert "model expects n_nodes 3, dataset has 4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edit", MALFORMED_MANIFESTS.values(), ids=MALFORMED_MANIFESTS)
@@ -531,7 +531,7 @@ def test_predict_channel_mismatch_exits_2(run_dir, two_channel_dir, capsys):
     code = main(["predict", "--checkpoint", str(run_dir / "checkpoint"),
                  "--data", str(two_channel_dir), "--at", "50"])
     assert code == 2
-    assert "model expects 3 channels, dataset has 2" in capsys.readouterr().err
+    assert "model expects n_channels 3, dataset has 2" in capsys.readouterr().err
 
 
 def _edited_meta_copy(data_dir, path, key, edit):
@@ -560,22 +560,11 @@ def _reordered_copy(data_dir, path, order):
 
 # covariate fields the default-schema checkpoint cannot read
 MISMATCHED_SCHEMAS = {
-    "weather-first": (
-        (1, 0, 2),
-        "model expects categorical covariate 0 to have 3 categories, "
-        "dataset's ('weather') has 4",
-    ),
+    "weather-first": ((1, 0, 2), "model expects external_cardinalities (3, 4), dataset has (4, 3)"),
     # the continuous field first is served, but the categorical fields are
     # swapped behind it, and that is still caught
-    "temperature-first": (
-        (2, 1, 0),
-        "model expects categorical covariate 0 to have 3 categories, "
-        "dataset's ('weather') has 4",
-    ),
-    "no-temperature": (
-        (0, 1),
-        "model expects 2 categorical and 1 continuous covariates, dataset has 2 and 0",
-    ),
+    "temperature-first": ((2, 1, 0), "model expects external_cardinalities (3, 4), dataset has (4, 3)"),
+    "no-temperature": ((0, 1), "model expects external_continuous 1, dataset has 0"),
 }
 
 
@@ -919,6 +908,12 @@ def test_inspect_says_when_a_checkpoint_has_no_dataset_signature(run_dir, tmp_pa
     assert main(["inspect", "--checkpoint", str(ckpt)]) == 0
     out = capsys.readouterr().out
     assert "  dataset signature: none recorded, so eval and predict cannot check the dataset\n" in out
+
+
+def test_inspect_prints_the_seed_a_manifest_without_one_loads_with(run_dir, tmp_path, capsys):
+    ckpt = _checkpoint_copy(run_dir, tmp_path / "checkpoint", lambda m: m["train_config"].pop("seed"))
+    assert main(["inspect", "--checkpoint", str(ckpt)]) == 0
+    assert "  variant full, seed 0\n" in capsys.readouterr().out
 
 
 def test_inspect_needs_an_argument(capsys):

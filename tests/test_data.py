@@ -24,6 +24,7 @@ from stgf.data import (
     NormStats,
     SignalDataset,
     WindowSet,
+    check_fits,
     chronological_split,
     csv_bytes,
     dataset_signature,
@@ -40,6 +41,7 @@ from stgf.data import (
 )
 from stgf.errors import LoadError, ValidationError
 from stgf.graphs import GraphSpec
+from stgf.model import ModelConfig
 from test_checkpoint import fail_writing
 
 
@@ -184,6 +186,22 @@ def test_categorical_fields_take_the_first_columns():
     assert external_columns((temperature, day, weather)) == [2, 0, 1]
     assert external_columns((weather, temperature, day)) == [0, 2, 1]
     assert external_columns(()) == []
+
+
+def test_model_fields_read_the_categorical_fields_in_column_order():
+    day, weather, temperature = DEFAULT_EXTERNAL_FIELDS
+    # the continuous field sits between the categorical ones in the schema
+    ds = dataclasses.replace(toy_dataset(), external_fields=(day, temperature, weather))
+    assert ds.model_fields() == {
+        "n_nodes": 3, "n_channels": 3, "external_cardinalities": (3, 4), "external_continuous": 1,
+    }
+    config = ModelConfig(**ds.model_fields())
+    check_fits(config, ds)
+    swapped = dataclasses.replace(
+        ds, external_fields=(weather, temperature, day), externals=ds.externals[:, [1, 0, 2]]
+    )
+    with pytest.raises(ValidationError, match=r"external_cardinalities \(3, 4\), dataset has \(4, 3\)"):
+        check_fits(config, swapped)
 
 
 # -------------------------------------------------------------- persistence

@@ -4,7 +4,9 @@ package names NumPy or a module of the standard library. No module imports
 not by tuning or switching off the collector. Every file the package
 writes goes through ``data.write_files``: no other code opens a file for
 writing. Every text file the package reads or writes is UTF-8: each text
-read or write names its encoding, so none depends on the locale."""
+read or write names its encoding, so none depends on the locale. Only
+``data`` names a covariate kind, so the rule for which model fields a
+dataset fixes has one owner."""
 
 import ast
 import sys
@@ -111,3 +113,34 @@ def test_the_encoding_check_sees_each_kind_of_text_call(tmp_path):
         "line 1: read_text", "line 2: write_text", "line 3: open", "line 4: open",
         "line 5: open", "line 6: TextIOWrapper",
     ]
+
+
+KINDS = ("categorical", "continuous")
+
+
+def kind_constants(path: Path) -> list[str]:
+    """String constants in ``path`` that are a covariate kind."""
+    return [
+        f"line {node.lineno}: {node.value}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in KINDS
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "data.py"), ids=lambda p: p.name
+)
+def test_only_data_names_a_covariate_kind(path):
+    assert kind_constants(path) == [], f"{path.name} names a covariate kind; data.py owns them"
+
+
+def test_the_kind_check_sees_each_covariate_kind(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        'f.kind == "categorical"\n'
+        'kinds = ("continuous",)\n'
+        '"a categorical field"\n'
+        'b"continuous"\n',
+        encoding="utf-8",
+    )
+    assert kind_constants(source) == ["line 1: categorical", "line 2: continuous"]

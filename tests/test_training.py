@@ -81,6 +81,8 @@ def test_train_config_validation():
         ("batch_size", True),
         ("seed", 1.0),
         ("seed", -1),
+        ("checkpoint_dir", 5),
+        ("checkpoint_dir", ["a"]),
     ],
 )
 def test_train_config_refuses_non_finite_and_non_integer_values(field, value):
