@@ -35,7 +35,10 @@ sequence as one node: it keeps what its hand-written backward needs
 (the gate activations, gate-major so that each gate is one contiguous
 block, and the cell states) in its closure, not as nodes. Because the
 closure runs once, its backward writes over those arrays as it consumes
-them.
+them. A tape built with a ``Workspace`` takes those arrays from it, so
+successive tapes reuse one set of buffers instead of allocating (and
+faulting in) new ones; the workspace is lent to one tape at a time, and a
+tape that has lost it refuses ``backward``.
 
 A tape built with ``record=False`` runs the same ops forward only: it
 keeps no node list and no closures, so each intermediate is freed as soon
@@ -166,16 +169,58 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
+class Workspace:
+    """The arrays ``lstm_layer`` keeps for its backward (gates and cell
+    states), reused by successive tapes and lent to one tape at a time.
+
+    A tape built with ``Tape(workspace=...)`` borrows it: its layers take
+    their arrays from it in call order, each a view of a buffer kept from
+    an earlier tape when one is large enough. The tape that held the
+    buffers before loses them, so its ``backward`` is refused; lend the
+    workspace again only once the previous tape has run its backward or
+    been dropped. ``release`` frees the buffers and ends the current loan.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: list[Array] = []
+        self._loan = 0  # the current borrower's number
+        self._taken = 0
+
+    def lend(self) -> int:
+        """Take the buffers back from the current borrower; returns the new
+        borrower's number."""
+        self._loan += 1
+        self._taken = 0
+        return self._loan
+
+    def take(self, shape: tuple[int, ...]) -> Array:
+        """The borrower's next array of ``shape``, uninitialised."""
+        size, k = int(np.prod(shape)), self._taken
+        self._taken += 1
+        if k == len(self._buffers):
+            self._buffers.append(np.empty(size))
+        elif self._buffers[k].size < size:
+            self._buffers[k] = np.empty(size)
+        return self._buffers[k][:size].reshape(shape)
+
+    def release(self) -> None:
+        self._buffers.clear()
+        self.lend()
+
+
 class Tape:
     """Append-only record of one forward pass (see the module docstring for
-    ``record=False``)."""
+    ``record=False``, and ``Workspace`` for where ``lstm_layer`` keeps its
+    arrays)."""
 
-    def __init__(self, record: bool = True) -> None:
+    def __init__(self, record: bool = True, workspace: Workspace | None = None) -> None:
         self.record = record
         self.nodes: list[Node] = []
         self._bindings: dict[Parameter, Node] = {}
         self._grads: dict[Parameter, Array] = {}
         self._swept = False
+        self._workspace = workspace
+        self._loan = workspace.lend() if workspace is not None else 0
 
     # ------------------------------------------------------------------ leaves
 
@@ -344,9 +389,10 @@ class Tape:
         # records nothing reuses one block of each, which bounds the memory
         # of a forward-only pass
         kept = steps if self.record else 1
-        gates = np.empty((kept, 4, rows, hidden))
+        take = np.empty if self._workspace is None else self._workspace.take
+        gates = take((kept, 4, rows, hidden))
         h = np.empty((steps, rows, hidden))
-        c = np.empty((kept, rows, hidden))
+        c = take((kept, rows, hidden))
         buf = np.empty((rows, hidden))
         for t in range(steps):
             a, c_t = gates[t % kept], c[t % kept]
@@ -589,15 +635,21 @@ class Tape:
 
     # -------------------------------------------------------------- backward
 
-    def backward(self, loss: Node) -> None:
+    def backward(self, loss: Node, weight: float | None = None) -> None:
         """Compute d(loss)/d(p) for every parameter ``p`` bound on the tape.
+
+        ``loss`` is a scalar node, or, given ``weight``, a node of any shape
+        each of whose entries enters the loss scaled by ``weight``: per-sample
+        losses of B windows with weight 1/B give the gradient of their mean
+        over a batch of B, even when the batch spans several tapes.
 
         One sweep: each node's vjp closure is dropped right after it runs,
         with every array only it held (node values stay), so a tape runs
         backward once and a second call raises ``ContractError``. ``loss``
-        must be a node this tape recorded.
+        must be a node this tape recorded, and a tape whose workspace has
+        been lent to a later tape refuses too.
         """
-        if loss.value.size != 1:
+        if weight is None and loss.value.size != 1:
             raise ContractError(
                 f"backward requires a scalar loss node, got shape {loss.value.shape}"
             )
@@ -608,9 +660,13 @@ class Tape:
             raise ContractError(f"backward: the {loss.op} loss node was not recorded on this tape")
         if self._swept:
             raise ContractError("backward: this tape has run its one backward sweep")
+        if self._workspace is not None and self._workspace._loan != self._loan:
+            raise ContractError("backward: this tape's workspace was lent to a later tape")
         self._swept = True
         bound = {node.id: p for p, node in self._bindings.items()}
-        adjoint: dict[int, Array] = {loss.id: np.ones_like(loss.value)}
+        adjoint: dict[int, Array] = {
+            loss.id: np.full_like(loss.value, 1.0 if weight is None else weight)
+        }
         for nid in range(len(nodes) - 1, -1, -1):
             node = nodes[nid]
             vjp, node._vjp = node._vjp, None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Node, Tape, as_tensor
-from .errors import ValidationError
+from .errors import ValidationError, _json_number
 
 Edge = tuple[int, int, float]
 
@@ -37,7 +37,10 @@ class GraphSpec:
             raise ValidationError(f"graph needs at least one node, got {self.n_nodes}")
         normalized = []
         for k, (src, dst, dist) in enumerate(self.edges):
-            src, dst, dist = int(src), int(dst), float(dist)
+            # the integer rule, called only off the common path: a plain int passes it
+            if type(src) is not int or type(dst) is not int:
+                src, dst = _json_number(f"edge {k} src", src, 0), _json_number(f"edge {k} dst", dst, 0)
+            dist = float(dist)
             if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):
                 raise ValidationError(
                     f"edge {k} ({src}, {dst}) out of range for {self.n_nodes} nodes"

@@ -4,21 +4,25 @@ Training iterates seeded-shuffled mini-batches of windows. A split is a
 ``WindowSet``: target slots over the dataset's series, so a batch is an
 integer array of windows, and ``WindowSet.inputs`` turns it into the
 distinct normalized slots those windows read plus each window's index into
-them. Each mini-batch runs forward as one batch on one tape, which yields
-the vector of per-sample losses; backward starts from its mean, so the
-step direction is the gradient of the mean per-sample loss and batch size
-1 recovers plain per-slot updates. The optimizer works on whole vectors laid out like
-``ModelParams.values``: each step adds the tape's parameter gradients into
-one flat gradient vector, clips it and takes one Adam step with moment
-vectors ``m`` and ``v``; the best-epoch snapshot is one copy of the
-parameter vector. Evaluation runs forward only on tapes that record
-nothing, in chunks whose window count ``forecast_chunk`` sizes from a
-fixed byte budget and the model's shapes, so a criterion-4 split is one
-pass while a paper-default pass still holds 32 windows; it builds its
-metrics and prediction table from arrays. Losses are computed on
-normalized targets; reported evaluation metrics are always on the raw flow
-scale. Training and evaluation first refuse, with ``data.check_fits``, a
-dataset whose fixed model fields differ from the model config's.
+them. One byte budget, ``PASS_BYTES``, bounds every pass. A mini-batch of B
+windows runs forward on tapes of at most ``tape_windows`` windows each
+(one tape when the batch fits), and each tape yields its vector of
+per-sample losses; its backward seeds every loss with 1/B, so the tapes'
+gradients add up to the gradient of the mean per-sample loss, and batch
+size 1 recovers plain per-slot updates. The optimizer works on whole
+vectors laid out like ``ModelParams.values``: each tape adds its parameter
+gradients into one flat gradient vector, which is then clipped and takes
+one Adam step with moment vectors ``m`` and ``v``; the best-epoch snapshot
+is one copy of the parameter vector. The LSTM's gates and cell states come
+from one ``Workspace`` that each tape of an epoch reuses after the previous
+tape's backward; it is released before the validation pass. Evaluation runs
+forward only on tapes that record nothing, in chunks of ``forecast_chunk``
+windows, so a criterion-4 split is one pass while a paper-default pass holds
+4 windows; it builds its metrics and prediction table from arrays. Losses
+are computed on normalized targets; reported evaluation metrics are always
+on the raw flow scale. Training and evaluation first refuse, with
+``data.check_fits``, a dataset whose fixed model fields differ from the
+model config's.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tape, scatter_add
+from .autodiff import Tape, Workspace, scatter_add
 from .checkpoint import save_checkpoint
 from .data import (
     MINUTES_PER_DAY,
@@ -170,19 +174,39 @@ class TrainResult:
     prepared: PreparedData
 
 
-# bytes of float64 rows one forward-only pass may hold: 32 windows of
-# the paper default on 170 nodes (about 4.2 MB each; such a pass peaks near
-# 140 MB under tracemalloc), or about 4,400 windows at criterion-4 widths
-FORECAST_BYTES = 128 * 2**20
+# bytes one pass may hold, a recorded training tape or a forward-only chunk:
+# one window of the paper default on 170 nodes keeps about 17.0 MB on a tape,
+# so such a tape holds one window; at criterion-4 widths (about 101 KB) a
+# 32-window batch is one tape
+PASS_BYTES = 16 * 2**20
 
 
 def forecast_chunk(model_config: ModelConfig) -> int:
-    """Windows per forward-only pass: ``FORECAST_BYTES`` over a window's
+    """Windows per forward-only pass: ``PASS_BYTES`` over a window's
     widest float64 rows, its P x N LSTM rows at the four-gate width, or its
-    convolution rows at every channel's width if those are wider."""
+    convolution rows at every channel's width if those are wider. A chunk
+    holds 4 windows of the paper default on 170 nodes (such a pass peaks
+    near 18 MB under tracemalloc), or about 550 at criterion-4 widths."""
     c = model_config
     width = max(4 * c.lstm_hidden, c.n_channels * max(c.gcn_dims))
-    return max(1, FORECAST_BYTES // (8 * c.window * c.n_nodes * width))
+    return max(1, PASS_BYTES // (8 * c.window * c.n_nodes * width))
+
+
+def tape_bytes(model_config: ModelConfig) -> int:
+    """The float64 bytes one window keeps on a recorded tape until its
+    backward: per slot and node, every LSTM layer's four gates, cell state
+    and hidden state, and each view's convolution stack (every layer's
+    input and output for every channel, then the fused features)."""
+    c = model_config
+    copies = c.n_channels if c.channelwise else 1
+    stack = copies * sum(d_in + d_out for d_in, d_out in c.gcn_layer_dims()) + c.feature_dim
+    width = c.lstm_layers * 6 * c.lstm_hidden + len(c.active_views) * stack
+    return 8 * c.window * c.n_nodes * width
+
+
+def tape_windows(model_config: ModelConfig) -> int:
+    """Windows per recorded training tape: ``PASS_BYTES`` over ``tape_bytes``."""
+    return max(1, PASS_BYTES // tape_bytes(model_config))
 
 
 def _local_view(model_config: ModelConfig, dataset: SignalDataset) -> np.ndarray:
@@ -258,6 +282,10 @@ def train(
     best_val = math.inf
     best_epoch = 0
 
+    grads = params.split(grad)
+    per_tape = tape_windows(model_config)
+    workspace = Workspace()
+
     n_train = len(prepared.train)
     for epoch in range(1, train_config.epochs + 1):
         order = rng.permutation(n_train)
@@ -265,21 +293,25 @@ def train(
         epoch_losses = np.zeros(n_train)
         for batch_index, start in enumerate(range(0, n_train, train_config.batch_size)):
             batch = order[start : start + train_config.batch_size]
-            windows = prepared.train[batch]
-            slots, index, external = windows.inputs()
-            tape = Tape()
-            pred = model_forward(tape, params, slots, external, local_norm, model_config, index)
-            losses = tape.mse_per_sample(pred, tape.constant(windows.y_norm))
-            if not np.all(np.isfinite(losses.value)):
-                raise NumericalError(
-                    f"non-finite training loss at epoch {epoch}, batch {batch_index}"
-                )
-            epoch_losses[batch] = losses.value
-            tape.backward(tape.mean(losses))
             grad[...] = 0.0
-            tape.accumulate_param_grads(params, params.split(grad))
+            for lo in range(0, len(batch), per_tape):
+                part = batch[lo : lo + per_tape]
+                windows = prepared.train[part]
+                slots, index, external = windows.inputs()
+                tape = Tape(workspace=workspace)
+                pred = model_forward(tape, params, slots, external, local_norm, model_config, index)
+                losses = tape.mse_per_sample(pred, tape.constant(windows.y_norm))
+                if not np.all(np.isfinite(losses.value)):
+                    raise NumericalError(
+                        f"non-finite training loss at epoch {epoch}, batch {batch_index}"
+                    )
+                epoch_losses[part] = losses.value
+                tape.backward(losses, 1.0 / len(batch))
+                tape.accumulate_param_grads(params, grads)
+                del tape  # its values, before the next tape and the validation pass
             clip_gradients(params, grad, train_config.clip_norm)
             adam_step(params, grad, state, train_config)
+        workspace.release()
 
         train_mse = float(epoch_losses.mean())
         val_mse = mean_sample_mse(params, model_config, prepared.val, dataset)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stgf.autodiff import Parameter, Tape, _sigmoid_, scatter_add
+from stgf.autodiff import Parameter, Tape, Workspace, _sigmoid_, scatter_add
 from stgf.errors import ContractError, ShapeError
 from stgf.gradcheck import grad_check
 
@@ -779,6 +779,65 @@ def test_lstm_layer_refuses_gates_that_do_not_fit():
         t.lstm_layer(t.constant(np.zeros((2, 5, 3))), weights[:3], biases[:3])
     out = t.lstm_layer(t.constant(np.zeros((2, 5, 3))), weights, biases)
     assert out.value.shape == (2, 5, 4)
+
+
+def _two_lstm_layers(tape, x, low, high):
+    """Two stacked LSTM layers over ``x``, summed with a probe: a scalar."""
+    out = x
+    for p in (low, high):
+        out = tape.lstm_layer(
+            out, [tape.param(p[f"w{k}"]) for k in range(4)], [tape.param(p[f"b{k}"]) for k in range(4)]
+        )
+    return _probe(tape, out, 52)
+
+
+def test_tapes_that_reuse_a_workspace_get_the_gradients_of_fresh_buffers_bit_for_bit():
+    # the second tape reads views of the first one's buffers, the third
+    # needs larger ones
+    low, high = _lstm_gates(50, 3, 4), _lstm_gates(51, 4, 4)
+    params = [*low.values(), *high.values()]
+    workspace = Workspace()
+    for rows in (5, 3, 8):
+        x = np.random.default_rng(rows).normal(size=(3, rows, 3))
+        results = []
+        for tape in (Tape(workspace=workspace), Tape()):
+            loss = _two_lstm_layers(tape, tape.constant(x), low, high)
+            tape.backward(loss)
+            results.append((loss.value, [tape.grad_for(p) for p in params]))
+        (got, got_grads), (want, want_grads) = results
+        assert got == want
+        for a, b in zip(got_grads, want_grads):
+            assert np.array_equal(a, b)
+
+
+def test_a_tape_whose_workspace_was_lent_again_refuses_backward():
+    low, high = _lstm_gates(53, 3, 4), _lstm_gates(54, 4, 4)
+    x = np.random.default_rng(55).normal(size=(3, 5, 3))
+    workspace = Workspace()
+    first = Tape(workspace=workspace)
+    first_loss = _two_lstm_layers(first, first.constant(x), low, high)
+    # lent before the first tape's backward: its gates are the second's now
+    second = Tape(workspace=workspace)
+    second_loss = _two_lstm_layers(second, second.constant(x), low, high)
+    with pytest.raises(ContractError, match="workspace was lent to a later tape"):
+        first.backward(first_loss)
+    second.backward(second_loss)
+    assert np.any(second.grad_for(low["w0"]) != 0.0)
+    third = Tape(workspace=workspace)
+    third_loss = _two_lstm_layers(third, third.constant(x), low, high)
+    workspace.release()
+    with pytest.raises(ContractError, match="workspace was lent to a later tape"):
+        third.backward(third_loss)
+
+
+def test_per_sample_losses_weighted_by_one_over_b_give_the_gradient_of_their_mean_bitwise():
+    w = Parameter("w", np.random.default_rng(56).normal(size=(3, 2, 1)))
+    target = np.random.default_rng(57).normal(size=(3, 2, 1))
+    weighted, mean = Tape(), Tape()
+    weighted.backward(weighted.mse_per_sample(weighted.param(w), weighted.constant(target)), 1 / 3)
+    mean.backward(mean.mean(mean.mse_per_sample(mean.param(w), mean.constant(target))))
+    assert np.array_equal(weighted.grad_for(w), mean.grad_for(w))
+    assert np.any(mean.grad_for(w) != 0.0)
 
 
 def test_forward_only_tape_records_nothing_and_refuses_backward():

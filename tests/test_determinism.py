@@ -20,7 +20,10 @@ in fresh directories must still agree byte for byte. The criterion-4 flow
 also writes the same bytes at one and at two OpenBLAS threads, each run in
 a fresh process started with that thread count and with Python's
 ``EncodingWarning`` raised as an error, so a text file the package opens
-without ``encoding="utf-8"`` fails the test.
+without ``encoding="utf-8"`` fails the test. The paper flow also runs with
+the byte budget lowered so that each training batch runs as two tapes and
+each forecast split as several chunks; that path has no golden file, and
+two runs must agree byte for byte.
 
 After a change meant to change these bytes, rewrite both golden files with
 
@@ -52,6 +55,9 @@ from stgf import (
     prepare_samples,
 )
 from stgf.cli import main
+from stgf.model import ModelConfig
+import stgf.training
+from stgf.training import forecast_chunk, tape_bytes, tape_windows
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -175,6 +181,19 @@ def test_the_criterion_4_flow_writes_the_golden_bytes(tmp_path):
 
 def test_the_paper_flow_writes_the_golden_bytes(tmp_path):
     check_golden(tmp_path, "paper")
+
+
+def test_the_paper_flow_with_split_batches_and_chunks_writes_the_same_bytes_twice(
+    tmp_path, monkeypatch
+):
+    # a budget of one window: each batch of 2 runs as two tapes, and eval's
+    # 13 test windows as chunks of 4. No golden file: the golden files hold
+    # the one-tape, one-chunk path
+    config = ModelConfig(n_nodes=20)
+    monkeypatch.setattr(stgf.training, "PASS_BYTES", tape_bytes(config))
+    assert tape_windows(config) == 1 and forecast_chunk(config) == 4
+    first = flow_digests(tmp_path / "a", "paper")
+    assert first == flow_digests(tmp_path / "b", "paper")
 
 
 def test_one_and_two_blas_threads_write_the_same_bytes(tmp_path):

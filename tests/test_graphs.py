@@ -63,6 +63,31 @@ def test_graph_spec_validation():
         GraphSpec(2, [(1, 1, 1.0)])
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (((0.7, 1, 2.0), (True, 2, 1.0)), "edge 0 src must be an integer, got 0.7"),
+        (((0, 1, 2.0), (True, 2, 1.0)), "edge 1 src must be an integer, got True"),
+        (((0, 1, 2.0), (1, 2.0, 1.0)), "edge 1 dst must be an integer, got 2.0"),
+        (((0, 1, 2.0), (1, "2", 1.0)), "edge 1 dst must be an integer, got '2'"),
+        # the range and self-edge texts are as before
+        (((0, 3, 1.0),), "edge 0 (0, 3) out of range for 3 nodes"),
+        (((-1, 1, 1.0),), "edge 0 (-1, 1) out of range for 3 nodes"),
+        (((1, 1, 1.0),), "edge 0 is a self-edge at node 1"),
+    ],
+)
+def test_graph_spec_refuses_node_indices_that_are_not_integers(edges, message):
+    with pytest.raises(ValidationError) as info:
+        GraphSpec(3, edges)
+    assert str(info.value) == message
+
+
+def test_graph_spec_keeps_numpy_integer_indices_as_ints():
+    spec = GraphSpec(3, ((np.int64(0), np.int32(2), 1.5),))
+    assert spec.edges == ((0, 2, 1.5),)
+    assert all(type(v) is int for v in spec.edges[0][:2])
+
+
 def test_normalize_isolated_node_with_self_loop():
     np.testing.assert_array_equal(normalize_adjacency(np.zeros((1, 1))), [[1.0]])
 

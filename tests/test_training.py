@@ -1,6 +1,7 @@
 """Optimizer, metrics, baseline and training-loop tests."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stgf.autodiff import Parameter
+from stgf.autodiff import Parameter, Tape
 from stgf.data import ExternalField, SignalDataset, make_windows, minmax_fit, prepare_samples
 from stgf.errors import NumericalError, ValidationError
-from stgf.graphs import GraphSpec
-from stgf.model import ModelConfig, ModelParams, init_params
+from stgf.graphs import GraphSpec, build_local_adjacency, normalize_adjacency
+from stgf.model import ModelConfig, ModelParams, init_params, model_forward, param_layout
 from stgf.synth import build_synthetic
 import stgf.training
 from stgf.training import (
@@ -27,6 +28,8 @@ from stgf.training import (
     forecast_chunk,
     ha_baseline,
     mean_sample_mse,
+    tape_bytes,
+    tape_windows,
     train,
 )
 
@@ -491,6 +494,128 @@ def test_train_writes_best_checkpoint(tmp_path):
         assert np.allclose(p.value, q.value, rtol=1e-6, atol=1e-6)
 
 
+# ------------------------------------------------------------ split batches
+
+
+def _record_training(monkeypatch):
+    """Patch the loop to record each training tape's window count and each
+    step's flat gradient before clipping; returns the two lists."""
+    tapes, grads = [], []
+    forward, clip = stgf.training.model_forward, stgf.training.clip_gradients
+
+    def counted(tape, params, slots, external, *rest):
+        if tape.record:
+            tapes.append(len(external))
+        return forward(tape, params, slots, external, *rest)
+
+    def recorded(params, grad, max_norm):
+        grads.append(grad.copy())
+        return clip(params, grad, max_norm)
+
+    monkeypatch.setattr(stgf.training, "model_forward", counted)
+    monkeypatch.setattr(stgf.training, "clip_gradients", recorded)
+    return tapes, grads
+
+
+def test_a_batch_above_the_budget_runs_as_tapes_that_add_up_to_its_gradient(monkeypatch):
+    ds, cfg = small_setup(n_slots=96, lstm_layers=2)
+    tc = TrainConfig(epochs=1, batch_size=5, seed=3)
+    tapes, grads = _record_training(monkeypatch)
+    train(ds, cfg, tc)
+    assert tapes[0] == 5
+    whole = grads[0]
+    tapes.clear()
+    grads.clear()
+    monkeypatch.setattr(stgf.training, "PASS_BYTES", 2 * tape_bytes(cfg))
+    assert tape_windows(cfg) == 2
+    train(ds, cfg, tc)
+    assert tapes[:3] == [2, 2, 1]
+    split = grads[0]
+    assert np.any(whole != 0.0)
+    np.testing.assert_allclose(split, whole, rtol=1e-12, atol=0)
+
+
+def test_a_batch_that_fits_one_tape_steps_on_the_gradient_of_its_mean_bitwise(monkeypatch):
+    ds, cfg = small_setup(n_slots=96, lstm_layers=2)
+    tc = TrainConfig(epochs=1, batch_size=5, seed=3)
+    tapes, grads = _record_training(monkeypatch)
+    train(ds, cfg, tc)
+    # the first batch as train() draws it, backward from the mean loss
+    train_windows = prepare_samples(ds, cfg.window, tc.train_frac, tc.val_frac).train
+    rng = np.random.default_rng(tc.seed)
+    params = init_params(cfg, rng)
+    windows = train_windows[rng.permutation(len(train_windows))[:5]]
+    slots, index, external = windows.inputs()
+    local_norm = normalize_adjacency(build_local_adjacency(ds.graph))
+    tape = Tape()
+    pred = model_forward(tape, params, slots, external, local_norm, cfg, index)
+    tape.backward(tape.mean(tape.mse_per_sample(pred, tape.constant(windows.y_norm))))
+    want = np.zeros_like(params.values)
+    tape.accumulate_param_grads(params, params.split(want))
+    assert tapes[0] == 5
+    assert grads[0].tobytes() == want.tobytes()
+
+
+def test_split_batches_write_the_same_checkpoint_twice(monkeypatch, tmp_path):
+    ds, cfg = small_setup(n_slots=96, lstm_layers=2)
+    monkeypatch.setattr(stgf.training, "PASS_BYTES", 2 * tape_bytes(cfg))
+    runs = []
+    for name in ("a", "b"):
+        tc = TrainConfig(epochs=2, batch_size=5, seed=3, checkpoint_dir=str(tmp_path / name))
+        runs.append(train(ds, cfg, tc))
+    assert runs[0].curve == runs[1].curve
+    a, b = ((tmp_path / name / "params.bin").read_bytes() for name in ("a", "b"))
+    assert a == b
+
+
+def test_a_non_finite_loss_in_a_later_tape_names_the_epoch_and_the_batch(monkeypatch):
+    ds, cfg = small_setup()
+    tc = TrainConfig(epochs=1, batch_size=5, seed=3)
+    forward = stgf.training.model_forward
+    messages = []
+    # one tape per batch, so batch 1 is the second tape; then tapes of 2, 2
+    # and 1 windows, so the fifth tape is batch 1's second
+    for budget, poisoned in ((stgf.training.PASS_BYTES, 2), (2 * tape_bytes(cfg), 5)):
+        calls = []
+
+        def nan_at(tape, *args):
+            out = forward(tape, *args)
+            calls.append(tape.record)
+            if tape.record and sum(calls) == poisoned:
+                out.value[0] = np.nan
+            return out
+
+        monkeypatch.setattr(stgf.training, "PASS_BYTES", budget)
+        monkeypatch.setattr(stgf.training, "model_forward", nan_at)
+        with pytest.raises(NumericalError) as raised:
+            train(ds, cfg, tc)
+        messages.append(str(raised.value))
+    assert messages == ["non-finite training loss at epoch 1, batch 1"] * 2
+
+
+def test_a_paper_width_step_at_one_window_per_tape_holds_about_one_window(monkeypatch):
+    # the paper default on a PEMS08-sized grid: one window keeps about 17 MB
+    ds = build_synthetic(seed=1, n_nodes=170, n_slots=64, topology="grid")
+    cfg = ModelConfig(**ds.model_fields())
+    monkeypatch.setattr(stgf.training, "PASS_BYTES", tape_bytes(cfg))
+    assert tape_windows(cfg) == 1
+    # 4 training windows, so one step of 4 tapes, and 3 validation windows
+    tc = TrainConfig(epochs=1, batch_size=4, train_frac=0.07, val_frac=0.05)
+    vector = 8 * sum(math.prod(shape) for _, shape in param_layout(cfg))
+    tracemalloc.start()
+    try:
+        result = train(ds, cfg, tc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.prepared.train) == 4
+    # five vectors laid out like the parameters are not the tape's: the
+    # values, the flat gradient, the two moments and the parameter
+    # gradients the tape keeps until they are added up. One 4-window tape
+    # peaked 74.6 MB above them, one window per tape 22.1 MB.
+    assert peak - 5 * vector < 1.5 * tape_bytes(cfg)
+
+
 # ---------------------------------------------------------------- evaluation
 
 
@@ -518,10 +643,7 @@ def test_evaluate_rejects_wrong_model_geometry():
 
 
 def test_evaluate_table_matches_per_window_forecasts():
-    from stgf.autodiff import Tape
     from stgf.data import minmax_invert
-    from stgf.graphs import build_local_adjacency, normalize_adjacency
-    from stgf.model import model_forward
 
     ds, cfg = small_setup()
     params = init_params(cfg, np.random.default_rng(3))
@@ -553,9 +675,6 @@ def test_mean_sample_mse_matches_manual_average():
     ds, cfg = small_setup()
     params = init_params(cfg, np.random.default_rng(2))
     prepared = prepare_samples(ds, cfg.window, 0.7, 0.1)
-    from stgf.graphs import build_local_adjacency, normalize_adjacency
-    from stgf.model import model_forward
-    from stgf.autodiff import Tape
 
     local_norm = normalize_adjacency(build_local_adjacency(ds.graph))
     subset = prepared.val[:4]
@@ -573,7 +692,7 @@ def test_mean_sample_mse_equals_the_running_total_bitwise(monkeypatch):
     params = init_params(cfg, np.random.default_rng(6))
     windows = prepare_samples(ds, cfg.window, 0.7, 0.1).train
     # a budget small enough that the windows run as several chunks, the last partial
-    monkeypatch.setattr(stgf.training, "FORECAST_BYTES", 10 * 2**10)
+    monkeypatch.setattr(stgf.training, "PASS_BYTES", 10 * 2**10)
     chunk = forecast_chunk(cfg)
     assert len(windows) > chunk and len(windows) % chunk
     # the oracle: a running total over the windows, one window at a time
@@ -588,8 +707,8 @@ def test_mean_sample_mse_equals_the_running_total_bitwise(monkeypatch):
 CRITERION_4_MODEL = dict(gcn_dims=(8, 16), lstm_layers=1, lstm_hidden=32, embed_dim=4)
 
 
-def test_forecast_chunks_hold_32_paper_windows_and_a_whole_criterion_4_split(monkeypatch):
-    assert forecast_chunk(ModelConfig(n_nodes=170)) == 32
+def test_forecast_chunks_hold_4_paper_windows_and_a_whole_criterion_4_split(monkeypatch):
+    assert forecast_chunk(ModelConfig(n_nodes=170)) == 4
     ds = build_synthetic(seed=7, n_nodes=10, n_slots=2016)
     cfg = ModelConfig(n_nodes=10, n_channels=ds.n_channels, window=3, **CRITERION_4_MODEL)
     test = prepare_samples(ds, cfg.window, 0.7, 0.1).test
@@ -606,6 +725,23 @@ def test_forecast_chunks_hold_32_paper_windows_and_a_whole_criterion_4_split(mon
     assert calls == [403]
 
 
+# synth arguments, model widths and batch size of the two flows
+# tests/test_determinism.py holds to golden bytes
+GOLDEN_FLOWS = [
+    (dict(seed=7, n_nodes=10, n_slots=2016, topology="ring"), CRITERION_4_MODEL, 32),
+    (dict(seed=3, n_nodes=20, n_slots=64, topology="grid"), {}, 2),
+]
+
+
+@pytest.mark.parametrize("synth, model, batch_size", GOLDEN_FLOWS)
+def test_both_golden_flows_run_one_tape_per_batch_and_one_chunk_per_split(synth, model, batch_size):
+    ds = build_synthetic(**synth)
+    cfg = ModelConfig(**ds.model_fields(), window=3, **model)
+    prepared = prepare_samples(ds, cfg.window, 0.7, 0.1)
+    assert tape_windows(cfg) >= batch_size
+    assert forecast_chunk(cfg) >= max(len(prepared.val), len(prepared.test))
+
+
 def test_forecast_chunks_from_a_smaller_budget_agree_with_one_chunk(monkeypatch):
     ds, cfg = small_setup(seed=4)
     params = init_params(cfg, np.random.default_rng(8))
@@ -613,7 +749,7 @@ def test_forecast_chunks_from_a_smaller_budget_agree_with_one_chunk(monkeypatch)
     assert forecast_chunk(cfg) >= len(windows)
     whole = _forecast(params, cfg, ds, windows)
     for budget in (1, 5 * 2**10, 20 * 2**10):
-        monkeypatch.setattr(stgf.training, "FORECAST_BYTES", budget)
+        monkeypatch.setattr(stgf.training, "PASS_BYTES", budget)
         assert 1 <= forecast_chunk(cfg) < len(windows)
         chunked = _forecast(params, cfg, ds, windows)
         np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=0)
